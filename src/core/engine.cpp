@@ -8,15 +8,33 @@
 #include "fir/typecheck.hpp"
 #include "frontend/compile.hpp"
 #include "migrate/image.hpp"
+#include "obs/metrics.hpp"
 
 namespace mojave {
+
+namespace {
+
+/// What the FIR optimizer removed, as `fir.opt.*` counters for --stats.
+void record_optimize_stats(const fir::OptimizeStats& s) {
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.counter("fir.opt.constants_folded").inc(s.constants_folded);
+  reg.counter("fir.opt.copies_propagated").inc(s.copies_propagated);
+  reg.counter("fir.opt.branches_folded").inc(s.branches_folded);
+  reg.counter("fir.opt.dead_lets_removed").inc(s.dead_lets_removed);
+  reg.counter("fir.opt.reads_reused").inc(s.reads_reused);
+  reg.counter("fir.opt.stores_forwarded").inc(s.stores_forwarded);
+  reg.counter("fir.opt.exprs_shared").inc(s.exprs_shared);
+  reg.counter("fir.opt.compares_simplified").inc(s.compares_simplified);
+}
+
+}  // namespace
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {}
 
 fir::Program Engine::compile(const std::string& name,
                              const std::string& source) const {
   fir::Program program = frontend::compile_source(name, source);
-  if (options_.optimize) fir::optimize(program);
+  if (options_.optimize) record_optimize_stats(fir::optimize(program));
   fir::typecheck(program);
   if (options_.dump_fir != nullptr) {
     *options_.dump_fir << fir::to_string(program);

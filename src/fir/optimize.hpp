@@ -12,8 +12,27 @@
 //     program's defined behaviour);
 //   * branch folding     — `if` over a literal condition is replaced by
 //     the taken arm;
-//   * dead-let elimination — pure, unused bindings are dropped. Heap
-//     reads, allocations, and anything that can trap stay put.
+//   * redundant-read elimination and store-to-load forwarding —
+//     `let x : T = read(b, o)` becomes a copy of the value an earlier
+//     read(b, o) : T or write(b, o) := y (y of static type T) on the same
+//     base variable and offset atom produced, provided nothing in between
+//     may have overwritten the slot. A write to another base (it may
+//     alias), a write to the same base at an offset that is not a distinct
+//     literal, any raw store and any external call kill what is known;
+//     allocation kills nothing. The earlier access succeeded, so the
+//     removed read could not have trapped;
+//   * common-subexpression elimination — a unop/binop with the same
+//     operator and operand atoms as a dominating one reuses its result
+//     (division and modulo included: the dominating one succeeded);
+//   * comparison simplification — `t != 0` where t is a comparison result
+//     (already 0 or 1) becomes t;
+//   * dead-let elimination — pure, unused bindings are dropped.
+//     Allocations and anything that can trap stay put; a read goes only
+//     when replaced as above.
+//
+// All facts live within one function body: they are copied into both arms
+// of an `if` and never merged, and nothing crosses a tail call or a
+// speculate/commit/rollback/migrate, since those end a function in CPS.
 //
 // Passes iterate to a fixpoint (bounded). The result always re-typechecks,
 // and the VM must produce identical observable behaviour — properties the
@@ -29,10 +48,15 @@ struct OptimizeStats {
   std::uint64_t copies_propagated = 0;
   std::uint64_t branches_folded = 0;
   std::uint64_t dead_lets_removed = 0;
+  std::uint64_t reads_reused = 0;         ///< read replaced by an earlier read
+  std::uint64_t stores_forwarded = 0;     ///< read replaced by a stored value
+  std::uint64_t exprs_shared = 0;         ///< unop/binop replaced by CSE
+  std::uint64_t compares_simplified = 0;  ///< `t != 0` replaced by t
 
   [[nodiscard]] std::uint64_t total() const {
     return constants_folded + copies_propagated + branches_folded +
-           dead_lets_removed;
+           dead_lets_removed + reads_reused + stores_forwarded +
+           exprs_shared + compares_simplified;
   }
 };
 

@@ -81,7 +81,8 @@ struct NativeContext {
   runtime::Value* frame = nullptr;
   /// Pointer-table mirror for inlined dereference validation.
   const runtime::PointerTable::View* table_view = nullptr;
-  /// Active speculation level count; nonzero routes writes to the helper.
+  /// Active speculation level count. Zero lets a store skip the
+  /// copy-on-write hook; nonzero makes it test the block's epoch first.
   const std::uint64_t* spec_levels = nullptr;
   /// The interpreter's per-opcode-class counters (kNumOpClasses entries);
   /// compiled code adds retired-block deltas directly.
@@ -104,6 +105,10 @@ struct NativeContext {
   std::uint32_t deopt_pc = 0;
   std::uint32_t deopt_reason = 0;
   std::uint32_t reserved_ = 0;
+  /// Newest speculation level's entry epoch. Inside a level, a store to a
+  /// block whose spec_epoch is at least this value needs no clone and is
+  /// done inline; any other store goes through the helper's hook.
+  const std::uint64_t* spec_top_epoch = nullptr;
 };
 
 using NativeFn = void (*)(NativeContext*);
@@ -124,6 +129,7 @@ inline constexpr std::int32_t kCtxArgbuf = 72;
 inline constexpr std::int32_t kCtxDeoptFun = 80;
 inline constexpr std::int32_t kCtxDeoptPc = 84;
 inline constexpr std::int32_t kCtxDeoptReason = 88;
+inline constexpr std::int32_t kCtxSpecTopEpoch = 96;
 
 static_assert(offsetof(NativeContext, frame) == kCtxFrame);
 static_assert(offsetof(NativeContext, table_view) == kCtxTableView);
@@ -138,6 +144,7 @@ static_assert(offsetof(NativeContext, argbuf) == kCtxArgbuf);
 static_assert(offsetof(NativeContext, deopt_fun) == kCtxDeoptFun);
 static_assert(offsetof(NativeContext, deopt_pc) == kCtxDeoptPc);
 static_assert(offsetof(NativeContext, deopt_reason) == kCtxDeoptReason);
+static_assert(offsetof(NativeContext, spec_top_epoch) == kCtxSpecTopEpoch);
 
 // runtime::Value layout assumed by frame loads/stores.
 static_assert(sizeof(runtime::Value) == 16);
@@ -148,9 +155,11 @@ inline constexpr std::int32_t kValPtrOffset = 12; ///< PtrValue.offset
 
 // runtime::Block layout assumed by inlined heap accesses.
 static_assert(sizeof(runtime::Block) == 32);
+static_assert(offsetof(runtime::BlockHeader, spec_epoch) == 0);
 static_assert(offsetof(runtime::BlockHeader, index) == 16);
 static_assert(offsetof(runtime::BlockHeader, count) == 20);
 static_assert(offsetof(runtime::BlockHeader, kind) == 24);
+inline constexpr std::int32_t kBlockSpecEpoch = 0;
 inline constexpr std::int32_t kBlockCount = 20;
 inline constexpr std::int32_t kBlockKind = 24;
 inline constexpr std::int32_t kBlockPayload = 32;

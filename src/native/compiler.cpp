@@ -95,7 +95,7 @@ struct Plan {
   enum class Act : std::uint8_t {
     kInline,  ///< fully inlined machine code
     kHelper,  ///< one C helper call, trap → deopt
-    kHybrid,  ///< inlined fast path, helper fallback when speculating
+    kHybrid,  ///< inlined store, helper fallback when a clone is due
     kDeopt,   ///< unconditional deoptimization at this pc
     kDirect,  ///< statically-bound tail call: native-to-native jump
   };
@@ -271,9 +271,10 @@ bool plan_insn(const CompiledProgram& prog, const CompiledFunction& f,
       const bool p_ok = guard_need(st[I.r1], Tag::kPtr) != kGuardImpossible;
       const bool o_ok = guard_need(st[I.r2], Tag::kInt) != kGuardImpossible;
       if (v_nonptr && p_ok && o_ok) {
-        // Non-pointer store: the write barrier is a no-op, so when no
-        // speculation level is active the hook may be skipped and the
-        // store inlined. A runtime level-count test picks the path.
+        // Non-pointer store: the write barrier is a no-op, so when the
+        // copy-on-write hook has nothing to do (no level, or the block is
+        // already versioned in the newest one) the store is inlined. A
+        // runtime level-count and epoch test picks the path.
         plan.act = Plan::Act::kHybrid;
         want(I.r1, Tag::kPtr);
         want(I.r2, Tag::kInt);
@@ -937,24 +938,50 @@ class FunctionCompiler {
     }
   }
 
+  /// SpeculationManager::before_write's early-out, inlined for the Block*
+  /// in RAX: fall through when no level is active or the block's epoch is
+  /// at least the newest level's entry epoch (already versioned there);
+  /// otherwise jump to `slow`, where the helper runs the hook. Clobbers RCX.
+  void emit_cow_test(Assembler::Label slow) {
+    Assembler::Label store = a_.make_label();
+    a_.mov_rm64(RCX, mem(RBX, kCtxSpecLevels));
+    a_.cmp_mi64(mem(RCX, 0), 0);
+    a_.jcc(kE, store);
+    a_.mov_rm64(RCX, mem(RBX, kCtxSpecTopEpoch));
+    a_.mov_rm64(RCX, mem(RCX, 0));
+    a_.cmp_rm64(RCX, mem(RAX, kBlockSpecEpoch));
+    a_.jcc(kA, slow);  // top epoch > block epoch: needs a clone
+    a_.bind(store);
+  }
+
   void emit_slow_op(const Insn& I, const Plan& plan, Assembler::Label trap,
                     Assembler::Label g) {
     const bool hybrid = plan.act == Plan::Act::kHybrid;
     Assembler::Label slow = a_.make_label();
     Assembler::Label done = a_.make_label();
     if (hybrid) {
-      // Fast path is valid only outside any speculation level: no
-      // copy-on-write hook to run, and the stored value is statically
-      // non-pointer so the write barrier is a no-op.
-      a_.mov_rm64(RAX, mem(RBX, kCtxSpecLevels));
-      a_.cmp_mi64(mem(RAX, 0), 0);
-      a_.jcc(kNe, slow);
+      // Fast path: the access and bounds guards, then an inline store
+      // whenever the copy-on-write hook has nothing to do. The stored value
+      // is statically non-pointer, so the write barrier is a no-op.
       switch (I.op) {
         case Op::kWrite:
           emit_access_prefix(I, 0, g);
           a_.mov_rm32(RCX, mem(RAX, kBlockCount));
           a_.cmp_rr(RDX, RCX);
           a_.jcc(kAe, g);
+          break;
+        case Op::kRawStore:
+          emit_access_prefix(I, 1, g);
+          emit_raw_bounds(I.sub, g);
+          break;
+        default:  // kRawStoreF
+          emit_access_prefix(I, 1, g);
+          emit_raw_bounds(8, g);
+          break;
+      }
+      emit_cow_test(slow);
+      switch (I.op) {
+        case Op::kWrite:
           a_.shl_ri(RDX, 4);
           a_.mov_rm64(RCX, vtag(I.r3));
           a_.mov_rm64(RSI, vpay(I.r3));
@@ -962,8 +989,6 @@ class FunctionCompiler {
           a_.mov_mr64(mem(RAX, RDX, 1, kBlockPayload + 8), RSI);
           break;
         case Op::kRawStore:
-          emit_access_prefix(I, 1, g);
-          emit_raw_bounds(I.sub, g);
           a_.mov_rm64(RCX, vpay(I.r3));
           switch (I.sub) {
             case 8: a_.mov_mr64(mem(RAX, RDX, 1, kBlockPayload), RCX); break;
@@ -973,8 +998,6 @@ class FunctionCompiler {
           }
           break;
         default:  // kRawStoreF
-          emit_access_prefix(I, 1, g);
-          emit_raw_bounds(8, g);
           a_.mov_rm64(RCX, vpay(I.r3));
           a_.mov_mr64(mem(RAX, RDX, 1, kBlockPayload), RCX);
           break;

@@ -226,6 +226,7 @@ bool Engine::try_run(RunIo& io) {
   ctx.frame = frame_.data();
   ctx.table_view = heap_.table().view();
   ctx.spec_levels = spec_.level_count_addr();
+  ctx.spec_top_epoch = spec_.top_epoch_addr();
   ctx.class_counts = io.class_counts;
   ctx.calls = io.calls;
   ctx.budget_left = io.budget;

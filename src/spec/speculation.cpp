@@ -57,16 +57,24 @@ SpecLevel SpeculationManager::speculate(SavedContinuation continuation) {
   record.epoch = next_epoch_++;
   record.continuation = std::move(continuation);
   levels_.push_back(std::move(record));
-  level_count_mirror_ = levels_.size();
-  // Stamp subsequent allocations and clones with this level's epoch so
-  // before_write can tell "already versioned here" from "needs a clone".
-  heap_.set_spec_epoch(levels_.back().epoch);
+  sync_level_mirrors();
   ++stats_.speculates;
   SpecMetrics& m = SpecMetrics::get();
   m.speculates.inc();
   m.active_levels.set(static_cast<std::int64_t>(levels_.size()));
   span.set_arg("level", levels_.size());
   return static_cast<SpecLevel>(levels_.size());
+}
+
+void SpeculationManager::sync_level_mirrors() {
+  level_count_mirror_ = levels_.size();
+  top_epoch_mirror_ = levels_.empty() ? 0 : levels_.back().epoch;
+  // Stamp subsequent allocations and clones with the newest level's epoch
+  // so before_write can tell "already versioned here" from "needs a
+  // clone". With no level active that is epoch 0: strictly below every
+  // future level's entry epoch, so the first write inside the next
+  // speculation correctly preserves the block copy-on-write.
+  heap_.set_spec_epoch(top_epoch_mirror_);
 }
 
 void SpeculationManager::before_write(BlockIndex idx) {
@@ -110,11 +118,7 @@ void SpeculationManager::commit(SpecLevel level) {
   // When level == 1 the record is simply dropped: the preserved versions
   // become unreachable and the collector reclaims them.
   levels_.erase(levels_.begin() + static_cast<std::ptrdiff_t>(level) - 1);
-  level_count_mirror_ = levels_.size();
-  // When no level is active, stamp allocations with epoch 0: strictly
-  // below every future level's entry epoch, so the first write inside the
-  // next speculation correctly preserves them copy-on-write.
-  heap_.set_spec_epoch(levels_.empty() ? 0 : levels_.back().epoch);
+  sync_level_mirrors();
   ++stats_.commits;
   SpecMetrics& m = SpecMetrics::get();
   m.commits.inc();
@@ -148,7 +152,7 @@ RollbackOutcome SpeculationManager::rollback(SpecLevel level,
   }
   SavedContinuation continuation = std::move(levels_[level - 1].continuation);
   levels_.resize(level - 1);
-  level_count_mirror_ = levels_.size();
+  sync_level_mirrors();
   ++stats_.rollbacks;
   SpecMetrics& m = SpecMetrics::get();
   m.rollbacks.inc();
@@ -161,9 +165,6 @@ RollbackOutcome SpeculationManager::rollback(SpecLevel level,
     // "This version of the primitive is a retry primitive; level l is
     // automatically re-entered after it has been rolled back."
     outcome.reentered_level = speculate(outcome.continuation);
-  } else {
-    // As in commit(): epoch 0 at level 0, else the new top's entry epoch.
-    heap_.set_spec_epoch(levels_.empty() ? 0 : levels_.back().epoch);
   }
   return outcome;
 }

@@ -84,11 +84,18 @@ class SpeculationManager final : public runtime::WriteHook,
   }
 
   /// Stable-address mirror of the active level count, read by the native
-  /// tier's inlined write fast path: a write may skip the copy-on-write
-  /// hook only while this is zero (before_write/after_alloc are no-ops
-  /// with no active level).
+  /// tier's inlined store fast path: with no active level before_write is
+  /// a no-op, so the store may skip the copy-on-write hook.
   [[nodiscard]] const std::uint64_t* level_count_addr() const {
     return &level_count_mirror_;
+  }
+
+  /// Stable-address mirror of the newest level's entry epoch (0 with no
+  /// level). The native store fast path inlines before_write's own
+  /// early-out — a block whose spec_epoch is at least this value is
+  /// already versioned in the newest level — and calls the hook otherwise.
+  [[nodiscard]] const std::uint64_t* top_epoch_addr() const {
+    return &top_epoch_mirror_;
   }
 
   /// Observer invoked at the start of every rollback. The cluster layer
@@ -134,12 +141,15 @@ class SpeculationManager final : public runtime::WriteHook,
 
   void restore_level(LevelRecord& record);
   void check_level(SpecLevel level) const;
+  /// Re-derive the mirrors and the heap's allocation epoch from levels_.
+  void sync_level_mirrors();
 
   runtime::Heap& heap_;
   std::vector<LevelRecord> levels_;
-  /// Kept equal to levels_.size() after every mutation (see
-  /// level_count_addr).
+  /// Kept equal to levels_.size() and levels_.back().epoch after every
+  /// mutation (see level_count_addr, top_epoch_addr).
   std::uint64_t level_count_mirror_ = 0;
+  std::uint64_t top_epoch_mirror_ = 0;
   std::uint64_t next_epoch_ = 1;
   SpecStats stats_;
   std::function<void(SpecLevel, bool)> rollback_observer_;

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "core/engine.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -32,6 +33,27 @@ TEST(Engine, OptimizerIsOnByDefaultAndCanBeDisabled) {
   EXPECT_EQ(r_off.run.exit_code, 25);
   // The optimized program executes strictly fewer instructions.
   EXPECT_LT(r_on.vm.instructions, r_off.vm.instructions);
+}
+
+TEST(Engine, CompileRecordsOptimizerCounters) {
+  // Each use of a MojC local re-reads its frame slot; the optimizer keeps
+  // one read per slot and shares the repeated `a * b`.
+  const std::string src =
+      "int f(int a, int b) { int c = a * b; int d = a * b;"
+      "  if (c < d) { return 1; } return c + d; }"
+      "int main() { int x = f(6, 7); return x; }";
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto value = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+  const std::uint64_t forwarded = value("fir.opt.stores_forwarded");
+  const std::uint64_t shared = value("fir.opt.exprs_shared");
+  const std::uint64_t compares = value("fir.opt.compares_simplified");
+  Engine engine;
+  EXPECT_EQ(engine.run_source("t", src).run.exit_code, 84);
+  EXPECT_GT(value("fir.opt.stores_forwarded"), forwarded);
+  EXPECT_GT(value("fir.opt.exprs_shared"), shared);
+  EXPECT_GT(value("fir.opt.compares_simplified"), compares);
 }
 
 TEST(Engine, CompileFileAndRunFile) {

@@ -1,7 +1,8 @@
 // Native-tier tests: the arch probe, tier equivalence (differential fuzz
 // of randomly generated loop/arithmetic programs against the interpreter,
 // including instruction accounting), deoptimization at speculation and
-// budget boundaries, and native<->interpreter migration round trips.
+// budget boundaries, copy-on-write stores issued inside speculation
+// levels, and native<->interpreter migration round trips.
 //
 // Every test that needs generated code skips — not fails — on hosts where
 // the probe reports the tier unavailable (non-x86-64, W^X-restricted).
@@ -74,6 +75,8 @@ struct TierRun {
   vm::OpClassCounts class_counts{};
   std::uint64_t compiled = 0;
   std::uint64_t deopts = 0;
+  std::uint64_t cow_clones = 0;
+  std::uint64_t blocks_preserved = 0;
 };
 
 TierRun run_tier(fir::Program prog, const vm::ProcessConfig& cfg) {
@@ -87,6 +90,8 @@ TierRun run_tier(fir::Program prog, const vm::ProcessConfig& cfg) {
     out.compiled = eng->compiled_functions();
     out.deopts = eng->total_deopts();
   }
+  out.cow_clones = p.heap().stats().cow_clones;
+  out.blocks_preserved = p.spec().stats().blocks_preserved;
   return out;
 }
 
@@ -448,6 +453,196 @@ TEST(NativeDeopt, ForcedRollbackRestoresHeapFromNativeWrites) {
   EXPECT_GE(eng->compiled_functions(), 1u);
   EXPECT_GE(eng->deopt_count(native::DeoptReason::kSpeculate), 1u);
   EXPECT_GE(eng->deopt_count(native::DeoptReason::kRollback), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Stores inside a speculation level: the inlined copy-on-write epoch test.
+// ---------------------------------------------------------------------------
+
+/// How a SpecStores program leaves its speculation.
+enum class SpecFinish {
+  kCommit,  ///< commit the level: the writes stand
+  kAbort,   ///< abort the level: contents from before it come back
+  kNested,  ///< inner level (commit), more outer writes, then outer abort
+};
+
+constexpr std::int64_t kSpecStoreIters = 300;
+
+/// main fills a tagged block T (4 int slots) and a raw block R (4 int64s,
+/// then 2 doubles) and speculates. Inside, a hot loop issues kWrite,
+/// kRawStore and kRawStoreF on every iteration to blocks allocated before
+/// the level; the level then ends per `finish`. The exit code is a
+/// checksum of T and R.
+fir::Program make_spec_stores(SpecFinish finish) {
+  ProgramBuilder pb("spec_stores");
+  const std::vector<Type> state = {Type::integer(), Type::ptr(), Type::ptr(),
+                                   Type::integer()};  // c, T, R, c1
+  std::vector<Type> spin_params = {Type::integer()};  // j
+  spin_params.insert(spin_params.end(), state.begin(), state.end());
+  auto main_id = pb.declare("main", {});
+  auto outer_id = pb.declare("outer", {Type::integer(), Type::ptr(),
+                                       Type::ptr()});
+  auto spin1_id = pb.declare("spin1", spin_params);
+  auto after1_id = pb.declare("after1", state);
+  auto inner_id = pb.declare("inner", state);
+  auto spin2_id = pb.declare("spin2", spin_params);
+  auto after2_id = pb.declare("after2", state);
+  auto spin3_id = pb.declare("spin3", spin_params);
+  auto abort_id = pb.declare("abort_outer", state);
+  auto check_id = pb.declare("check", {Type::ptr(), Type::ptr()});
+  {
+    auto fb = pb.define(main_id, {});
+    auto t = fb.let_alloc("T", Atom::integer(4), Atom::integer(3));
+    auto r = fb.let_alloc_raw("R", Atom::integer(48));
+    for (int k = 0; k < 4; ++k) {
+      fb.raw_store(8, fb.v(r), Atom::integer(8 * k), Atom::integer(10 + k));
+    }
+    fb.raw_storef(fb.v(r), Atom::integer(32), Atom::real(0.5));
+    fb.raw_storef(fb.v(r), Atom::integer(40), Atom::real(7.0));
+    fb.speculate(Atom::fun_ref(outer_id), {fb.v(t), fb.v(r)});
+  }
+  {
+    // First entry (c > 0) writes; abort re-enters with c == 0 to check.
+    auto fb = pb.define(outer_id, {"c", "T", "R"});
+    auto live = fb.let_binop("live", Binop::kGt, fb.arg(0), Atom::integer(0));
+    fb.branch(
+        fb.v(live),
+        [&](auto& t) {
+          t.tail_call(Atom::fun_ref(spin1_id),
+                      {Atom::integer(0), t.arg(0), t.arg(1), t.arg(2),
+                       Atom::integer(0)});
+        },
+        [&](auto& e) {
+          e.tail_call(Atom::fun_ref(check_id), {e.arg(1), e.arg(2)});
+        });
+  }
+  // spin(j, c, T, R, c1): the three store kinds per iteration, then next.
+  const auto define_spin = [&](std::uint32_t id, std::uint32_t next,
+                               std::int64_t bias) {
+    auto fb = pb.define(id, {"j", "c", "T", "R", "c1"});
+    auto done = fb.let_binop("done", Binop::kGe, fb.arg(0),
+                             Atom::integer(kSpecStoreIters));
+    fb.branch(
+        fb.v(done),
+        [&](auto& t) {
+          t.tail_call(Atom::fun_ref(next),
+                      {t.arg(1), t.arg(2), t.arg(3), t.arg(4)});
+        },
+        [&](auto& e) {
+          auto val = e.let_binop("val", Binop::kAdd, e.arg(0),
+                                 Atom::integer(bias));
+          auto slot = e.let_binop("slot", Binop::kAnd, e.arg(0),
+                                  Atom::integer(3));
+          e.write(e.arg(2), e.v(slot), e.v(val));
+          auto off = e.let_binop("off", Binop::kMul, e.v(slot),
+                                 Atom::integer(8));
+          e.raw_store(8, e.arg(3), e.v(off), e.v(val));
+          auto parity = e.let_binop("parity", Binop::kAnd, e.arg(0),
+                                    Atom::integer(1));
+          auto foff0 = e.let_binop("foff0", Binop::kMul, e.v(parity),
+                                   Atom::integer(8));
+          auto foff = e.let_binop("foff", Binop::kAdd, e.v(foff0),
+                                  Atom::integer(32));
+          auto fval = e.let_unop("fval", fir::Unop::kFloatOfInt, e.v(val));
+          e.raw_storef(e.arg(3), e.v(foff), e.v(fval));
+          auto j1 = e.let_binop("j1", Binop::kAdd, e.arg(0),
+                                Atom::integer(1));
+          e.tail_call(Atom::fun_ref(id),
+                      {e.v(j1), e.arg(1), e.arg(2), e.arg(3), e.arg(4)});
+        });
+  };
+  define_spin(spin1_id, after1_id, 100);
+  define_spin(spin2_id, after2_id, 1000);
+  define_spin(spin3_id, abort_id, 5000);
+  {
+    auto fb = pb.define(after1_id, {"c", "T", "R", "c1"});
+    switch (finish) {
+      case SpecFinish::kCommit:
+        fb.commit(fb.arg(0), Atom::fun_ref(check_id), {fb.arg(1), fb.arg(2)});
+        break;
+      case SpecFinish::kAbort:
+        fb.abort_spec(fb.arg(0), Atom::integer(0));
+        break;
+      case SpecFinish::kNested:
+        fb.speculate(Atom::fun_ref(inner_id),
+                     {fb.arg(1), fb.arg(2), fb.arg(0)});
+        break;
+    }
+  }
+  {
+    // inner(c2, T, R, c1): nested level over the same blocks.
+    auto fb = pb.define(inner_id, {"c2", "T", "R", "c1"});
+    fb.tail_call(Atom::fun_ref(spin2_id), {Atom::integer(0), fb.arg(0),
+                                           fb.arg(1), fb.arg(2), fb.arg(3)});
+  }
+  {
+    // Commit the inner level, then keep writing in the outer one: the
+    // blocks now carry the inner epoch, newer than the outer's.
+    auto fb = pb.define(after2_id, {"c2", "T", "R", "c1"});
+    fb.commit(fb.arg(0), Atom::fun_ref(spin3_id),
+              {Atom::integer(0), fb.arg(3), fb.arg(1), fb.arg(2), fb.arg(3)});
+  }
+  {
+    auto fb = pb.define(abort_id, {"c", "T", "R", "c1"});
+    fb.abort_spec(fb.arg(0), Atom::integer(0));
+  }
+  {
+    auto fb = pb.define(check_id, {"T", "R"});
+    Atom sum = Atom::integer(0);
+    for (int k = 0; k < 4; ++k) {
+      auto x = fb.let_read("x", Type::integer(), fb.arg(0), Atom::integer(k));
+      auto y = fb.let_raw_load("y", 8, fb.arg(1), Atom::integer(8 * k));
+      auto s1 = fb.let_binop("s1", Binop::kAdd, sum, fb.v(x));
+      sum = fb.v(fb.let_binop("s2", Binop::kAdd, fb.v(s1), fb.v(y)));
+    }
+    for (int k = 0; k < 2; ++k) {
+      auto f = fb.let_raw_loadf("f", fb.arg(1), Atom::integer(32 + 8 * k));
+      auto f2 = fb.let_binop("f2", Binop::kFMul, fb.v(f), Atom::real(2.0));
+      auto i = fb.let_unop("i", fir::Unop::kIntOfFloat, fb.v(f2));
+      sum = fb.v(fb.let_binop("s3", Binop::kAdd, sum, fb.v(i)));
+    }
+    fb.halt(sum);
+  }
+  return pb.take("main");
+}
+
+// Checksum of the contents main writes before speculating: T = 3,3,3,3;
+// R = 10..13, 0.5, 7.0 (doubled and truncated: 1 + 14).
+constexpr std::int64_t kSpecStorePreSum = 4 * 3 + (10 + 11 + 12 + 13) + 15;
+
+void expect_spec_stores(SpecFinish finish, std::int64_t want_exit,
+                        std::uint64_t want_clones) {
+  const TierRun n = run_tier(make_spec_stores(finish), jit_on(1));
+  const TierRun i = run_tier(make_spec_stores(finish), jit_off());
+  expect_tiers_agree(n, i);
+  EXPECT_GE(n.compiled, 1u);
+  EXPECT_EQ(n.exit_code, want_exit);
+  // One clone per block per level entered, however many stores follow.
+  EXPECT_EQ(n.cow_clones, want_clones);
+  EXPECT_EQ(i.cow_clones, want_clones);
+  EXPECT_EQ(n.blocks_preserved, want_clones);
+  EXPECT_EQ(i.blocks_preserved, want_clones);
+}
+
+TEST(NativeSpecStores, CommitClonesEachBlockOnce) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  // The last iterations j = 296..299 store j + 100 into T[0..3] and R's
+  // four int64s; j = 298, 299 into its two doubles (doubled by check).
+  const std::int64_t ints = 2 * (396 + 397 + 398 + 399);
+  expect_spec_stores(SpecFinish::kCommit, ints + 2 * 398 + 2 * 399, 2);
+}
+
+TEST(NativeSpecStores, AbortRestoresContentsFromBeforeTheLevel) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  expect_spec_stores(SpecFinish::kAbort, kSpecStorePreSum, 2);
+}
+
+TEST(NativeSpecStores, NestedLevelClonesAgainAndRollsBack) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  // Outer level: T and R cloned once; the nested level clones both again;
+  // writes after the nested commit need no clone. The outer abort brings
+  // back the contents from before the outer level.
+  expect_spec_stores(SpecFinish::kNested, kSpecStorePreSum, 4);
 }
 
 // ---------------------------------------------------------------------------
