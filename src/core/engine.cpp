@@ -8,6 +8,7 @@
 #include "fir/typecheck.hpp"
 #include "frontend/compile.hpp"
 #include "migrate/image.hpp"
+#include "native/compiler.hpp"
 #include "obs/metrics.hpp"
 
 namespace mojave {
@@ -34,7 +35,16 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {}
 fir::Program Engine::compile(const std::string& name,
                              const std::string& source) const {
   fir::Program program = frontend::compile_source(name, source);
-  if (options_.optimize) record_optimize_stats(fir::optimize(program));
+  if (options_.optimize) {
+    // Merge single-use CPS blocks first, so the optimizer's forward pass
+    // sees each merged body whole. A merged function stays small enough
+    // for the native tier.
+    const std::uint64_t inlined = fir::inline_once(
+        program, fir::InlineLimits{native::kMaxRegs, native::kMaxCode});
+    obs::MetricsRegistry::instance().counter("fir.opt.calls_inlined").inc(
+        inlined);
+    record_optimize_stats(fir::optimize(program));
+  }
   fir::typecheck(program);
   if (options_.dump_fir != nullptr) {
     *options_.dump_fir << fir::to_string(program);

@@ -28,7 +28,8 @@ struct EngineOptions {
   /// Attach a Migrator to every process so the migrate()/checkpoint
   /// primitives work out of the box.
   bool enable_migration = true;
-  /// Run the FIR optimizer (constant folding, copy propagation, DCE).
+  /// Run the FIR optimizer: single-use block inlining, then constant
+  /// folding, copy propagation, redundant-read elimination and DCE.
   bool optimize = true;
   /// Dump the FIR of every compiled program to this stream (diagnostics).
   std::ostream* dump_fir = nullptr;

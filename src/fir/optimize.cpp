@@ -1,5 +1,6 @@
 #include "fir/optimize.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <optional>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/wrap.hpp"
 
 namespace mojave::fir {
 
@@ -18,7 +20,7 @@ std::optional<Atom> fold_unop(Unop op, const Atom& a) {
   if (a.kind == Atom::Kind::kInt) {
     switch (op) {
       case Unop::kNeg:
-        return Atom::integer(-a.i);
+        return Atom::integer(wrap_neg(a.i));
       case Unop::kNot:
         return Atom::integer(a.i == 0 ? 1 : 0);
       case Unop::kBitNot:
@@ -50,15 +52,15 @@ std::optional<Atom> fold_binop(Binop op, const Atom& a, const Atom& b) {
     const std::int64_t x = a.i;
     const std::int64_t y = b.i;
     switch (op) {
-      case Binop::kAdd: return Atom::integer(x + y);
-      case Binop::kSub: return Atom::integer(x - y);
-      case Binop::kMul: return Atom::integer(x * y);
+      case Binop::kAdd: return Atom::integer(wrap_add(x, y));
+      case Binop::kSub: return Atom::integer(wrap_sub(x, y));
+      case Binop::kMul: return Atom::integer(wrap_mul(x, y));
       case Binop::kDiv:
         if (y == 0) return std::nullopt;
-        return Atom::integer(x / y);
+        return Atom::integer(wrap_div(x, y));
       case Binop::kMod:
         if (y == 0) return std::nullopt;
-        return Atom::integer(x % y);
+        return Atom::integer(wrap_mod(x, y));
       case Binop::kAnd: return Atom::integer(x & y);
       case Binop::kOr: return Atom::integer(x | y);
       case Binop::kXor: return Atom::integer(x ^ y);
@@ -413,7 +415,254 @@ class FunctionOptimizer {
   std::vector<bool> is_cmp_;
 };
 
+// --- Single-use block inlining -----------------------------------------------
+
+/// Calls `fn` on every operand atom of `e` — the atoms vm/lowering.cpp
+/// materializes into registers, in the same order.
+template <class E, class Fn>
+void for_each_operand(E& e, Fn fn) {
+  switch (e.kind) {
+    case ExprKind::kLetAtom: case ExprKind::kLetUnop:
+    case ExprKind::kLetAllocRaw: case ExprKind::kLetLen: case ExprKind::kIf:
+    case ExprKind::kHalt:
+      fn(e.a);
+      break;
+    case ExprKind::kLetBinop: case ExprKind::kLetAllocTagged:
+    case ExprKind::kLetRead: case ExprKind::kLetRawLoad:
+    case ExprKind::kLetRawLoadF: case ExprKind::kLetPtrAdd:
+    case ExprKind::kRollback: case ExprKind::kAbort:
+      fn(e.a);
+      fn(e.b);
+      break;
+    case ExprKind::kWrite: case ExprKind::kRawStore: case ExprKind::kRawStoreF:
+      fn(e.a);
+      fn(e.b);
+      fn(e.c_atom);
+      break;
+    case ExprKind::kCommit: case ExprKind::kMigrate:
+      fn(e.a);
+      [[fallthrough]];
+    case ExprKind::kTailCall: case ExprKind::kSpeculate:
+      fn(e.fun);
+      [[fallthrough]];
+    case ExprKind::kLetExternal:
+      for (auto& a : e.args) fn(a);
+      break;
+  }
+}
+
+/// Calls `fn(slot)` on every expression node of the tree rooted at `*head`,
+/// where `slot` is the ExprPtr that owns the node.
+template <class Fn>
+void for_each_slot(ExprPtr& head, Fn fn) {
+  for (ExprPtr* slot = &head; *slot != nullptr; slot = &(*slot)->next) {
+    fn(*slot);
+    if ((*slot)->kind == ExprKind::kIf) for_each_slot((*slot)->els, fn);
+  }
+}
+
+/// Registers and instructions a function body lowers to (vm/lowering.cpp):
+/// every non-variable operand costs one load into a scratch register, and
+/// scratch registers are reused from one node to the next.
+struct LoweredSize {
+  std::size_t scratch = 0;  ///< peak scratch registers of any one node
+  std::size_t insns = 0;
+};
+
+/// `is_var(atom)` says whether an operand is a variable after lowering.
+template <class IsVar>
+LoweredSize lowered_size(ExprPtr& body, IsVar is_var) {
+  LoweredSize size;
+  for_each_slot(body, [&](ExprPtr& slot) {
+    std::size_t loads = 0;
+    for_each_operand(*slot, [&](const Atom& a) { loads += is_var(a) ? 0 : 1; });
+    size.scratch = std::max(size.scratch, loads);
+    size.insns += 1 + loads;
+  });
+  return size;
+}
+
+bool is_var_atom(const Atom& a) { return a.kind == Atom::Kind::kVar; }
+
+class Inliner {
+ public:
+  Inliner(Program& program, const InlineLimits& limits)
+      : prog_(program), limits_(limits) {}
+
+  std::uint64_t run() {
+    const std::size_t n = prog_.functions.size();
+    refs_.assign(n, 0);
+    sites_.assign(n, Site{});
+    sizes_.resize(n);
+    for (std::uint32_t f = 0; f < n; ++f) {
+      Function& fn = prog_.functions[f];
+      if (fn.body == nullptr) return 0;  // malformed: leave it to typecheck
+      sizes_[f] = lowered_size(fn.body, is_var_atom);
+      for_each_slot(fn.body, [&](ExprPtr& slot) {
+        for_each_operand(*slot, [&](const Atom& a) {
+          if (a.kind != Atom::Kind::kFunRef || a.fun >= n) return;
+          ++refs_[a.fun];
+          if (slot->kind == ExprKind::kTailCall && &a == &slot->fun) {
+            sites_[a.fun] = Site{f, &slot};
+          }
+        });
+      });
+    }
+    // Candidacy is fixed by the scan: moving a body neither adds nor drops
+    // a reference. Only a site's host changes, as hosts merge away.
+    merged_.assign(n, Site{});
+    std::uint64_t inlined = 0;
+    for (std::uint32_t g = 0; g < n; ++g) {
+      if (candidate(g) && inline_into_host(g)) ++inlined;
+    }
+    if (inlined != 0) compact();
+    return inlined;
+  }
+
+ private:
+  /// Where the one tail call to a function lives: the host function and
+  /// the ExprPtr owning the call node.
+  struct Site {
+    std::uint32_t host = 0;
+    ExprPtr* slot = nullptr;
+  };
+
+  [[nodiscard]] bool candidate(std::uint32_t g) const {
+    const Function& fn = prog_.functions[g];
+    // The single reference must be the callee of a tail call; a function
+    // taking a continuation is a source-level function, not a CPS block.
+    return refs_[g] == 1 && sites_[g].slot != nullptr &&
+           g != prog_.entry &&
+           std::none_of(fn.param_tys.begin(), fn.param_tys.end(),
+                        [](const Type& t) { return t.kind == TyKind::kFun; });
+  }
+
+  /// Move g's body into its call site, or refuse (returning false) when
+  /// the site is g itself or the merged function would outgrow `limits_`.
+  bool inline_into_host(std::uint32_t g) {
+    const Site site = resolve(sites_[g]);
+    if (site.host == g) return false;  // a self-loop: nothing to merge into
+    Function& host = prog_.functions[site.host];
+    Function& fn = prog_.functions[g];
+    const Expr& call = **site.slot;
+    // Malformed input is left for typecheck to report.
+    if (call.args.size() != fn.arity() ||
+        fn.var_names.size() != fn.num_vars) {
+      return false;
+    }
+
+    const auto arg_of = [&](const Atom& a) -> const Atom* {
+      return a.kind == Atom::Kind::kVar && a.var < fn.arity()
+                 ? &call.args[a.var]
+                 : nullptr;
+    };
+    const LoweredSize body = lowered_size(fn.body, [&](const Atom& a) {
+      const Atom* arg = arg_of(a);
+      return is_var_atom(arg != nullptr ? *arg : a);
+    });
+    std::size_t call_insns = 1;
+    for_each_operand(call, [&](const Atom& a) {
+      call_insns += is_var_atom(a) ? 0 : 1;
+    });
+    const std::size_t locals = fn.num_vars - fn.arity();
+    LoweredSize merged = sizes_[site.host];
+    merged.scratch = std::max(merged.scratch, body.scratch);
+    merged.insns = merged.insns - call_insns + body.insns;
+    if (host.num_vars + locals + merged.scratch > limits_.max_regs ||
+        merged.insns > limits_.max_insns) {
+      return false;
+    }
+
+    // Parameters become the call's arguments; locals move above the host's.
+    const VarId base = host.num_vars;
+    const auto rename = [&](VarId v) {
+      return static_cast<VarId>(base + v - fn.arity());
+    };
+    for_each_slot(fn.body, [&](ExprPtr& slot) {
+      Expr& e = *slot;
+      for_each_operand(e, [&](Atom& a) {
+        if (const Atom* arg = arg_of(a)) {
+          a = *arg;
+        } else if (a.kind == Atom::Kind::kVar) {
+          a.var = rename(a.var);
+        }
+      });
+      if (binds(e.kind)) e.bind = rename(e.bind);
+    });
+    host.num_vars += static_cast<std::uint32_t>(locals);
+    host.var_names.insert(host.var_names.end(),
+                          fn.var_names.begin() + fn.arity(),
+                          fn.var_names.end());
+    sizes_[site.host] = merged;
+    merged_[g] = site;
+    *site.slot = std::move(fn.body);
+    return true;
+  }
+
+  /// Follow a site through the functions its host has merged into: calls
+  /// g's body made now live in g's host, and one that was the root of g's
+  /// body sits where the call to g was.
+  Site resolve(Site s) const {
+    while (merged_[s.host].slot != nullptr) {
+      const Site into = merged_[s.host];
+      if (s.slot == &prog_.functions[s.host].body) s.slot = into.slot;
+      s.host = into.host;
+    }
+    return s;
+  }
+
+  static bool binds(ExprKind k) {
+    switch (k) {
+      case ExprKind::kLetAtom: case ExprKind::kLetUnop:
+      case ExprKind::kLetBinop: case ExprKind::kLetAllocTagged:
+      case ExprKind::kLetAllocRaw: case ExprKind::kLetRead:
+      case ExprKind::kLetRawLoad: case ExprKind::kLetRawLoadF:
+      case ExprKind::kLetLen: case ExprKind::kLetPtrAdd:
+      case ExprKind::kLetExternal:
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  /// Drop the inlined functions and renumber the survivors densely (FIR
+  /// serialization requires id == index).
+  void compact() {
+    std::vector<std::uint32_t> new_id(merged_.size(), 0);
+    std::vector<Function> kept;
+    for (std::uint32_t f = 0; f < merged_.size(); ++f) {
+      if (merged_[f].slot != nullptr) continue;
+      new_id[f] = static_cast<std::uint32_t>(kept.size());
+      kept.push_back(std::move(prog_.functions[f]));
+      kept.back().id = new_id[f];
+    }
+    for (Function& fn : kept) {
+      for_each_slot(fn.body, [&](ExprPtr& slot) {
+        for_each_operand(*slot, [&](Atom& a) {
+          if (a.kind == Atom::Kind::kFunRef && a.fun < new_id.size()) {
+            a.fun = new_id[a.fun];
+          }
+        });
+      });
+    }
+    prog_.entry = new_id[prog_.entry];
+    prog_.functions = std::move(kept);
+  }
+
+  Program& prog_;
+  const InlineLimits limits_;
+  std::vector<std::uint32_t> refs_;
+  std::vector<Site> sites_;   ///< per function: its tail-call site, if any
+  std::vector<Site> merged_;  ///< per inlined function: where it went
+  std::vector<LoweredSize> sizes_;
+};
+
 }  // namespace
+
+std::uint64_t inline_once(Program& program, const InlineLimits& limits) {
+  if (program.entry >= program.functions.size()) return 0;
+  return Inliner(program, limits).run();
+}
 
 OptimizeStats optimize(Program& program) {
   OptimizeStats stats;

@@ -3,13 +3,36 @@
 // MCC positions the FIR as the place where analysis and transformation
 // happen ("MCC provides an active test bed for research", Section 3; the
 // FIR "could be used to verify the correctness of the programs"). This
-// module implements the classical safe passes over the CPS representation:
+// module implements the classical safe passes over the CPS representation.
+//
+// inline_once() merges continuation chains before code generation. The
+// frontend splits every source function into CPS blocks at each branch
+// and loop; a block g is merged into its caller when
+//
+//   * g's only reference in the whole program is the callee of one tail
+//     call, in another function (a self-loop never qualifies);
+//   * g is not the entry;
+//   * no parameter of g has a function type — which keeps source-level
+//     functions (they carry a return continuation) and selects the
+//     frontend's blocks (they take `frame`);
+//   * the merged function still lowers to at most InlineLimits registers
+//     and instructions, so the native tier never refuses it.
+//
+// The call's arguments replace g's parameters, g's locals are renumbered
+// above the caller's, and g's body moves (never copies: migrate labels
+// stay unique and the program never grows) into the call site. Inlined
+// functions are deleted and the survivors renumbered densely. Candidacy
+// is fixed up front — moving a body neither adds nor drops a reference —
+// so one pass reaches the fixpoint; every step deletes a function.
+//
+// optimize() then runs, within each function body:
 //
 //   * copy propagation   — `let x = a` binds are substituted away;
 //   * constant folding   — unops/binops over literals are evaluated at
-//     compile time with exactly the interpreter's semantics (division and
-//     modulo by a literal zero are NOT folded: the runtime trap is the
-//     program's defined behaviour);
+//     compile time with exactly the interpreter's semantics, wrapping
+//     integer overflow included (division and modulo by a literal zero
+//     are NOT folded: the runtime trap is the program's defined
+//     behaviour);
 //   * branch folding     — `if` over a literal condition is replaced by
 //     the taken arm;
 //   * redundant-read elimination and store-to-load forwarding —
@@ -62,5 +85,17 @@ struct OptimizeStats {
 
 /// Optimize in place; returns what was done.
 OptimizeStats optimize(Program& program);
+
+/// The largest function the backend accepts after lowering.
+struct InlineLimits {
+  std::size_t max_regs = 0;   ///< variables plus scratch registers
+  std::size_t max_insns = 0;  ///< bytecode instructions
+};
+
+/// Single-use block inlining: move every function whose only reference in
+/// the program is the callee of one tail call in another function into
+/// that call site, then delete it. Returns the number of calls inlined.
+[[nodiscard]] std::uint64_t inline_once(Program& program,
+                                        const InlineLimits& limits);
 
 }  // namespace mojave::fir

@@ -18,7 +18,11 @@
 // Every bytecode instruction compiles memory-to-memory over the frame, so
 // no VM state lives in machine registers across a C helper call — which is
 // what makes every helper call (allocation, hooked writes) a GC safepoint
-// for free: the frame is always fully materialized.
+// for free: every register the running function has written is current in
+// the frame. A register it has not yet written may still hold a value from
+// the caller (direct jumps do not clear the callee's registers); such
+// stale slots are only conservative GC roots, and a deopt resets them to
+// unit from a compile-time table before the interpreter sees the frame.
 #pragma once
 
 #include <cstddef>
@@ -77,7 +81,8 @@ inline constexpr std::size_t kNumDeoptReasons = 12;
 /// The single argument passed to compiled code. Field offsets are baked
 /// into emitted instructions; the static_asserts below pin the layout.
 struct NativeContext {
-  /// Virtual register frame: `max(num_regs)` Values, engine-owned, GC root.
+  /// Virtual register frame: `max(num_regs)` Values, engine-owned, GC
+  /// root. Registers the running function has not written are stale.
   runtime::Value* frame = nullptr;
   /// Pointer-table mirror for inlined dereference validation.
   const runtime::PointerTable::View* table_view = nullptr;

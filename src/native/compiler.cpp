@@ -21,9 +21,8 @@ using vm::CompiledProgram;
 using vm::Insn;
 using vm::Op;
 
-// Compile-time sanity bounds; functions outside them stay interpreted.
-constexpr std::size_t kMaxCode = 1 << 16;
-constexpr std::uint16_t kMaxRegs = 256;
+// Compile-time sanity bound (kMaxCode and kMaxRegs are in compiler.hpp);
+// programs outside it stay interpreted.
 constexpr std::size_t kMaxFunctions = 1 << 24;
 
 // --- Type lattice ------------------------------------------------------------
@@ -457,6 +456,67 @@ bool ends_chunk(Op op) {
   }
 }
 
+// --- Register assignment -----------------------------------------------------
+
+/// One bit per virtual register (validate() bounds num_regs by kMaxRegs).
+using RegSet = DeoptResets::Bits;
+
+bool has_reg(const RegSet& s, std::uint16_t r) {
+  return ((s[r >> 6] >> (r & 63)) & 1) != 0;
+}
+
+void add_reg(RegSet& s, std::uint16_t r) { s[r >> 6] |= 1ULL << (r & 63); }
+
+/// The register `I` writes when it completes natively, or -1.
+int written_reg(const Insn& I) {
+  switch (I.op) {
+    case Op::kLoadUnit: case Op::kLoadInt: case Op::kLoadFloat:
+    case Op::kLoadString: case Op::kLoadFun: case Op::kLoadNull:
+    case Op::kMove: case Op::kUnop: case Op::kBinop:
+    case Op::kAllocTagged: case Op::kAllocRaw: case Op::kRead:
+    case Op::kRawLoad: case Op::kRawLoadF: case Op::kLen: case Op::kPtrAdd:
+      return I.dst;
+    default:
+      return -1;
+  }
+}
+
+/// Calls `fn` on every register native code for `I` reads.
+template <class Fn>
+void for_each_read(const Insn& I, Fn fn) {
+  switch (I.op) {
+    case Op::kMove: case Op::kUnop: case Op::kAllocRaw: case Op::kLen:
+    case Op::kJumpIfZero:
+      fn(I.r1);
+      break;
+    case Op::kBinop: case Op::kAllocTagged: case Op::kRead:
+    case Op::kRawLoad: case Op::kRawLoadF: case Op::kPtrAdd:
+      fn(I.r1);
+      fn(I.r2);
+      break;
+    case Op::kWrite: case Op::kRawStore: case Op::kRawStoreF:
+      fn(I.r1);
+      fn(I.r2);
+      fn(I.r3);
+      break;
+    case Op::kTailCall:
+      fn(I.r1);
+      for (const std::uint16_t r : I.args) fn(r);
+      break;
+    default:
+      break;
+  }
+}
+
+/// The abstract state at a chunk start: register types, plus which
+/// registers every path (must) and some path (may) from the function
+/// entry has written. Parameters count as written.
+struct PointState {
+  State types;
+  RegSet must;
+  RegSet may;
+};
+
 using ClassCounts = std::array<std::uint64_t, vm::kNumOpClasses>;
 
 struct DeoptStub {
@@ -488,6 +548,8 @@ class FunctionCompiler {
     result.ok = true;
     result.code.assign(a_.data(), a_.data() + a_.size());
     result.jump_entry = jump_entry_;
+    result.eager_clears = eager_clears_;
+    result.resets = std::move(resets_);
     return result;
   }
 
@@ -529,15 +591,17 @@ class FunctionCompiler {
     return static_cast<std::uint32_t>(f_.code.size());
   }
 
-  State entry_state() const {
-    State st(f_.num_regs, info_of(Kind::kUnit));
-    for (std::uint32_t i = 0; i < f_.arity; ++i) {
-      st[i] = info_of(kind_of_tag(f_.param_tags[i]));
+  PointState entry_state() const {
+    PointState st{State(f_.num_regs, info_of(Kind::kUnit)), {}, {}};
+    for (std::uint16_t i = 0; i < f_.arity; ++i) {
+      st.types[i] = info_of(kind_of_tag(f_.param_tags[i]));
+      add_reg(st.must, i);
+      add_reg(st.may, i);
     }
     return st;
   }
 
-  void propagate(std::uint32_t target, const State& st,
+  void propagate(std::uint32_t target, const PointState& st,
                  std::vector<std::uint32_t>& worklist) {
     auto it = in_states_.find(target);
     if (it == in_states_.end()) {
@@ -545,33 +609,60 @@ class FunctionCompiler {
       worklist.push_back(target);
       return;
     }
+    PointState& in = it->second;
     bool changed = false;
-    for (std::size_t r = 0; r < st.size(); ++r) {
-      const TypeInfo m = meet(it->second[r], st[r]);
-      if (!(m == it->second[r])) {
-        it->second[r] = m;
+    for (std::size_t r = 0; r < st.types.size(); ++r) {
+      const TypeInfo m = meet(in.types[r], st.types[r]);
+      if (!(m == in.types[r])) {
+        in.types[r] = m;
         changed = true;
       }
+    }
+    for (std::size_t w = 0; w < in.must.size(); ++w) {
+      const std::uint64_t must = in.must[w] & st.must[w];
+      const std::uint64_t may = in.may[w] | st.may[w];
+      changed = changed || must != in.must[w] || may != in.may[w];
+      in.must[w] = must;
+      in.may[w] = may;
     }
     if (changed) worklist.push_back(target);
   }
 
+  /// Type and assignment dataflow to a fixpoint. It also collects the
+  /// registers the jump entry must still zero: (a) any register read
+  /// natively where some path has not written it, and (b) any register
+  /// written on some but not all paths to a chunk start, where a deopt
+  /// could not tell whether it holds a value. Every other register is
+  /// either written or reset from `resets_` at a deopt. Types only lose
+  /// precision and must-sets only shrink as the fixpoint proceeds, so
+  /// accumulating over every visit equals the final visit's answer.
   bool dataflow() {
     std::vector<std::uint32_t> worklist;
+    RegSet eager{};
     in_states_.emplace(0, entry_state());
     worklist.push_back(0);
     while (!worklist.empty()) {
       const std::uint32_t start = worklist.back();
       worklist.pop_back();
+      PointState st = in_states_.at(start);
+      for (std::size_t w = 0; w < eager.size(); ++w) {
+        eager[w] |= st.may[w] & ~st.must[w];
+      }
       if (start >= f_.code.size()) continue;  // fell-off-the-end sentinel
-      State st = in_states_.at(start);
       const std::uint32_t end = chunk_end(start);
       bool fell_through = true;
       for (std::uint32_t pc = start; pc < end; ++pc) {
         const Insn& I = f_.code[pc];
         Plan plan;
-        if (!plan_insn(prog_, f_, I, st, plan, err_)) return false;
+        if (!plan_insn(prog_, f_, I, st.types, plan, err_)) return false;
         if (plan.act == Plan::Act::kDeopt) { fell_through = false; break; }
+        for_each_read(I, [&](std::uint16_t r) {
+          if (!has_reg(st.must, r)) add_reg(eager, r);
+        });
+        if (const int w = written_reg(I); w >= 0) {
+          add_reg(st.must, static_cast<std::uint16_t>(w));
+          add_reg(st.may, static_cast<std::uint16_t>(w));
+        }
         if (I.op == Op::kJump) {
           propagate(I.aux, st, worklist);
           fell_through = false;
@@ -587,6 +678,9 @@ class FunctionCompiler {
       }
       if (fell_through) propagate(end, st, worklist);
     }
+    for (std::uint16_t r = f_.arity; r < f_.num_regs; ++r) {
+      if (has_reg(eager, r)) eager_clears_.push_back(r);
+    }
     return true;
   }
 
@@ -601,6 +695,15 @@ class FunctionCompiler {
   Assembler::Label stub(std::uint32_t pc, DeoptReason reason,
                         const ClassCounts& counts, std::int32_t refund) {
     stubs_.push_back(DeoptStub{a_.make_label(), pc, reason, refund, counts});
+    // Chunks are emitted in ascending pc order, so the table stays sorted;
+    // several stubs at one pc share a row.
+    if (resets_.pcs.empty() || resets_.pcs.back() != pc) {
+      resets_.pcs.push_back(pc);
+      RegSet& unwritten = resets_.bits.emplace_back();
+      for (std::size_t w = 0; w < unwritten.size(); ++w) {
+        unwritten[w] = ~emit_may_[w];
+      }
+    }
     return stubs_.back().label;
   }
 
@@ -901,11 +1004,15 @@ class FunctionCompiler {
         }
         emit_store_int_result(I.dst, RAX);
         break;
-      case 3: case 4: {  // div, mod: zero divisor deopts (interpreter raises)
+      case 3: case 4: {
+        // div, mod: a divisor of 0 or -1 deopts — the interpreter raises
+        // the zero trap, and computes the wrapped INT64_MIN / -1 that
+        // idiv would fault on. (divisor + 1) <= 1 unsigned is both cases.
         a_.mov_rm64(RAX, vpay(I.r1));
         a_.mov_rm64(RCX, vpay(I.r2));
-        a_.test_rr(RCX, RCX);
-        a_.jcc(kE, g);
+        a_.lea(RDX, mem(RCX, 1));
+        a_.cmp_ri(RDX, 1);
+        a_.jcc(kBe, g);
         a_.cqo();
         a_.idiv_r(RCX);
         emit_store_int_result(I.dst, s == 3 ? RAX : RDX);
@@ -1073,6 +1180,8 @@ class FunctionCompiler {
 
   void emit_chunk(std::uint32_t start) {
     a_.bind(chunk_label(start));
+    const PointState& in = in_states_.at(start);
+    emit_may_ = in.may;
     if (start >= f_.code.size()) {
       // Control fell off the end: deopt; the interpreter raises the
       // canonical "program counter fell off the end" error.
@@ -1086,7 +1195,7 @@ class FunctionCompiler {
     a_.sub_mi64(mem(RBX, kCtxBudget), cost);
     a_.jcc(kS, stub(start, DeoptReason::kBudget, ClassCounts{}, cost));
 
-    State st = in_states_.at(start);
+    State st = in.types;
     ClassCounts prefix{};
     std::int32_t done_insns = 0;
     for (std::uint32_t pc = start; pc < end; ++pc) {
@@ -1127,6 +1236,9 @@ class FunctionCompiler {
       }
 
       emit_insn(I, pc, plan, prefix, refund);
+      if (const int w = written_reg(I); w >= 0) {
+        add_reg(emit_may_, static_cast<std::uint16_t>(w));
+      }
       prefix[I.cls] += 1;
       ++done_insns;
     }
@@ -1143,10 +1255,13 @@ class FunctionCompiler {
     a_.mov_rr(RBX, RDI);
     a_.mov_rm64(R12, mem(RBX, kCtxFrame));
 
-    // The jump entry replays the interpreter's regs_.assign(num_regs, unit)
-    // for non-argument registers; arguments were placed by the caller.
+    // The jump entry: arguments were placed by the caller, and every other
+    // register still holds whatever the caller's frame left there. Only
+    // the registers dataflow() found an exact deopt could not rebuild are
+    // zeroed here (none, for code lowered from the FIR); the rest are
+    // reset to unit by the engine at a deopt, from `resets_`.
     jump_entry_ = static_cast<std::size_t>(a_.pos());
-    for (std::uint16_t r = f_.arity; r < f_.num_regs; ++r) {
+    for (const std::uint16_t r : eager_clears_) {
       a_.mov_mi64(vtag(r), 0);
       a_.mov_mi64(vpay(r), 0);
     }
@@ -1188,7 +1303,11 @@ class FunctionCompiler {
   Assembler a_;
   Assembler::Label epilogue_ = a_.make_label();
   std::set<std::uint32_t> leaders_;
-  std::map<std::uint32_t, State> in_states_;
+  std::map<std::uint32_t, PointState> in_states_;
+  std::vector<std::uint16_t> eager_clears_;
+  DeoptResets resets_;
+  /// Registers some path to the instruction being emitted has written.
+  RegSet emit_may_{};
   std::map<std::uint32_t, Assembler::Label> chunk_labels_;
   std::vector<DeoptStub> stubs_;
   std::size_t jump_entry_ = 0;

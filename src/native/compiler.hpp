@@ -20,6 +20,8 @@
 // points are bit-identical to a pure interpreter run.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,6 +31,32 @@
 
 namespace mojave::native {
 
+/// Functions larger than these bounds are refused (they stay interpreted).
+/// The FIR inliner derives its size limit from them, so a merged function
+/// never falls back to the interpreter.
+inline constexpr std::size_t kMaxCode = 1 << 16;   ///< instructions
+inline constexpr std::uint16_t kMaxRegs = 256;     ///< virtual registers
+
+/// The deopt-time register reset. A direct jump does not clear the
+/// callee's registers, so a register no path to a deopt point has written
+/// still holds whatever the caller left in the frame. For each pc that has
+/// a deoptimization stub (ascending), one bitset of those registers; the
+/// engine writes unit into them in the rebuilt interpreter frame.
+struct DeoptResets {
+  /// One bit per register of a function the compiler accepts.
+  using Bits = std::array<std::uint64_t, kMaxRegs / 64>;
+
+  std::vector<std::uint32_t> pcs;
+  std::vector<Bits> bits;  ///< parallel to `pcs`
+
+  /// The bitset for `pc`, or null when `pc` has no stub.
+  [[nodiscard]] const Bits* find(std::uint32_t pc) const {
+    const auto it = std::lower_bound(pcs.begin(), pcs.end(), pc);
+    if (it == pcs.end() || *it != pc) return nullptr;
+    return &bits[static_cast<std::size_t>(it - pcs.begin())];
+  }
+};
+
 struct CompileResult {
   bool ok = false;
   std::string error;          ///< why compilation was refused
@@ -36,6 +64,11 @@ struct CompileResult {
   /// Offset of the post-prologue ("jump") entry used by native-to-native
   /// direct jumps; offset 0 is the full C-callable entry.
   std::size_t jump_entry = 0;
+  /// Non-argument registers the jump entry zeroes: those read before
+  /// every path has written them, or written on only some paths to a
+  /// point where the code may deopt. Empty for code lowered from the FIR.
+  std::vector<std::uint16_t> eager_clears;
+  DeoptResets resets;
 };
 
 /// Compile `prog.functions[fun]`. Never throws; unsupported or malformed

@@ -156,6 +156,7 @@ Engine::Engine(runtime::Heap& heap, spec::SpeculationManager& spec,
   hot_.assign(n, 0);
   entries_.assign(n, nullptr);
   full_entries_.assign(n, nullptr);
+  resets_.assign(n, DeoptResets{});
 
   std::size_t max_regs = 1;
   for (const vm::CompiledFunction& f : prog_.functions) {
@@ -186,7 +187,7 @@ void Engine::enumerate_roots(runtime::RootVisitor& visitor) {
 
 void Engine::compile(FunIndex fun) {
   const auto t0 = std::chrono::steady_clock::now();
-  const CompileResult r = compile_function(prog_, fun);
+  CompileResult r = compile_function(prog_, fun);
   Status st = Status::kFailed;
   if (r.ok) {
     const void* code = cache_.publish(r.code.data(), r.code.size());
@@ -195,6 +196,7 @@ void Engine::compile(FunIndex fun) {
           reinterpret_cast<NativeFn>(reinterpret_cast<std::uintptr_t>(code));
       entries_[fun] =
           static_cast<const std::uint8_t*>(code) + r.jump_entry;
+      resets_[fun] = std::move(r.resets);
       st = Status::kCompiled;
       ++compiled_;
       compiled_funcs_metric_->inc();
@@ -242,12 +244,21 @@ bool Engine::try_run(RunIo& io) {
 
   full_entries_[fun](&ctx);
 
-  // Rebuild the interpreter's register file at the deopt point: compiled
-  // code keeps the frame current instruction-by-instruction, so this is
-  // exactly the state a pure interpreter would hold at (deopt_fun, pc).
+  // Rebuild the interpreter's register file at the deopt point. Compiled
+  // code keeps every register it writes current in the frame; a register
+  // no path to this pc has written still holds what the caller left there
+  // (direct jumps do not clear), so it is reset to the unit a pure
+  // interpreter would hold at (deopt_fun, pc).
   const vm::CompiledFunction& df = prog_.functions[ctx.deopt_fun];
-  io.regs->assign(df.num_regs, Value::unit());
-  std::copy(frame_.begin(), frame_.begin() + df.num_regs, io.regs->begin());
+  io.regs->assign(frame_.begin(), frame_.begin() + df.num_regs);
+  if (const DeoptResets::Bits* unwritten =
+          resets_[ctx.deopt_fun].find(ctx.deopt_pc)) {
+    for (std::uint32_t r = 0; r < df.num_regs; ++r) {
+      if ((((*unwritten)[r >> 6] >> (r & 63)) & 1) != 0) {
+        (*io.regs)[r] = Value::unit();
+      }
+    }
+  }
 
   // Wipe the frame so stale values cannot linger as GC roots or survive a
   // speculation rollback-release window.

@@ -21,6 +21,7 @@
 
 #include "native/abi.hpp"
 #include "native/codecache.hpp"
+#include "native/compiler.hpp"
 #include "native/options.hpp"
 #include "runtime/gc.hpp"
 #include "runtime/heap.hpp"
@@ -108,8 +109,12 @@ class Engine final : public runtime::RootProvider {
   std::vector<const void*> entries_;
   /// Full C-callable entry per function, or null.
   std::vector<NativeFn> full_entries_;
+  /// Per function: the registers to reset at each deopt pc.
+  std::vector<DeoptResets> resets_;
 
-  /// The native frame: max num_regs Values, always fully materialized.
+  /// The native frame: max num_regs Values. Every register a function has
+  /// written is current; the others may hold stale values from a caller
+  /// (conservative GC roots) until a deopt resets them.
   std::vector<runtime::Value> frame_;
   /// Parallel-move scratch for direct jumps.
   std::vector<runtime::Value> argbuf_;

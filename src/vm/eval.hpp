@@ -9,6 +9,7 @@
 #include "fir/ir.hpp"
 #include "runtime/value.hpp"
 #include "support/error.hpp"
+#include "support/wrap.hpp"
 
 namespace mojave::vm {
 
@@ -17,7 +18,7 @@ inline runtime::Value eval_unop(fir::Unop op, const runtime::Value& a) {
   using runtime::Value;
   switch (op) {
     case Unop::kNeg:
-      return Value::from_int(-a.as_int());
+      return Value::from_int(wrap_neg(a.as_int()));
     case Unop::kNot:
       return Value::from_int(a.as_int() == 0 ? 1 : 0);
     case Unop::kBitNot:
@@ -38,20 +39,20 @@ inline runtime::Value eval_binop(fir::Binop op, const runtime::Value& a,
   using runtime::Value;
   switch (op) {
     case Binop::kAdd:
-      return Value::from_int(a.as_int() + b.as_int());
+      return Value::from_int(wrap_add(a.as_int(), b.as_int()));
     case Binop::kSub:
-      return Value::from_int(a.as_int() - b.as_int());
+      return Value::from_int(wrap_sub(a.as_int(), b.as_int()));
     case Binop::kMul:
-      return Value::from_int(a.as_int() * b.as_int());
+      return Value::from_int(wrap_mul(a.as_int(), b.as_int()));
     case Binop::kDiv: {
       const std::int64_t d = b.as_int();
       if (d == 0) throw SafetyError("integer division by zero");
-      return Value::from_int(a.as_int() / d);
+      return Value::from_int(wrap_div(a.as_int(), d));
     }
     case Binop::kMod: {
       const std::int64_t d = b.as_int();
       if (d == 0) throw SafetyError("integer modulo by zero");
-      return Value::from_int(a.as_int() % d);
+      return Value::from_int(wrap_mod(a.as_int(), d));
     }
     case Binop::kAnd:
       return Value::from_int(a.as_int() & b.as_int());

@@ -8,16 +8,22 @@
 // the probe reports the tier unavailable (non-x86-64, W^X-restricted).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "fir/builder.hpp"
 #include "fir/legalize.hpp"
+#include "fir/optimize.hpp"
+#include "frontend/compile.hpp"
+#include "gridapp/heat.hpp"
 #include "migrate/image.hpp"
 #include "migrate/migrator.hpp"
 #include "migrate/protocols.hpp"
 #include "native/arch.hpp"
+#include "native/compiler.hpp"
 #include "native/engine.hpp"
 #include "vm/process.hpp"
 
@@ -370,6 +376,35 @@ TEST(NativeDifferential, DivideByZeroTrapsIdenticallyMidLoop) {
   // The interpreter re-executes the trapping division itself, so the two
   // tiers must have retired exactly the same multiset of instructions.
   EXPECT_EQ(counts_native, counts_interp);
+}
+
+TEST(NativeDifferential, Int64MinOverMinusOneWrapsInEveryTier) {
+  // INT64_MIN / -1 overflows: the hardware divider faults (SIGFPE) and C++
+  // leaves it undefined. MojC defines it as INT64_MIN, and INT64_MIN % -1
+  // as 0, in the constant folder, the interpreter and the native tier.
+  // Multiplication and addition wrap too: x * y + x - 1 is
+  // INT64_MIN + INT64_MIN - 1 = -1.
+  const std::string src =
+      "int main() { int x = 0 - 9223372036854775807 - 1; int y = 0 - 1;"
+      "  int q = x / y; int m = x % y; int w = x * y + x - 1;"
+      "  if (q == x && m == 0 && w == 0 - 1) { return q; }"
+      "  return 1; }";
+  const auto run = [&](bool fold, const vm::ProcessConfig& cfg) {
+    fir::Program p = frontend::compile_source("wrap", src);
+    if (fold) (void)fir::optimize(p);
+    vm::Process proc(std::move(p), cfg);
+    const std::int64_t code = proc.run().exit_code;
+    if (const native::Engine* eng = proc.vm().native_engine()) {
+      // The division ran natively and handed the -1 divisor back.
+      EXPECT_GE(eng->deopt_count(native::DeoptReason::kGuard), 1u);
+    }
+    return code;
+  };
+  EXPECT_EQ(run(true, jit_off()), INT64_MIN);   // constant folder
+  EXPECT_EQ(run(false, jit_off()), INT64_MIN);  // interpreter
+  if (native::jit_supported()) {
+    EXPECT_EQ(run(false, jit_on(1)), INT64_MIN);  // native tier
+  }
 }
 
 TEST(NativeDifferential, InstructionFuseFiresAtSamePoint) {
@@ -786,6 +821,437 @@ TEST(NativeMigrate, SuspendedHotLoopResumesIdenticallyOnBothTiers) {
     }
     EXPECT_EQ(final_code, kSum) << (dest_jit ? "native" : "interpreted")
                                 << " destination";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy register reset: direct jumps leave a callee's unwritten registers
+// holding the caller's values; each deopt rebuilds them from a table.
+// ---------------------------------------------------------------------------
+
+vm::Insn op(vm::Op o) {
+  vm::Insn i;
+  i.op = o;
+  i.cls = static_cast<std::uint8_t>(vm::op_class(o));
+  return i;
+}
+
+vm::Insn load_int(std::uint16_t dst, std::int64_t v) {
+  vm::Insn i = op(vm::Op::kLoadInt);
+  i.dst = dst;
+  i.imm = v;
+  return i;
+}
+
+vm::Insn load_fun(std::uint16_t dst, std::uint32_t fun) {
+  vm::Insn i = op(vm::Op::kLoadFun);
+  i.dst = dst;
+  i.aux = fun;
+  return i;
+}
+
+vm::Insn binop(Binop b, std::uint16_t dst, std::uint16_t r1, std::uint16_t r2) {
+  vm::Insn i = op(vm::Op::kBinop);
+  i.sub = static_cast<std::uint8_t>(b);
+  i.dst = dst;
+  i.r1 = r1;
+  i.r2 = r2;
+  return i;
+}
+
+vm::Insn jump(vm::Op o, std::uint32_t target, std::uint16_t cond = 0) {
+  vm::Insn i = op(o);
+  i.aux = target;
+  i.r1 = cond;
+  return i;
+}
+
+vm::Insn call(vm::Op o, std::uint16_t r1, std::vector<std::uint16_t> args) {
+  vm::Insn i = op(o);
+  i.r1 = r1;
+  i.args = std::move(args);
+  return i;
+}
+
+/// `dst = dump(r0 .. r(n-1))`: hands the whole register file to the host.
+vm::Insn dump_all(std::uint16_t dst, std::uint16_t n) {
+  vm::Insn i = op(vm::Op::kExternal);
+  i.dst = dst;
+  i.sub = static_cast<std::uint8_t>(runtime::Tag::kUnit);
+  i.aux = 0;
+  for (std::uint16_t r = 0; r < n; ++r) i.args.push_back(r);
+  return i;
+}
+
+vm::CompiledFunction bytecode_fn(std::string name,
+                                 std::vector<runtime::Tag> params,
+                                 std::uint16_t num_regs) {
+  vm::CompiledFunction f;
+  f.name = std::move(name);
+  f.arity = static_cast<std::uint32_t>(params.size());
+  f.param_tags = std::move(params);
+  f.num_regs = num_regs;
+  return f;
+}
+
+enum class ForcedDeopt { kGuard, kBudget, kHelperTrap, kColdTarget, kExternal };
+
+constexpr std::uint16_t kCallerRegs = 40;
+constexpr std::uint16_t kCalleeRegs = 24;
+
+/// Three functions:
+///   0 main(i):  halt i once i >= 2; otherwise fill all 40 registers with
+///               ints and floats, then direct-jump to g(-1, i).
+///   1 g(m1, i): a chain of [load_int w, 100 + w; jump next] chunks over a
+///               random subset of its 24 registers. The forced deopt sits
+///               before write `at`: a div by m1 (guard), an alloc of m1
+///               slots (helper trap), a tail call to the never-run h (cold
+///               target), the dump itself (external), or nothing (budget,
+///               which a tight allowance trips at that chunk). Then g dumps
+///               its register file and continues with main(i + 1).
+///   2 h(m1, i): halt i.
+/// `written` receives g's writes before the deopt point, in order.
+vm::CompiledProgram make_reset_program(ForcedDeopt kind, std::size_t at,
+                                       std::uint32_t seed,
+                                       std::vector<std::uint16_t>* written,
+                                       std::uint32_t* deopt_pc) {
+  using runtime::Tag;
+  using vm::Op;
+  std::mt19937 rng(seed);
+  vm::CompiledProgram prog;
+  prog.name = "reset";
+  prog.ext_names = {"dump"};
+
+  vm::CompiledFunction main =
+      bytecode_fn("main", {Tag::kInt}, kCallerRegs);
+  main.code = {load_int(1, 2), binop(Binop::kGe, 2, 0, 1),
+               jump(Op::kJumpIfZero, 4, 2), call(Op::kHalt, 0, {})};
+  for (std::uint16_t r = 3; r < kCallerRegs; ++r) {
+    if (r % 2 == 0) {
+      main.code.push_back(load_int(r, 1000 + r));
+    } else {
+      vm::Insn f = op(Op::kLoadFloat);
+      f.dst = r;
+      f.fimm = 0.5 + r;
+      main.code.push_back(f);
+    }
+  }
+  main.code.push_back(load_int(1, -1));
+  main.code.push_back(load_fun(2, 1));
+  main.code.push_back(call(Op::kTailCall, 2, {1, 0}));
+
+  // Registers 2 .. kCalleeRegs-2 in random order, a random prefix of them
+  // written; the last register receives the dump's unit result.
+  std::vector<std::uint16_t> regs;
+  for (std::uint16_t r = 2; r + 1 < kCalleeRegs; ++r) regs.push_back(r);
+  std::shuffle(regs.begin(), regs.end(), rng);
+  regs.resize(12);
+  const std::uint16_t scratch = kCalleeRegs - 1;
+
+  vm::CompiledFunction g =
+      bytecode_fn("g", {Tag::kInt, Tag::kInt}, kCalleeRegs);
+  const auto here = [&] { return static_cast<std::uint32_t>(g.code.size()); };
+  for (std::size_t k = 0; k <= regs.size(); ++k) {
+    if (k == at) {
+      *deopt_pc = here();
+      switch (kind) {
+        case ForcedDeopt::kGuard:  // the native div deopts on a -1 divisor
+          g.code.push_back(binop(Binop::kDiv, scratch, 1, 0));
+          break;
+        case ForcedDeopt::kHelperTrap: {  // alloc(-1) traps in the helper
+          vm::Insn a = op(Op::kAllocTagged);
+          a.dst = scratch;
+          a.r1 = 0;
+          a.r2 = 1;
+          g.code.push_back(a);
+          break;
+        }
+        case ForcedDeopt::kColdTarget:
+          g.code.push_back(load_fun(scratch, 2));
+          *deopt_pc = here();
+          g.code.push_back(call(Op::kTailCall, scratch, {0, 1}));
+          break;
+        case ForcedDeopt::kExternal:
+          g.code.push_back(dump_all(scratch, kCalleeRegs));
+          break;
+        case ForcedDeopt::kBudget:
+          break;
+      }
+      if (kind == ForcedDeopt::kColdTarget) {
+        written->push_back(scratch);
+      }
+    }
+    if (k == regs.size()) break;
+    if (k < at) written->push_back(regs[k]);
+    g.code.push_back(load_int(regs[k], 100 + regs[k]));
+    g.code.push_back(jump(Op::kJump, here() + 1));
+  }
+  if (kind != ForcedDeopt::kExternal) {
+    g.code.push_back(dump_all(scratch, kCalleeRegs));
+  }
+  g.code.push_back(load_int(scratch, 1));
+  g.code.push_back(binop(Binop::kAdd, scratch, 1, scratch));
+  g.code.push_back(load_fun(regs[0], 0));
+  g.code.push_back(call(Op::kTailCall, regs[0], {scratch}));
+
+  vm::CompiledFunction h = bytecode_fn("h", {Tag::kInt, Tag::kInt}, 2);
+  h.code = {call(Op::kHalt, 1, {})};
+
+  prog.functions = {std::move(main), std::move(g), std::move(h)};
+  for (std::uint32_t i = 0; i < prog.functions.size(); ++i) {
+    prog.functions[i].fir_id = i;
+  }
+  return prog;
+}
+
+std::vector<std::string> render(const std::vector<runtime::Value>& regs) {
+  std::vector<std::string> out;
+  for (const runtime::Value& v : regs) out.push_back(v.to_string());
+  return out;
+}
+
+/// Drives native::Engine directly: compiles g by running it once, then
+/// enters main natively so g is reached through a direct jump, and returns
+/// the interpreter frame the engine rebuilt at the deopt.
+struct EngineDeopt {
+  native::RunIo io;
+  std::vector<runtime::Value> regs;
+};
+
+EngineDeopt run_engine_to_deopt(const vm::CompiledProgram& prog,
+                                std::int64_t budget) {
+  runtime::Heap heap;
+  spec::SpeculationManager spec(heap);
+  native::Engine engine(heap, spec, prog,
+                        native::JitOptions{.enabled = true, .threshold = 1});
+  const std::vector<BlockIndex> strings;
+  vm::OpClassCounts counts{};
+  std::uint64_t calls = 0;
+  EngineDeopt out;
+  const auto run = [&](FunIndex fun, std::vector<runtime::Value> regs,
+                       std::int64_t allowance) {
+    out.regs = std::move(regs);
+    out.io = native::RunIo{};
+    out.io.regs = &out.regs;
+    out.io.strings = &strings;
+    out.io.class_counts = counts.data();
+    out.io.calls = &calls;
+    out.io.budget = allowance;
+    out.io.fun = fun;
+    EXPECT_TRUE(engine.try_run(out.io));
+  };
+  std::vector<runtime::Value> g_regs(kCalleeRegs, runtime::Value::unit());
+  g_regs[0] = runtime::Value::from_int(-1);
+  g_regs[1] = runtime::Value::from_int(0);
+  run(1, g_regs, 1 << 20);
+  EXPECT_TRUE(engine.is_compiled(1));
+  std::vector<runtime::Value> main_regs(kCallerRegs, runtime::Value::unit());
+  main_regs[0] = runtime::Value::from_int(0);
+  run(0, main_regs, budget);
+  return out;
+}
+
+TEST(NativeLazyReset, DeoptAtEveryPcRebuildsTheInterpreterFrame) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  using R = native::DeoptReason;
+  const std::pair<ForcedDeopt, R> kinds[] = {
+      {ForcedDeopt::kGuard, R::kGuard},
+      {ForcedDeopt::kBudget, R::kBudget},
+      {ForcedDeopt::kHelperTrap, R::kHelperTrap},
+      {ForcedDeopt::kColdTarget, R::kColdTarget},
+      {ForcedDeopt::kExternal, R::kExternal}};
+  for (const auto& [kind, reason] : kinds) {
+    for (std::size_t at = 0; at <= 12; ++at) {
+      SCOPED_TRACE("reason " + std::string(native::deopt_reason_name(reason)) +
+                   ", before write " + std::to_string(at));
+      std::vector<std::uint16_t> written;
+      std::uint32_t pc = 0;
+      const vm::CompiledProgram prog =
+          make_reset_program(kind, at, 7 + static_cast<std::uint32_t>(at),
+                             &written, &pc);
+      // main runs every instruction but its halt (pc 3); g's chunks
+      // before write `at` cost two each, so a budget deopt lands there.
+      const std::size_t main_cost = prog.functions[0].code.size() - 1;
+      const std::int64_t budget =
+          kind == ForcedDeopt::kBudget
+              ? static_cast<std::int64_t>(main_cost + 2 * at)
+              : std::int64_t{1} << 20;
+      const EngineDeopt d = run_engine_to_deopt(prog, budget);
+      EXPECT_EQ(d.io.fun, 1u);
+      EXPECT_EQ(d.io.pc, pc);
+      EXPECT_EQ(d.io.reason, static_cast<std::uint32_t>(reason));
+      // What a pure interpreter holds at (g, pc): the arguments, g's own
+      // writes so far, unit everywhere else — never main's values.
+      std::vector<runtime::Value> want(kCalleeRegs, runtime::Value::unit());
+      want[0] = runtime::Value::from_int(-1);
+      want[1] = runtime::Value::from_int(0);
+      for (const std::uint16_t r : written) {
+        want[r] = r == kCalleeRegs - 1 ? runtime::Value::from_fun(2)
+                                       : runtime::Value::from_int(100 + r);
+      }
+      EXPECT_EQ(render(d.regs), render(want));
+    }
+  }
+}
+
+/// One whole run through vm::Interpreter, in slices of `slice` (0 = one
+/// slice): every dumped register file, the outcome and the accounting.
+struct RegRun {
+  std::vector<std::vector<std::string>> dumps;
+  std::string outcome;
+  vm::OpClassCounts counts{};
+  std::uint64_t calls = 0;
+
+  bool operator==(const RegRun&) const = default;
+};
+
+RegRun run_regs(const vm::CompiledProgram& prog, const vm::ProcessConfig& cfg,
+                std::uint64_t slice) {
+  vm::Process p(vm::CompiledProgram(prog), cfg, /*intern_strings=*/true);
+  RegRun out;
+  p.vm().register_external(
+      "dump", [&](vm::Interpreter&, std::span<const runtime::Value> args) {
+        out.dumps.push_back(
+            render(std::vector<runtime::Value>(args.begin(), args.end())));
+        return runtime::Value::unit();
+      });
+  try {
+    p.vm().start(0, {runtime::Value::from_int(0)});
+    vm::SliceResult r;
+    do {
+      r = p.vm().run_slice(slice);
+    } while (r.status == vm::SliceResult::Status::kPreempted);
+    out.outcome = "halt " + std::to_string(r.exit_code);
+  } catch (const Error& e) {
+    out.outcome = e.what();
+  }
+  out.counts = p.vm().op_class_counts();
+  out.calls = p.vm().stats().calls;
+  return out;
+}
+
+TEST(NativeLazyReset, DeoptingRunsMatchTheInterpreterExactly) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  for (const ForcedDeopt kind :
+       {ForcedDeopt::kGuard, ForcedDeopt::kBudget, ForcedDeopt::kHelperTrap,
+        ForcedDeopt::kColdTarget, ForcedDeopt::kExternal}) {
+    for (std::size_t at = 0; at <= 12; at += 3) {
+      std::vector<std::uint16_t> written;
+      std::uint32_t pc = 0;
+      const vm::CompiledProgram prog = make_reset_program(
+          kind, at, 11 + static_cast<std::uint32_t>(at), &written, &pc);
+      // Slices of every small size put budget deopts on every chunk.
+      for (const std::uint64_t slice : {0, 1, 2, 3, 5, 8, 13, 29, 47}) {
+        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                     ", at " + std::to_string(at) + ", slice " +
+                     std::to_string(slice));
+        const RegRun native = run_regs(prog, jit_on(1), slice);
+        const RegRun interp = run_regs(prog, jit_off(), slice);
+        EXPECT_EQ(native.dumps, interp.dumps);
+        EXPECT_EQ(native.outcome, interp.outcome);
+        EXPECT_EQ(native.counts, interp.counts);
+        EXPECT_EQ(native.calls, interp.calls);
+      }
+    }
+  }
+}
+
+/// main(i) fills its registers and jumps to g(flag); g is `body`.
+vm::CompiledProgram make_eager_program(std::vector<vm::Insn> body) {
+  using runtime::Tag;
+  vm::CompiledProgram prog;
+  prog.name = "eager";
+  prog.ext_names = {"dump"};
+  vm::CompiledFunction main = bytecode_fn("main", {Tag::kInt}, kCallerRegs);
+  main.code = {load_int(1, 2), binop(Binop::kGe, 2, 0, 1),
+               jump(vm::Op::kJumpIfZero, 4, 2), call(vm::Op::kHalt, 0, {})};
+  for (std::uint16_t r = 3; r < kCallerRegs; ++r) {
+    main.code.push_back(load_int(r, 1000 + r));
+  }
+  main.code.push_back(load_int(1, 0));
+  main.code.push_back(load_fun(2, 1));
+  main.code.push_back(call(vm::Op::kTailCall, 2, {1, 0}));
+  vm::CompiledFunction g = bytecode_fn("g", {Tag::kInt, Tag::kInt}, 8);
+  g.code = std::move(body);
+  prog.functions = {std::move(main), std::move(g)};
+  prog.functions[1].fir_id = 1;
+  return prog;
+}
+
+TEST(NativeLazyReset, RegistersADeoptCannotRebuildAreClearedEagerly) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  using vm::Op;
+  // g(flag, i): r5 = r3 reads r3 before any write; r4 is written only when
+  // flag != 0, and the two paths join at the dump (a deopt point). r6 is
+  // written on both paths before the join and needs no clear.
+  const auto tail = [](std::vector<vm::Insn> code) {
+    code.push_back(load_int(7, 1));
+    code.push_back(binop(Binop::kAdd, 7, 1, 7));
+    code.push_back(load_fun(2, 0));
+    code.push_back(call(Op::kTailCall, 2, {7}));
+    return code;
+  };
+  vm::Insn move = op(Op::kMove);
+  move.dst = 5;
+  move.r1 = 3;
+  const vm::CompiledProgram prog = make_eager_program(tail({
+      move,                         // 0: r5 = r3
+      jump(Op::kJumpIfZero, 5, 0),  // 1: flag == 0 → 5
+      load_int(4, 9),               // 2
+      load_int(6, 1),               // 3
+      jump(Op::kJump, 6),           // 4
+      load_int(6, 2),               // 5
+      dump_all(7, 8),               // 6: join, deopt point
+  }));
+
+  const native::CompileResult r = native::compile_function(prog, 1);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.eager_clears, (std::vector<std::uint16_t>{3, 4}));
+  // At the join no path has written r2, r3 or r7: the deopt resets them.
+  const native::DeoptResets::Bits* unwritten = r.resets.find(6);
+  ASSERT_NE(unwritten, nullptr);
+  EXPECT_EQ((*unwritten)[0] & 0xff, (1u << 2) | (1u << 3) | (1u << 7));
+
+  // Through a direct jump from a caller whose registers hold 1000 + r,
+  // the dump must show unit in r3, r4 (flag == 0 path) and r5, as the
+  // interpreter does.
+  const RegRun native = run_regs(prog, jit_on(1), 0);
+  const RegRun interp = run_regs(prog, jit_off(), 0);
+  ASSERT_EQ(interp.dumps.size(), 2u);
+  EXPECT_EQ(interp.dumps[1][3], runtime::Value::unit().to_string());
+  EXPECT_EQ(interp.dumps[1][4], runtime::Value::unit().to_string());
+  EXPECT_EQ(native.dumps, interp.dumps);
+  EXPECT_EQ(native.outcome, interp.outcome);
+  EXPECT_EQ(native.counts, interp.counts);
+}
+
+TEST(NativeLazyReset, FrontendCpsBlocksNeedNoEagerClears) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  // Code lowered from the FIR binds every variable before its uses and has
+  // no control-flow joins, so no jump entry zeroes anything — for the
+  // heat program as the frontend emits it, and after block inlining.
+  gridapp::HeatConfig cfg;
+  cfg.nodes = 2;
+  cfg.checkpoint_interval = 5;
+  for (const bool inlined : {false, true}) {
+    fir::Program program = frontend::compile_source(
+        "heat", gridapp::heat_mojc_source(cfg));
+    if (inlined) {
+      (void)fir::inline_once(
+          program, fir::InlineLimits{native::kMaxRegs, native::kMaxCode});
+      (void)fir::optimize(program);
+    }
+    vm::Process p(std::move(program), jit_off());
+    const vm::CompiledProgram& compiled = p.vm().compiled();
+    bool saw_then6 = false;
+    for (FunIndex f = 0; f < compiled.functions.size(); ++f) {
+      SCOPED_TRACE(compiled.functions[f].name);
+      const native::CompileResult r = native::compile_function(compiled, f);
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_TRUE(r.eager_clears.empty());
+      saw_then6 = saw_then6 || compiled.functions[f].name == "compute$then6";
+    }
+    EXPECT_EQ(saw_then6, !inlined);  // then6 merges into compute$loop3
   }
 }
 

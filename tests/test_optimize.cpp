@@ -4,21 +4,33 @@
 // on randomized builder programs alike.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <functional>
+#include <iterator>
 #include <map>
+#include <set>
+#include <span>
 #include <sstream>
 #include <tuple>
 
+#include "core/engine.hpp"
 #include "fir/builder.hpp"
 #include "fir/optimize.hpp"
 #include "fir/printer.hpp"
 #include "fir/typecheck.hpp"
 #include "frontend/compile.hpp"
+#include "migrate/image.hpp"
+#include "migrate/migrator.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
+#include "vm/lowering.hpp"
 #include "vm/process.hpp"
 
 namespace {
 
 using namespace mojave;
+namespace fs = std::filesystem;
 using fir::Atom;
 using fir::Binop;
 using fir::Program;
@@ -520,6 +532,481 @@ TEST(OptimizeAlias, StencilBodyReadsEachFrameSlotOnce) {
   EXPECT_EQ(stats.stores_forwarded, 5u);  // the four spills + v's slot
   EXPECT_GT(stats.exprs_shared, 0u);      // r * C, r * C + c
   EXPECT_EQ(run_outcome(std::move(plain)), run_outcome(std::move(opt)));
+}
+
+// ---------------------------------------------------------------------------
+// Single-use block inlining.
+// ---------------------------------------------------------------------------
+
+constexpr fir::InlineLimits kNoLimit{1u << 30, 1u << 30};
+
+/// Every migration continues locally (the protocol's failure path).
+class StayHook final : public vm::MigrationHook {
+ public:
+  Action on_migrate(vm::Interpreter&, MigrateLabel, const std::string&,
+                    FunIndex, std::span<const runtime::Value>) override {
+    return Action::kContinue;
+  }
+};
+
+Outcome run_blocks(Program p) {
+  std::ostringstream out;
+  vm::ProcessConfig cfg;
+  cfg.output = &out;
+  cfg.max_instructions = 1'000'000;
+  vm::Process proc(std::move(p), cfg);
+  StayHook hook;
+  proc.vm().set_migration_hook(&hook);
+  Outcome o;
+  try {
+    o.exit_code = proc.run().exit_code;
+  } catch (const Error& e) {
+    o.trapped = true;
+    o.error = e.what();
+  }
+  o.output = out.str();
+  return o;
+}
+
+/// A random program in the frontend's CPS shape: main allocates an 8-slot
+/// frame and enters blocks b0..b(n-1), each taking the frame (and
+/// sometimes an int). Blocks only call later blocks, so every run ends.
+/// The mix holds chains of single-use blocks, blocks called from several
+/// sites, self-loops, a continuation-carrying function `cc` with a
+/// function `kont` passed to it as a value, and speculate / commit /
+/// abort / migrate inside block bodies.
+Program make_block_program(Rng& rng) {
+  ProgramBuilder pb("blocks");
+  const std::size_t n = 6 + rng.below(8);
+  const auto main_id = pb.declare("main", {});
+  std::vector<std::uint32_t> blocks;
+  std::vector<bool> takes_x;
+  for (std::size_t i = 0; i < n; ++i) {
+    takes_x.push_back(rng.chance(0.3));
+    std::vector<Type> params{Type::ptr()};
+    if (takes_x.back()) params.push_back(Type::integer());
+    blocks.push_back(pb.declare("b" + std::to_string(i), params));
+  }
+  const auto kont_id = pb.declare("kont", {Type::integer(), Type::ptr()});
+  const auto cc_id = pb.declare(
+      "cc", {Type::ptr(), Type::fun({Type::integer(), Type::ptr()})});
+  bool cc_used = false;
+  MigrateLabel label = 1;
+
+  const auto call_block = [&](fir::FunctionBuilder& fb, Atom frame,
+                              std::size_t j, Atom x) {
+    std::vector<Atom> args{frame};
+    if (takes_x[j]) args.push_back(x);
+    fb.tail_call(Atom::fun_ref(blocks[j]), std::move(args));
+  };
+  const auto int_atom = [&](Atom var) {
+    return rng.chance(0.5) ? var
+                           : Atom::integer(static_cast<std::int64_t>(
+                                 rng.below(50)));
+  };
+  {
+    auto fb = pb.define(main_id, {});
+    const Atom frame =
+        fb.v(fb.let_alloc("frame", Atom::integer(8), Atom::integer(0)));
+    for (std::int64_t s = 0; s < 8; ++s) {
+      fb.write(frame, Atom::integer(s),
+               Atom::integer(static_cast<std::int64_t>(rng.below(4))));
+    }
+    call_block(fb, frame, 0, Atom::integer(3));
+  }
+  // Functions whose bodies are written after the block that needs them.
+  std::vector<std::function<void()>> deferred;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto fb = pb.define(blocks[i], takes_x[i]
+                                       ? std::vector<std::string>{"frame", "x"}
+                                       : std::vector<std::string>{"frame"});
+    const Atom frame = fb.arg(0);
+    Atom acc = takes_x[i] ? fb.arg(1) : Atom::integer(1);
+    for (std::uint64_t k = 0, ops = 1 + rng.below(3); k < ops; ++k) {
+      const Atom slot = Atom::integer(static_cast<std::int64_t>(rng.below(6)));
+      const Atom v = fb.v(fb.let_read("v", Type::integer(), frame, slot));
+      acc = fb.v(fb.let_binop("acc", rng.chance(0.5) ? Binop::kAdd
+                                                      : Binop::kXor,
+                              acc, v));
+      if (rng.chance(0.5)) fb.write(frame, slot, acc);
+      if (rng.chance(0.2)) {
+        (void)fb.let_external("p", Type::unit(), "print_int", {acc});
+      }
+    }
+    if (i + 1 == n) {
+      Atom sum = Atom::integer(0);
+      for (std::int64_t s = 0; s < 8; ++s) {
+        sum = fb.v(fb.let_binop(
+            "sum", Binop::kAdd, sum,
+            fb.v(fb.let_read("s", Type::integer(), frame, Atom::integer(s)))));
+      }
+      fb.halt(fb.v(fb.let_binop("h", Binop::kAnd, sum, Atom::integer(0xffff))));
+      continue;
+    }
+    const std::size_t j = i + 1 + rng.below(n - i - 1);
+    const std::size_t k = i + 1 + rng.below(n - i - 1);
+    const auto roll = rng.below(100);
+    if (roll < 35) {
+      call_block(fb, frame, j, int_atom(acc));
+    } else if (roll < 55) {
+      const Atom c =
+          fb.v(fb.let_binop("c", Binop::kAnd, acc, Atom::integer(1)));
+      fb.branch(
+          c, [&](auto& t) { call_block(t, frame, j, int_atom(acc)); },
+          [&](auto& e) { call_block(e, frame, k, int_atom(acc)); });
+    } else if (roll < 70) {
+      // Self-loop on a countdown in slot 6, re-armed on the way out.
+      const Atom c = fb.v(fb.let_read("n", Type::integer(), frame,
+                                      Atom::integer(6)));
+      const Atom more = fb.v(fb.let_binop("more", Binop::kGt, c,
+                                          Atom::integer(0)));
+      fb.branch(
+          more,
+          [&](auto& t) {
+            t.write(frame, Atom::integer(6),
+                    t.v(t.let_binop("n1", Binop::kSub, c, Atom::integer(1))));
+            std::vector<Atom> args{frame};
+            if (takes_x[i]) args.push_back(acc);
+            t.tail_call(Atom::fun_ref(blocks[i]), std::move(args));
+          },
+          [&](auto& e) {
+            e.write(frame, Atom::integer(6), Atom::integer(2));
+            call_block(e, frame, j, int_atom(acc));
+          });
+    } else if (roll < 82) {
+      const auto spec_id = pb.declare("spec" + std::to_string(i),
+                                      {Type::integer(), Type::ptr()});
+      fb.speculate(Atom::fun_ref(spec_id), {frame});
+      const bool commit = rng.chance(0.5);
+      deferred.push_back([&, spec_id, commit, j] {
+        auto sb = pb.define(spec_id, {"c", "frame"});
+        const Atom lvl = sb.arg(0);
+        const Atom f = sb.arg(1);
+        const Atom in = sb.v(sb.let_binop("in", Binop::kGt, lvl,
+                                          Atom::integer(0)));
+        sb.branch(
+            in,
+            [&](auto& t) {
+              t.write(f, Atom::integer(5), lvl);
+              if (commit) {
+                std::vector<Atom> args{f};
+                if (takes_x[j]) args.push_back(Atom::integer(7));
+                t.commit(lvl, Atom::fun_ref(blocks[j]), std::move(args));
+              } else {
+                t.abort_spec(lvl, Atom::integer(0));
+              }
+            },
+            [&](auto& e) { call_block(e, f, j, Atom::integer(8)); });
+      });
+    } else if (roll < 90 && !cc_used) {
+      cc_used = true;
+      fb.tail_call(Atom::fun_ref(cc_id), {frame, Atom::fun_ref(kont_id)});
+      deferred.push_back([&, j] {
+        auto kb = pb.define(kont_id, {"v", "frame"});
+        kb.write(kb.arg(1), Atom::integer(4), kb.arg(0));
+        call_block(kb, kb.arg(1), j, kb.arg(0));
+      });
+    } else {
+      const Atom tgt = fb.v(fb.let_atom("tgt", Type::ptr(),
+                                        pb.str("local://stay")));
+      std::vector<Atom> args{frame};
+      if (takes_x[j]) args.push_back(int_atom(acc));
+      fb.migrate(label++, tgt, Atom::fun_ref(blocks[j]), std::move(args));
+    }
+  }
+  for (const auto& define : deferred) define();
+  {
+    auto cb = pb.define(cc_id, {"frame", "k"});
+    const Atom v = cb.v(cb.let_read("v", Type::integer(), cb.arg(0),
+                                    Atom::integer(0)));
+    cb.tail_call(cb.arg(1),
+                 {cb.v(cb.let_binop("v1", Binop::kAdd, v, Atom::integer(1))),
+                  cb.arg(0)});
+  }
+  if (!cc_used) {
+    auto kb = pb.define(kont_id, {"v", "frame"});
+    kb.halt(kb.arg(0));
+  }
+  return pb.take("main");
+}
+
+/// How a program refers to one function, by name.
+struct Refs {
+  int count = 0;
+  bool tail_callee = false;  ///< some reference is a tail call's callee
+  std::string host;          ///< the function holding that tail call
+};
+
+std::map<std::string, Refs> collect_refs(const Program& p) {
+  std::map<std::string, Refs> refs;
+  for (const fir::Function& fn : p.functions) refs[fn.name];
+  const std::function<void(const fir::Function&, const fir::Expr*)> walk =
+      [&](const fir::Function& fn, const fir::Expr* e) {
+        for (; e != nullptr; e = e->next.get()) {
+          const auto note = [&](const Atom& a) {
+            if (a.kind != Atom::Kind::kFunRef) return;
+            Refs& r = refs[p.functions[a.fun].name];
+            ++r.count;
+            if (e->kind == fir::ExprKind::kTailCall && &a == &e->fun) {
+              r.tail_callee = true;
+              r.host = fn.name;
+            }
+          };
+          note(e->a);
+          note(e->b);
+          note(e->c_atom);
+          note(e->fun);
+          for (const Atom& a : e->args) note(a);
+          if (e->kind == fir::ExprKind::kIf) walk(fn, e->els.get());
+        }
+      };
+  for (const fir::Function& fn : p.functions) walk(fn, fn.body.get());
+  return refs;
+}
+
+/// The functions the pass may inline: referenced once, as the callee of a
+/// tail call in another function, not the entry, no function parameters.
+std::set<std::string> candidates(const Program& p) {
+  std::set<std::string> out;
+  const auto refs = collect_refs(p);
+  for (const fir::Function& fn : p.functions) {
+    const Refs& r = refs.at(fn.name);
+    const bool fun_param =
+        std::any_of(fn.param_tys.begin(), fn.param_tys.end(),
+                    [](const Type& t) { return t.kind == fir::TyKind::kFun; });
+    if (r.count == 1 && r.tail_callee && r.host != fn.name &&
+        fn.id != p.entry && !fun_param) {
+      out.insert(fn.name);
+    }
+  }
+  return out;
+}
+
+std::set<MigrateLabel> migrate_labels(const Program& p) {
+  std::set<MigrateLabel> labels;
+  const std::function<void(const fir::Expr*)> walk = [&](const fir::Expr* e) {
+    for (; e != nullptr; e = e->next.get()) {
+      if (e->kind == fir::ExprKind::kMigrate) {
+        EXPECT_TRUE(labels.insert(e->label).second) << "label " << e->label;
+      }
+      if (e->kind == fir::ExprKind::kIf) walk(e->els.get());
+    }
+  };
+  for (const fir::Function& fn : p.functions) walk(fn.body.get());
+  return labels;
+}
+
+TEST(InlineOnce, RandomBlockProgramsBehaveIdentically) {
+  std::uint64_t total = 0;
+  std::size_t shrunk = 0;
+  std::map<fir::ExprKind, int> moved;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Program plain = make_block_program(rng);
+    fir::typecheck(plain);
+    Program merged = fir::clone_program(plain);
+    const std::uint64_t inlined = fir::inline_once(merged, kNoLimit);
+    total += inlined;
+    fir::typecheck(merged);
+
+    // Only candidates go, and none is left behind.
+    std::set<std::string> before, after;
+    for (const auto& fn : plain.functions) before.insert(fn.name);
+    for (const auto& fn : merged.functions) after.insert(fn.name);
+    std::set<std::string> removed;
+    std::set_difference(before.begin(), before.end(), after.begin(),
+                        after.end(), std::inserter(removed, removed.end()));
+    const std::set<std::string> allowed = candidates(plain);
+    for (const std::string& name : removed) {
+      EXPECT_TRUE(allowed.contains(name)) << name << " was not a candidate";
+      for (const fir::Expr* e = plain.find(name)->body.get(); e != nullptr;
+           e = e->next.get()) {
+        ++moved[e->kind];
+      }
+    }
+    EXPECT_EQ(removed.size(), inlined);
+    EXPECT_TRUE(candidates(merged).empty());
+    EXPECT_TRUE(after.contains("cc"));
+    EXPECT_TRUE(after.contains("kont"));
+
+    // Dense ids, the same entry, unique labels, and a smaller program.
+    for (std::uint32_t i = 0; i < merged.functions.size(); ++i) {
+      EXPECT_EQ(merged.functions[i].id, i);
+    }
+    EXPECT_EQ(merged.functions[merged.entry].name, "main");
+    EXPECT_EQ(migrate_labels(merged), migrate_labels(plain));
+    EXPECT_EQ(program_size(merged) + inlined, program_size(plain));
+    shrunk += merged.functions.size() < plain.functions.size() ? 1 : 0;
+
+    // Merging is idempotent, and the optimizer still applies on top.
+    Program again = fir::clone_program(merged);
+    EXPECT_EQ(fir::inline_once(again, kNoLimit), 0u);
+    (void)fir::optimize(again);
+    fir::typecheck(again);
+
+    const Outcome a = run_blocks(std::move(plain));
+    const Outcome b = run_blocks(std::move(merged));
+    const Outcome c = run_blocks(std::move(again));
+    EXPECT_EQ(a, b) << a.error << " vs " << b.error;
+    EXPECT_EQ(a, c) << a.error << " vs " << c.error;
+    EXPECT_FALSE(a.trapped) << a.error;
+  }
+  EXPECT_GT(total, 400u);
+  EXPECT_GT(shrunk, 180u);
+  // Bodies that speculate or migrate were moved too.
+  EXPECT_GT(moved[fir::ExprKind::kSpeculate], 10);
+  EXPECT_GT(moved[fir::ExprKind::kMigrate], 10);
+}
+
+TEST(InlineOnce, MergedFunctionsStayWithinTheBackendLimits) {
+  std::uint64_t refused = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Program plain = make_block_program(rng);
+    const fir::InlineLimits tight{14, 60};
+    Program merged = fir::clone_program(plain);
+    const std::uint64_t inlined = fir::inline_once(merged, tight);
+    Program free = fir::clone_program(plain);
+    refused += fir::inline_once(free, kNoLimit) - inlined;
+    fir::typecheck(merged);
+
+    // A function either kept its original size or fits the limits, which
+    // count exactly what lowering produces.
+    const vm::CompiledProgram lo_plain = vm::lower(plain);
+    const vm::CompiledProgram lo_merged = vm::lower(merged);
+    std::map<std::string, const vm::CompiledFunction*> original;
+    for (const auto& f : lo_plain.functions) original[f.name] = &f;
+    for (const auto& f : lo_merged.functions) {
+      const vm::CompiledFunction& o = *original.at(f.name);
+      if (f.code.size() == o.code.size() && f.num_regs == o.num_regs) continue;
+      EXPECT_LE(f.num_regs, tight.max_regs) << f.name;
+      EXPECT_LE(f.code.size(), tight.max_insns) << f.name;
+    }
+    EXPECT_EQ(run_blocks(std::move(plain)), run_blocks(std::move(merged)));
+  }
+  EXPECT_GT(refused, 0u);  // the limits did bite
+}
+
+TEST(InlineOnce, RefusesFunctionsThatBreakTheRules) {
+  // entry → a (single-use block: goes), a → self-loop s (two references:
+  // stays), s → c, which takes a continuation (stays), c → k via value
+  // (stays); k is the only tail callee of c but is referenced as a value.
+  ProgramBuilder pb("rules");
+  const auto main_id = pb.declare("main", {});
+  const auto a_id = pb.declare("a", {Type::integer()});
+  const auto s_id = pb.declare("s", {Type::integer()});
+  const auto k_ty = Type::fun({Type::integer()});
+  const auto c_id = pb.declare("c", {Type::integer(), k_ty});
+  const auto k_id = pb.declare("k", {Type::integer()});
+  {
+    auto fb = pb.define(main_id, {});
+    fb.tail_call(Atom::fun_ref(a_id), {Atom::integer(5)});
+  }
+  {
+    auto fb = pb.define(a_id, {"n"});
+    fb.tail_call(Atom::fun_ref(s_id), {fb.arg(0)});
+  }
+  {
+    auto fb = pb.define(s_id, {"n"});
+    const auto more = fb.let_binop("more", Binop::kGt, fb.arg(0),
+                                   Atom::integer(0));
+    fb.branch(
+        fb.v(more),
+        [&](auto& t) {
+          t.tail_call(Atom::fun_ref(s_id),
+                      {t.v(t.let_binop("m", Binop::kSub, t.arg(0),
+                                       Atom::integer(1)))});
+        },
+        [&](auto& e) {
+          e.tail_call(Atom::fun_ref(c_id),
+                      {Atom::integer(40), Atom::fun_ref(k_id)});
+        });
+  }
+  {
+    auto fb = pb.define(c_id, {"v", "k"});
+    fb.tail_call(fb.arg(1), {fb.v(fb.let_binop("w", Binop::kAdd, fb.arg(0),
+                                               Atom::integer(2)))});
+  }
+  {
+    auto fb = pb.define(k_id, {"r"});
+    fb.halt(fb.arg(0));
+  }
+  Program p = pb.take("main");
+  EXPECT_EQ(fir::inline_once(p, kNoLimit), 1u);
+  fir::typecheck(p);
+  std::vector<std::string> names;
+  for (const auto& fn : p.functions) names.push_back(fn.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"main", "s", "c", "k"}));
+  // a's body (a call of s with the argument substituted) now ends main.
+  EXPECT_EQ(p.functions[0].body->kind, fir::ExprKind::kTailCall);
+  EXPECT_EQ(p.functions[0].body->fun.fun, 1u);
+  EXPECT_EQ(p.functions[0].body->args[0].i, 5);
+  vm::Process proc(std::move(p));
+  EXPECT_EQ(proc.run().exit_code, 42);
+}
+
+TEST(InlineOnce, MergedLoopMigratesMidRunAndResumes) {
+  const fs::path dir = fs::temp_directory_path() / "mojave_inline_mig";
+  fs::create_directories(dir);
+  const fs::path file = dir / "loop.img";
+  fs::remove(file);
+  const std::string src =
+      "int main() { ptr a = alloc(2); int i = 0; int s = 0;"
+      "  while (i < 100) {"
+      "    if (i % 7 == 3) { a[0] = a[0] + i; } else { s = s + i * i; }"
+      "    if (i == 37) { migrate(\"suspend://" + file.string() + "\"); }"
+      "    i = i + 1;"
+      "  }"
+      "  return s + a[0]; }";
+  std::int64_t want = 0;
+  for (std::int64_t i = 0; i < 100; ++i) want += i % 7 == 3 ? i : i * i;
+
+  Program p = frontend::compile_source("mig", src);
+  const std::size_t functions = p.functions.size();
+  EXPECT_GT(fir::inline_once(p, kNoLimit), 0u);
+  EXPECT_LT(p.functions.size(), functions);
+  (void)fir::optimize(p);
+  {
+    vm::Process proc(std::move(p));
+    migrate::Migrator mig(proc);
+    EXPECT_EQ(proc.run().kind, vm::RunResult::Kind::kMigratedAway);
+  }
+  ASSERT_TRUE(fs::exists(file));
+  auto unpacked = migrate::unpack_process(
+      migrate::Migrator::read_image_file(file), vm::ProcessConfig{});
+  migrate::Migrator mig(*unpacked.process);
+  const auto r = unpacked.process->resume(unpacked.resume_fun,
+                                          std::move(unpacked.resume_args));
+  EXPECT_EQ(r.kind, vm::RunResult::Kind::kHalted);
+  EXPECT_EQ(r.exit_code, want);
+  fs::remove(file);
+}
+
+TEST(InlineOnce, EngineCompileCountsInlinedCalls) {
+  auto& counter =
+      obs::MetricsRegistry::instance().counter("fir.opt.calls_inlined");
+  const std::string src =
+      "int main() { int i = 0; int s = 0;"
+      "  while (i < 10) { if (i < 5) { s = s + i; } i = i + 1; }"
+      "  return s; }";
+  const std::uint64_t before = counter.value();
+  Engine engine;
+  const Program p = engine.compile("t", src);
+  EXPECT_GT(counter.value(), before);
+  EXPECT_EQ(engine.run_program(fir::clone_program(p)).run.exit_code, 10);
+
+  // --no-opt leaves every block in place.
+  const std::uint64_t mid = counter.value();
+  EngineOptions opts;
+  opts.optimize = false;
+  const Program plain = Engine(opts).compile("t", src);
+  EXPECT_EQ(counter.value(), mid);
+  EXPECT_EQ(plain.functions.size(),
+            frontend::compile_source("t", src).functions.size());
+  EXPECT_EQ(p.functions.size() + (counter.value() - before),
+            plain.functions.size());
 }
 
 }  // namespace
