@@ -14,7 +14,7 @@
 //   * g is not the entry;
 //   * no parameter of g has a function type — which keeps source-level
 //     functions (they carry a return continuation) and selects the
-//     frontend's blocks (they take `frame`);
+//     frontend's blocks (they take the locals in scope, then `frame`);
 //   * the merged function still lowers to at most InlineLimits registers
 //     and instructions, so the native tier never refuses it.
 //

@@ -1,5 +1,6 @@
 #include "frontend/compile.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -56,7 +57,21 @@ struct Sig {
 
 struct Local {
   MojTy ty = MojTy::kInt;
-  std::int64_t slot = 0;
+  std::int64_t slot = 0;  ///< home slot: where the local waits out a call
+};
+
+/// A local in scope at some point, named for the FIR parameter it becomes.
+struct InScope {
+  std::string name;
+  Local local;
+};
+
+/// A declared continuation part. Apart from a call's return part, every
+/// part takes the locals in scope where it is declared, in slot order,
+/// after its leading parameters and before `frame`.
+struct Part {
+  std::uint32_t id = 0;
+  std::vector<InScope> locals;
 };
 
 /// One open FIR function part under construction plus the lexical
@@ -66,6 +81,9 @@ struct Ctx {
   FunctionBuilder* fb;
   Atom frame;
   std::vector<std::map<std::string, Local>> scopes;
+  /// The current value of each local, by home slot: a read is this atom,
+  /// a write rebinds it, and a transfer passes it to the next part.
+  std::map<std::int64_t, Atom> vals;
 };
 
 constexpr std::int64_t kSlotK = 0;
@@ -169,12 +187,14 @@ class Compiler {
     count_decls(fn.body, ndecls);
     const std::int64_t frame_slots = next_slot_ + ndecls;
 
-    // Entry part: allocate the frame, spill k/kenv/params into it.
+    // Entry part: allocate the frame and store k/kenv into it. Parameters
+    // are locals bound to the entry's arguments; they reach their home
+    // slots only when a call needs the frame as its continuation.
     std::vector<std::string> names = fn.param_names;
     names.push_back("k");
     names.push_back("kenv");
     builders_.push_back(pb_.define(sigs_.at(fn.name).fir_id, std::move(names)));
-    Ctx ctx{&builders_.back(), Atom::unit(), {}};
+    Ctx ctx{&builders_.back(), Atom::unit(), {}, {}};
     const fir::VarId frame_var = ctx.fb->let_alloc(
         "frame", Atom::integer(frame_slots), Atom::integer(0));
     ctx.frame = Atom::variable(frame_var);
@@ -185,8 +205,8 @@ class Compiler {
     ctx.scopes.emplace_back();
     for (std::uint32_t i = 0; i < nparams; ++i) {
       const std::int64_t slot = kSlotKEnv + 1 + i;
-      ctx.fb->write(ctx.frame, Atom::integer(slot), ctx.fb->arg(i));
       ctx.scopes.back()[fn.param_names[i]] = Local{fn.param_tys[i], slot};
+      ctx.vals[slot] = ctx.fb->arg(i);
     }
 
     compile_list(ctx, fn.body, 0,
@@ -194,26 +214,61 @@ class Compiler {
     cur_fn_ = nullptr;
   }
 
-  /// Declare + open a new continuation part of the current function.
-  /// `extra` describes leading parameters before the frame pointer.
-  std::uint32_t declare_part(const std::string& kind,
-                             std::vector<Type> leading) {
+  /// The locals in scope in `ctx`, shadowed ones included, in slot order.
+  static std::vector<InScope> in_scope(const Ctx& ctx) {
+    std::vector<InScope> out;
+    for (const auto& scope : ctx.scopes) {
+      for (const auto& [name, local] : scope) out.push_back({name, local});
+    }
+    std::sort(out.begin(), out.end(), [](const InScope& a, const InScope& b) {
+      return a.local.slot < b.local.slot;
+    });
+    return out;
+  }
+
+  /// Declare a new continuation part of the current function taking
+  /// `leading` parameters, then `locals`, then the frame pointer.
+  Part declare_part(const std::string& kind, std::vector<Type> leading,
+                    std::vector<InScope> locals) {
     std::vector<Type> ptys = std::move(leading);
+    for (const InScope& l : locals) ptys.push_back(fir_ty(l.local.ty));
     ptys.push_back(Type::ptr());
     const std::string name = cur_fn_->name + "$" + kind +
                              std::to_string(part_counter_++);
-    return pb_.declare(name, std::move(ptys));
+    return Part{pb_.declare(name, std::move(ptys)), std::move(locals)};
   }
 
-  Ctx open_part(std::uint32_t id, std::vector<std::string> leading_names,
-                const Ctx& inherit_scopes) {
-    leading_names.push_back("frame");
-    const auto frame_param =
-        static_cast<std::uint32_t>(leading_names.size() - 1);
-    builders_.push_back(pb_.define(id, std::move(leading_names)));
-    Ctx ctx{&builders_.back(), Atom::unit(), inherit_scopes.scopes};
-    ctx.frame = ctx.fb->arg(frame_param);
+  /// A part taking the locals in scope in `at`.
+  Part declare_part(const std::string& kind, const Ctx& at) {
+    return declare_part(kind, {}, in_scope(at));
+  }
+
+  /// Open `part` with the lexical environment of `at`; its locals are
+  /// bound to the part's parameters.
+  Ctx open_part(const Part& part, std::vector<std::string> names,
+                const Ctx& at) {
+    const auto nleading = static_cast<std::uint32_t>(names.size());
+    for (const InScope& l : part.locals) names.push_back(l.name);
+    names.push_back("frame");
+    builders_.push_back(pb_.define(part.id, std::move(names)));
+    Ctx ctx{&builders_.back(), Atom::unit(), at.scopes, {}};
+    std::uint32_t i = nleading;
+    for (const InScope& l : part.locals) {
+      ctx.vals[l.local.slot] = ctx.fb->arg(i++);
+    }
+    ctx.frame = ctx.fb->arg(i);
     return ctx;
+  }
+
+  /// The arguments of a transfer to `part`: its locals' current values,
+  /// then the frame.
+  static std::vector<Atom> part_args(const Ctx& ctx, const Part& part) {
+    std::vector<Atom> args;
+    for (const InScope& l : part.locals) {
+      args.push_back(ctx.vals.at(l.local.slot));
+    }
+    args.push_back(ctx.frame);
+    return args;
   }
 
   // --- Slot access ---------------------------------------------------------
@@ -226,15 +281,12 @@ class Compiler {
     fail(line, "use of undeclared variable '" + name + "'");
   }
 
-  Val read_local(Ctx& ctx, const Local& l, const std::string& name) {
-    const fir::VarId v = ctx.fb->let_read(name, fir_ty(l.ty), ctx.frame,
-                                         Atom::integer(l.slot));
-    return Val{Atom::variable(v), l.ty};
+  static Val read_local(const Ctx& ctx, const Local& l) {
+    return Val{ctx.vals.at(l.slot), l.ty};
   }
 
   void write_local(Ctx& ctx, const Local& l, Val v, int line) {
-    v = promote(ctx, v, l.ty, line);
-    ctx.fb->write(ctx.frame, Atom::integer(l.slot), v.atom);
+    ctx.vals[l.slot] = promote(ctx, v, l.ty, line).atom;
   }
 
   // --- Types & promotion --------------------------------------------------
@@ -260,8 +312,7 @@ class Compiler {
       case ExKind::kStringLit:
         return Val{pb_.str(e.text), MojTy::kPtr};
       case ExKind::kVar: {
-        const Local& l = lookup(ctx, e.line, e.text);
-        return read_local(ctx, l, e.text);
+        return read_local(ctx, lookup(ctx, e.line, e.text));
       }
       case ExKind::kUnary: {
         Val v = compile_expr(ctx, *e.lhs);
@@ -558,24 +609,25 @@ class Compiler {
     }
     Val v = compile_expr(ctx, e);
     v = to_bool(ctx, v, e.line);
-    const auto scopes = ctx.scopes;
-    const Atom frame = ctx.frame;
+    const Ctx base = ctx;
     ctx.fb->branch(
         v.atom,
         [&](FunctionBuilder& fb) {
-          Ctx arm{&fb, frame, scopes};
+          Ctx arm = base;
+          arm.fb = &fb;
           on_true(arm);
         },
         [&](FunctionBuilder& fb) {
-          Ctx arm{&fb, frame, scopes};
+          Ctx arm = base;
+          arm.fb = &fb;
           on_false(arm);
         });
   }
 
   // --- Statements -----------------------------------------------------------
 
-  void emit_goto(Ctx& ctx, std::uint32_t part_id) {
-    ctx.fb->tail_call(Atom::fun_ref(part_id), {ctx.frame});
+  void emit_goto(Ctx& ctx, const Part& part) {
+    ctx.fb->tail_call(Atom::fun_ref(part.id), part_args(ctx, part));
   }
 
   /// return [value]: read k/kenv back out of the frame and invoke k.
@@ -611,9 +663,9 @@ class Compiler {
     });
   }
 
-  /// Assign the result of `rhs` into frame slot `target` (of type
-  /// `target_ty`), splitting the function if rhs suspends (speculate() or a
-  /// user call), then continue with `rest`.
+  /// Assign the result of `rhs` to the local `target`, splitting the
+  /// function if rhs suspends (speculate() or a user call), then continue
+  /// with `rest`.
   void compile_assign_into(Ctx& ctx, const Local& target, const Expr& rhs,
                            int line, const Rest& rest) {
     if (rhs.kind == ExKind::kCall && rhs.text == "speculate") {
@@ -621,10 +673,13 @@ class Compiler {
       if (target.ty != MojTy::kInt) {
         fail(line, "speculate() result must be stored in an int");
       }
-      const std::uint32_t part = declare_part("spec", {Type::integer()});
-      ctx.fb->speculate(Atom::fun_ref(part), {ctx.frame});
+      // The locals are the continuation's arguments, so a rollback
+      // re-enters with the values they had here.
+      const Part part =
+          declare_part("spec", {Type::integer()}, in_scope(ctx));
+      ctx.fb->speculate(Atom::fun_ref(part.id), part_args(ctx, part));
       Ctx pctx = open_part(part, {"c"}, ctx);
-      pctx.fb->write(pctx.frame, Atom::integer(target.slot), pctx.fb->arg(0));
+      pctx.vals[target.slot] = pctx.fb->arg(0);
       rest(pctx);
       return;
     }
@@ -655,9 +710,14 @@ class Compiler {
   }
 
   /// Tail-call a user function with a freshly declared return part;
-  /// `then` receives the part context and the (typed) return value.
+  /// `then` receives the part context and the (typed) return value. The
+  /// return part's signature is fixed by k(ret, kenv), so the frame is the
+  /// continuation environment: the locals in scope are written to their
+  /// home slots before the call and, unless `reload` is false (the part
+  /// only returns), read back at the top of the return part.
   void compile_user_call(Ctx& ctx, const Expr& call, const Sig& sig, int line,
-                         const std::function<void(Ctx&, Val)>& then) {
+                         const std::function<void(Ctx&, Val)>& then,
+                         bool reload = true) {
     if (call.args.size() != sig.params.size()) {
       fail(line, call.text + " expects " +
                      std::to_string(sig.params.size()) + " argument(s)");
@@ -667,13 +727,25 @@ class Compiler {
       Val v = compile_expr(ctx, *call.args[i]);
       args.push_back(promote(ctx, v, sig.params[i], line).atom);
     }
+    const std::vector<InScope> live = in_scope(ctx);
+    for (const InScope& l : live) {
+      ctx.fb->write(ctx.frame, Atom::integer(l.local.slot),
+                    ctx.vals.at(l.local.slot));
+    }
     const MojTy rty = sig.ret == MojTy::kVoid ? MojTy::kInt : sig.ret;
-    const std::uint32_t part = declare_part("ret", {fir_ty(rty)});
-    args.push_back(Atom::fun_ref(part));
+    const Part part = declare_part("ret", {fir_ty(rty)}, {});
+    args.push_back(Atom::fun_ref(part.id));
     args.push_back(ctx.frame);
     ctx.fb->tail_call(Atom::fun_ref(sig.fir_id), std::move(args));
 
     Ctx pctx = open_part(part, {"ret"}, ctx);
+    if (reload) {
+      for (const InScope& l : live) {
+        pctx.vals[l.local.slot] = Atom::variable(
+            pctx.fb->let_read(l.name, fir_ty(l.local.ty), pctx.frame,
+                              Atom::integer(l.local.slot)));
+      }
+    }
     then(pctx, Val{pctx.fb->arg(0), rty});
   }
 
@@ -695,7 +767,7 @@ class Compiler {
           const Atom init = s.ty == MojTy::kFloat ? Atom::real(0.0)
                             : s.ty == MojTy::kPtr ? Atom::null_ptr()
                                                   : Atom::integer(0);
-          ctx.fb->write(ctx.frame, Atom::integer(slot), init);
+          ctx.vals[slot] = init;
           ctx.scopes.back()[s.name] = local;
           rest(ctx);
         }
@@ -721,9 +793,9 @@ class Compiler {
         compile_expr_stmt(ctx, s, rest);
         return;
       case StKind::kIf: {
-        const std::uint32_t then_part = declare_part("then", {});
-        const std::uint32_t else_part = declare_part("else", {});
-        const std::uint32_t join_part = declare_part("join", {});
+        const Part then_part = declare_part("then", ctx);
+        const Part else_part = declare_part("else", ctx);
+        const Part join_part = declare_part("join", ctx);
         compile_cond(ctx, *s.expr,
                      [&](Ctx& c) { emit_goto(c, then_part); },
                      [&](Ctx& c) { emit_goto(c, else_part); });
@@ -744,9 +816,9 @@ class Compiler {
         return;
       }
       case StKind::kWhile: {
-        const std::uint32_t loop_part = declare_part("loop", {});
-        const std::uint32_t body_part = declare_part("body", {});
-        const std::uint32_t after_part = declare_part("after", {});
+        const Part loop_part = declare_part("loop", ctx);
+        const Part body_part = declare_part("body", ctx);
+        const Part after_part = declare_part("after", ctx);
         emit_goto(ctx, loop_part);
         {
           Ctx lctx = open_part(loop_part, {}, ctx);
@@ -771,10 +843,10 @@ class Compiler {
         // the loop structure is: init → $loop(cond) → $body → $step → $loop.
         ctx.scopes.emplace_back();  // the init declaration's scope
         const auto compile_loop = [&](Ctx& c) {
-          const std::uint32_t loop_part = declare_part("floop", {});
-          const std::uint32_t body_part = declare_part("fbody", {});
-          const std::uint32_t step_part = declare_part("fstep", {});
-          const std::uint32_t after_part = declare_part("fafter", {});
+          const Part loop_part = declare_part("floop", c);
+          const Part body_part = declare_part("fbody", c);
+          const Part step_part = declare_part("fstep", c);
+          const Part after_part = declare_part("fafter", c);
           emit_goto(c, loop_part);
           {
             Ctx lctx = open_part(loop_part, {}, c);
@@ -815,9 +887,9 @@ class Compiler {
         return;
       }
       case StKind::kDoWhile: {
-        const std::uint32_t body_part = declare_part("dbody", {});
-        const std::uint32_t cond_part = declare_part("dcond", {});
-        const std::uint32_t after_part = declare_part("dafter", {});
+        const Part body_part = declare_part("dbody", ctx);
+        const Part cond_part = declare_part("dcond", ctx);
+        const Part after_part = declare_part("dafter", ctx);
         emit_goto(ctx, body_part);
         {
           Ctx bctx = open_part(body_part, {}, ctx);
@@ -845,10 +917,12 @@ class Compiler {
             const auto it = sigs_.find(s.expr->text);
             if (it != sigs_.end() && !it->second.is_extern) {
               const int line = s.line;
-              compile_user_call(ctx, *s.expr, it->second, line,
-                                [this, line](Ctx& c, Val ret_val) {
-                                  emit_return(c, ret_val, line);
-                                });
+              compile_user_call(
+                  ctx, *s.expr, it->second, line,
+                  [this, line](Ctx& c, Val ret_val) {
+                    emit_return(c, ret_val, line);
+                  },
+                  /*reload=*/false);
               return;
             }
           }
@@ -900,8 +974,8 @@ class Compiler {
     if (name == "commit") {
       if (e.args.size() != 1) fail(s.line, "commit(level) takes one argument");
       const Atom level = int_arg(0);
-      const std::uint32_t part = declare_part("cont", {});
-      ctx.fb->commit(level, Atom::fun_ref(part), {ctx.frame});
+      const Part part = declare_part("cont", ctx);
+      ctx.fb->commit(level, Atom::fun_ref(part.id), part_args(ctx, part));
       Ctx pctx = open_part(part, {}, ctx);
       rest(pctx);
       return;
@@ -932,9 +1006,9 @@ class Compiler {
       if (target.ty != MojTy::kPtr) {
         fail(s.line, "migrate target must be a string");
       }
-      const std::uint32_t part = declare_part("mig", {});
-      ctx.fb->migrate(next_label_++, target.atom, Atom::fun_ref(part),
-                     {ctx.frame});
+      const Part part = declare_part("mig", ctx);
+      ctx.fb->migrate(next_label_++, target.atom, Atom::fun_ref(part.id),
+                      part_args(ctx, part));
       Ctx pctx = open_part(part, {}, ctx);
       rest(pctx);
       return;
@@ -971,8 +1045,8 @@ class Compiler {
   std::deque<FunctionBuilder> builders_;
 
   struct LoopCtx {
-    std::uint32_t loop_part;
-    std::uint32_t after_part;
+    Part loop_part;
+    Part after_part;
   };
   std::vector<LoopCtx> loops_;
 };

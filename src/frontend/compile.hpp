@@ -4,18 +4,25 @@
 // process state management code automatically, removing the need for the
 // user to implement hand-written checkpointing code." Concretely:
 //
-//  * every MojC function activation stores its locals in a heap-allocated
-//    frame block, so speculation's copy-on-write versioning covers local
-//    variables exactly like any other heap data, and rollback restores
-//    them with no user involvement;
 //  * the function is split into continuation parts at every construct that
 //    suspends or transfers control — user calls, if/while joins,
 //    speculate(), commit(), migrate() — converting the program to the
 //    FIR's continuation-passing style ("function calls in the source
 //    language are converted to tail-calls using continuation passing
 //    style; loops are expressed with recursive functions");
-//  * at each such point the live state is exactly (frame pointer [, return
-//    value or c]), which is what the FIR primitives capture and restore.
+//  * MojC locals are the parts' parameters: every part except a call's
+//    return part takes the locals in scope where it is declared, in slot
+//    order, after any leading parameter (`c` of a speculate part) and
+//    before the frame pointer. A read is the local's current atom, a
+//    write rebinds it, and each transfer passes the current values;
+//  * so the live state at each point is (locals..., frame pointer), which
+//    is what the FIR primitives capture and restore: speculate() saves the
+//    locals with the level, and rollback/abort re-enters with them, so
+//    locals revert with no user involvement;
+//  * each activation's heap frame block is only the continuation
+//    environment of user calls: k/kenv in slots 0/1, and a home slot per
+//    local, written before a call and read back in its return part (whose
+//    signature k(ret, kenv) fixes).
 //
 // Language-level primitives recognized by the compiler:
 //   int id = speculate();        enter a level; id > 0 is the level number

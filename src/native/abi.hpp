@@ -103,7 +103,8 @@ struct NativeContext {
   /// Interned string blocks (interpreter's string_blocks_.data()).
   const BlockIndex* string_indices = nullptr;
   runtime::Heap* heap = nullptr;
-  /// Scratch for the parallel move at direct jumps (kMaxDirectArgs Values).
+  /// Scratch for the parallel move at direct jumps: one Value per argument
+  /// of any compiled callee (at most kMaxRegs).
   runtime::Value* argbuf = nullptr;
   /// Deopt record: function / bytecode pc / reason to resume interpreting.
   std::uint32_t deopt_fun = 0;
@@ -118,7 +119,10 @@ struct NativeContext {
 
 using NativeFn = void (*)(NativeContext*);
 
-inline constexpr std::size_t kMaxDirectArgs = 32;
+/// Virtual registers of a function the native compiler accepts. A direct
+/// jump passes at most one argument per callee register, so this is also
+/// the direct-jump arity limit and bounds the size of `argbuf`.
+inline constexpr std::uint16_t kMaxRegs = 256;
 
 // Offsets baked into emitted code.
 inline constexpr std::int32_t kCtxFrame = 0;

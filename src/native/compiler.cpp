@@ -21,9 +21,12 @@ using vm::CompiledProgram;
 using vm::Insn;
 using vm::Op;
 
-// Compile-time sanity bound (kMaxCode and kMaxRegs are in compiler.hpp);
-// programs outside it stay interpreted.
+// Compile-time sanity bound (kMaxCode is in compiler.hpp, kMaxRegs in
+// abi.hpp); programs outside it stay interpreted.
 constexpr std::size_t kMaxFunctions = 1 << 24;
+
+// The direct-jump move addresses argbuf slot i at disp32 16 * i.
+static_assert(sizeof(runtime::Value) * kMaxRegs <= 0x7fffffff);
 
 // --- Type lattice ------------------------------------------------------------
 
@@ -399,7 +402,7 @@ bool plan_insn(const CompiledProgram& prog, const CompiledFunction& f,
       const TypeInfo& callee = st[I.r1];
       bool direct = callee.kind == Kind::kFun && callee.has_fun &&
                     callee.fun < prog.functions.size() &&
-                    I.args.size() <= kMaxDirectArgs;
+                    I.args.size() <= kMaxRegs;
       if (direct) {
         const CompiledFunction& target = prog.functions[callee.fun];
         direct = I.args.size() == target.arity &&
@@ -1152,22 +1155,24 @@ class FunctionCompiler {
     a_.mov_rm64(RCX, mem(RBX, kCtxCalls));
     a_.inc_m64(mem(RCX, 0));
     // Parallel argument move through argbuf (args may overlap the low
-    // registers they land in). The common self-loop shape args[i] == i
-    // needs no move at all.
-    bool trivial = true;
+    // registers they land in). Only the positions whose source register
+    // is not the destination move: an identity position (args[i] == i) is
+    // already in place, and no other move writes register i, so skipping
+    // it is exact. A block that passes its state through moves nothing.
+    std::vector<std::size_t> moved;
     for (std::size_t i = 0; i < I.args.size(); ++i) {
-      trivial = trivial && I.args[i] == i;
+      if (I.args[i] != i) moved.push_back(i);
     }
-    if (!trivial) {
+    if (!moved.empty()) {
       a_.mov_rm64(RCX, mem(RBX, kCtxArgbuf));
-      for (std::size_t i = 0; i < I.args.size(); ++i) {
+      for (const std::size_t i : moved) {
         const std::int32_t off = static_cast<std::int32_t>(16 * i);
         a_.mov_rm64(RDX, vtag(I.args[i]));
         a_.mov_mr64(mem(RCX, off), RDX);
         a_.mov_rm64(RDX, vpay(I.args[i]));
         a_.mov_mr64(mem(RCX, off + 8), RDX);
       }
-      for (std::size_t i = 0; i < I.args.size(); ++i) {
+      for (const std::size_t i : moved) {
         const std::int32_t off = static_cast<std::int32_t>(16 * i);
         a_.mov_rm64(RDX, mem(RCX, off));
         a_.mov_mr64(vtag(static_cast<std::uint16_t>(i)), RDX);

@@ -26,16 +26,16 @@
 #include <string>
 #include <vector>
 
+#include "native/abi.hpp"
 #include "support/common.hpp"
 #include "vm/bytecode.hpp"
 
 namespace mojave::native {
 
-/// Functions larger than these bounds are refused (they stay interpreted).
-/// The FIR inliner derives its size limit from them, so a merged function
-/// never falls back to the interpreter.
-inline constexpr std::size_t kMaxCode = 1 << 16;   ///< instructions
-inline constexpr std::uint16_t kMaxRegs = 256;     ///< virtual registers
+/// Functions larger than this bound or than kMaxRegs (abi.hpp) are
+/// refused (they stay interpreted). The FIR inliner derives its size limit
+/// from both, so a merged function never falls back to the interpreter.
+inline constexpr std::size_t kMaxCode = 1 << 16;  ///< instructions
 
 /// The deopt-time register reset. A direct jump does not clear the
 /// callee's registers, so a register no path to a deopt point has written

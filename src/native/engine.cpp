@@ -163,7 +163,9 @@ Engine::Engine(runtime::Heap& heap, spec::SpeculationManager& spec,
     max_regs = std::max(max_regs, static_cast<std::size_t>(f.num_regs));
   }
   frame_.assign(max_regs, Value::unit());
-  argbuf_.assign(kMaxDirectArgs, Value::unit());
+  // A direct jump only reaches a compiled callee, whose arity is at most
+  // its num_regs <= kMaxRegs.
+  argbuf_.assign(std::min<std::size_t>(max_regs, kMaxRegs), Value::unit());
 
   auto& reg = obs::MetricsRegistry::instance();
   compiled_funcs_metric_ = &reg.counter("native.compiled_funcs");

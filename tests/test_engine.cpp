@@ -6,6 +6,8 @@
 #include <fstream>
 
 #include "core/engine.hpp"
+#include "fir/ir.hpp"
+#include "gridapp/heat.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -36,8 +38,9 @@ TEST(Engine, OptimizerIsOnByDefaultAndCanBeDisabled) {
 }
 
 TEST(Engine, CompileRecordsOptimizerCounters) {
-  // Each use of a MojC local re-reads its frame slot; the optimizer keeps
-  // one read per slot and shares the repeated `a * b`.
+  // f's returns read k/kenv back from the frame slots its entry wrote,
+  // which store forwarding replaces; the optimizer also shares the
+  // repeated `a * b`.
   const std::string src =
       "int f(int a, int b) { int c = a * b; int d = a * b;"
       "  if (c < d) { return 1; } return c + d; }"
@@ -54,6 +57,72 @@ TEST(Engine, CompileRecordsOptimizerCounters) {
   EXPECT_GT(value("fir.opt.stores_forwarded"), forwarded);
   EXPECT_GT(value("fir.opt.exprs_shared"), shared);
   EXPECT_GT(value("fir.opt.compares_simplified"), compares);
+}
+
+/// Every heap access in `e` (both if-arms) whose base is variable `frame`:
+/// the literal offsets of reads, and a count of everything else.
+void frame_accesses(const fir::Expr* e, fir::VarId frame,
+                    std::vector<std::int64_t>& read_slots, int& other) {
+  using fir::ExprKind;
+  for (; e != nullptr; e = e->next.get()) {
+    const bool on_frame =
+        e->a.kind == fir::Atom::Kind::kVar && e->a.var == frame;
+    switch (e->kind) {
+      case ExprKind::kLetRead:
+        if (on_frame && e->b.kind == fir::Atom::Kind::kInt) {
+          read_slots.push_back(e->b.i);
+        } else if (on_frame) {
+          ++other;
+        }
+        break;
+      case ExprKind::kWrite:
+      case ExprKind::kLetRawLoad:
+      case ExprKind::kRawStore:
+      case ExprKind::kLetRawLoadF:
+      case ExprKind::kRawStoreF:
+      case ExprKind::kLetLen:
+      case ExprKind::kLetPtrAdd:
+        if (on_frame) ++other;
+        break;
+      case ExprKind::kIf:
+        frame_accesses(e->els.get(), frame, read_slots, other);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+TEST(Engine, HeatComputeBlocksTouchOnlyTheReturnSlotsOfTheFrame) {
+  // MojC locals are CPS block parameters, so once compiled (inlining and
+  // the optimizer included) the heat kernel's blocks use their `frame`
+  // only to return through k/kenv (slots 0 and 1).
+  gridapp::HeatConfig cfg;
+  cfg.nodes = 4;
+  cfg.rows = 64;
+  cfg.cols = 256;
+  cfg.steps = 200;
+  cfg.checkpoint_interval = 20;
+  Engine engine;
+  const fir::Program program =
+      engine.compile("heat", gridapp::heat_mojc_source(cfg));
+  int blocks = 0;
+  for (const fir::Function& fn : program.functions) {
+    if (fn.name.rfind("compute$", 0) != 0) continue;
+    SCOPED_TRACE(fn.name);
+    ++blocks;
+    ASSERT_GE(fn.arity(), 1u);
+    const fir::VarId frame = fn.arity() - 1;
+    ASSERT_EQ(fn.var_names.at(frame), "frame");
+    std::vector<std::int64_t> read_slots;
+    int other = 0;
+    frame_accesses(fn.body.get(), frame, read_slots, other);
+    EXPECT_EQ(other, 0);
+    for (const std::int64_t slot : read_slots) {
+      EXPECT_TRUE(slot == 0 || slot == 1) << "reads frame slot " << slot;
+    }
+  }
+  EXPECT_GE(blocks, 3);  // the loops and joins of compute's two sweeps
 }
 
 TEST(Engine, CompileFileAndRunFile) {

@@ -151,8 +151,8 @@ TEST(Frontend, SpeculationCommit) {
 }
 
 TEST(Frontend, SpeculationAbortRestoresLocalsAndHeap) {
-  // Both the heap array AND the local variable x roll back: locals live in
-  // the frame block, which is itself COW-versioned.
+  // Both the heap array AND the local variable x roll back: x is an
+  // argument of the continuation speculate() saved with the level.
   EXPECT_EQ(run_mojc("int main() {"
                      "  ptr a = alloc(1); a[0] = 10;"
                      "  int x = 1;"

@@ -1106,7 +1106,7 @@ struct RegRun {
 };
 
 RegRun run_regs(const vm::CompiledProgram& prog, const vm::ProcessConfig& cfg,
-                std::uint64_t slice) {
+                std::uint64_t slice, std::uint64_t* call_deopts = nullptr) {
   vm::Process p(vm::CompiledProgram(prog), cfg, /*intern_strings=*/true);
   RegRun out;
   p.vm().register_external(
@@ -1127,6 +1127,11 @@ RegRun run_regs(const vm::CompiledProgram& prog, const vm::ProcessConfig& cfg,
   }
   out.counts = p.vm().op_class_counts();
   out.calls = p.vm().stats().calls;
+  if (call_deopts != nullptr) {
+    const native::Engine* eng = p.vm().native_engine();
+    *call_deopts =
+        eng == nullptr ? 0 : eng->deopt_count(native::DeoptReason::kCall);
+  }
   return out;
 }
 
@@ -1252,6 +1257,155 @@ TEST(NativeLazyReset, FrontendCpsBlocksNeedNoEagerClears) {
       saw_then6 = saw_then6 || compiled.functions[f].name == "compute$then6";
     }
     EXPECT_EQ(saw_then6, !inlined);  // then6 merges into compute$loop3
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Direct-jump argument moves: only the positions whose source register is
+// not already the destination move, through argbuf, with no arity cliff.
+// ---------------------------------------------------------------------------
+
+enum class MoveShape { kSwap, kRotate, kAllButOne };
+
+/// fun(p0 .. p(n-2), cnt) with n int parameters: cnt' = cnt - 1; at zero
+/// it dumps p0 .. p(n-1) and halts with p0, otherwise it tail-calls
+/// `target` with cnt' last and the other parameters permuted by `shape`:
+/// p0 and p1 swapped, p0 <- p1 <- p2 <- p0 rotated (in both, each moved
+/// register is another move's destination), or all kept in place.
+vm::CompiledFunction move_fn(std::string name, std::uint16_t n,
+                             MoveShape shape, std::uint32_t target) {
+  using vm::Op;
+  const std::uint16_t cnt = n - 1;
+  const std::uint16_t one = n;
+  const std::uint16_t next = n + 1;
+  const std::uint16_t fun = n + 2;
+  vm::CompiledFunction f = bytecode_fn(
+      std::move(name), std::vector<runtime::Tag>(n, runtime::Tag::kInt),
+      static_cast<std::uint16_t>(n + 3));
+  std::vector<std::uint16_t> args(n);
+  for (std::uint16_t i = 0; i < n; ++i) args[i] = i;
+  switch (shape) {
+    case MoveShape::kSwap: std::swap(args[0], args[1]); break;
+    case MoveShape::kRotate:
+      args[0] = 1;
+      args[1] = 2;
+      args[2] = 0;
+      break;
+    case MoveShape::kAllButOne: break;
+  }
+  args[cnt] = next;  // n >= 4: the counter is never a permuted position
+  f.code = {load_int(one, 1),                    // 0
+            binop(Binop::kSub, next, cnt, one),  // 1
+            jump(Op::kJumpIfZero, 5, next),      // 2: cnt' == 0 → 5
+            load_fun(fun, target),               // 3
+            call(Op::kTailCall, fun, args),      // 4
+            dump_all(fun, n),                    // 5
+            call(Op::kHalt, 0, {})};             // 6
+  return f;
+}
+
+/// main loads p_i = 1000 + 7i and cnt = 37, then enters f; f and g jump
+/// to each other with shapes `a` and `b`.
+vm::CompiledProgram make_move_program(std::uint16_t n, MoveShape a,
+                                      MoveShape b) {
+  using vm::Op;
+  vm::CompiledProgram prog;
+  prog.name = "moves";
+  prog.ext_names = {"dump"};
+  vm::CompiledFunction main = bytecode_fn("main", {runtime::Tag::kInt},
+                                          static_cast<std::uint16_t>(n + 1));
+  for (std::uint16_t i = 0; i + 1 < n; ++i) {
+    main.code.push_back(load_int(i, 1000 + 7 * i));
+  }
+  main.code.push_back(load_int(n - 1, 37));
+  main.code.push_back(load_fun(n, 1));
+  std::vector<std::uint16_t> args(n);
+  for (std::uint16_t i = 0; i < n; ++i) args[i] = i;
+  main.code.push_back(call(Op::kTailCall, n, args));
+  prog.functions = {std::move(main), move_fn("f", n, a, 2),
+                    move_fn("g", n, b, 1)};
+  for (std::uint32_t i = 0; i < prog.functions.size(); ++i) {
+    prog.functions[i].fir_id = i;
+  }
+  return prog;
+}
+
+TEST(NativeParallelMove, PartialMovesMatchTheInterpreter) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  using S = MoveShape;
+  const std::pair<S, S> pairs[] = {{S::kSwap, S::kAllButOne},
+                                   {S::kRotate, S::kSwap},
+                                   {S::kRotate, S::kAllButOne},
+                                   {S::kAllButOne, S::kAllButOne}};
+  // 40 parameters is past the old 32-argument direct-jump limit.
+  for (const std::uint16_t n : {4, 9, 40}) {
+    for (const auto& [a, b] : pairs) {
+      for (const std::uint64_t slice : {0, 7}) {
+        SCOPED_TRACE("n " + std::to_string(n) + ", shapes " +
+                     std::to_string(static_cast<int>(a)) + "/" +
+                     std::to_string(static_cast<int>(b)) + ", slice " +
+                     std::to_string(slice));
+        const vm::CompiledProgram prog = make_move_program(n, a, b);
+        // A wrong move can lose the counter; the fuse turns that into a
+        // failed comparison instead of a hang.
+        vm::ProcessConfig on = jit_on(1);
+        vm::ProcessConfig off = jit_off();
+        on.max_instructions = off.max_instructions = 100'000;
+        std::uint64_t call_deopts = 1;
+        const RegRun native = run_regs(prog, on, slice, &call_deopts);
+        const RegRun interp = run_regs(prog, off, slice);
+        ASSERT_EQ(interp.dumps.size(), 1u);
+        EXPECT_EQ(native.dumps, interp.dumps);
+        EXPECT_EQ(native.outcome, interp.outcome);
+        EXPECT_EQ(native.counts, interp.counts);
+        EXPECT_EQ(native.calls, interp.calls);
+        EXPECT_EQ(call_deopts, 0u);  // every f <-> g jump was direct
+      }
+    }
+  }
+}
+
+TEST(NativeParallelMove, LoopWithFortyLocalsStaysNative) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  // Every local is a parameter of the loop's CPS blocks, so each jump
+  // passes 40+ arguments; none may fall back to the interpreter.
+  std::string src = "int main() {\n";
+  for (int i = 0; i < 40; ++i) {
+    src += "  int a" + std::to_string(i) + " = " + std::to_string(i) + ";\n";
+  }
+  src += "  int i = 0;\n  while (i < 3000) {\n";
+  for (int i = 0; i < 40; i += 3) {
+    src += "    a" + std::to_string(i) + " = a" + std::to_string(i) + " + a" +
+           std::to_string((i + 7) % 40) + " + i;\n";
+  }
+  src += "    i = i + 1;\n  }\n  int s = 0;\n";
+  for (int i = 0; i < 40; ++i) {
+    src += "  s = (s * 3) ^ a" + std::to_string(i) + ";\n";
+  }
+  src += "  exit(s & 65535);\n}\n";
+  for (const bool optimized : {false, true}) {
+    SCOPED_TRACE(optimized ? "optimized" : "as emitted");
+    fir::Program program = frontend::compile_source("forty", src);
+    if (optimized) {
+      (void)fir::inline_once(
+          program, fir::InlineLimits{native::kMaxRegs, native::kMaxCode});
+      (void)fir::optimize(program);
+    }
+    vm::ProcessConfig on = jit_on(1);
+    vm::ProcessConfig off = jit_off();
+    on.max_instructions = off.max_instructions = 50'000'000;
+    vm::Process interp(fir::clone_program(program), off);
+    vm::Process native(std::move(program), on);
+    const auto want = interp.run();
+    const auto got = native.run();
+    ASSERT_EQ(want.kind, vm::RunResult::Kind::kHalted);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.exit_code, want.exit_code);
+    const native::Engine* eng = native.vm().native_engine();
+    ASSERT_NE(eng, nullptr);
+    EXPECT_EQ(eng->deopt_count(native::DeoptReason::kCall), 0u);
+    EXPECT_EQ(native.vm().stats().instructions,
+              interp.vm().stats().instructions);
   }
 }
 

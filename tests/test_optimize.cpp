@@ -460,9 +460,9 @@ void count_frame_reads(const fir::Expr* e, fir::VarId frame,
 }
 
 TEST(OptimizeAlias, StencilBodyReadsEachFrameSlotOnce) {
-  // The shape the frontend gives the heat stencil's inner body: every
-  // local lives in a heap frame, every use re-reads it, and the four
-  // neighbour values are spilled to frame slots and read back.
+  // A heat-stencil body whose locals live in a heap frame block: every
+  // use re-reads it, and the four neighbour values are spilled to frame
+  // slots and read back.
   enum : std::int64_t { kU = 2, kV = 3, kC = 6, kR = 8, kCol = 10 };
   ProgramBuilder pb("then6");
   auto main_id = pb.declare("main", {});
