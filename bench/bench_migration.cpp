@@ -114,8 +114,8 @@ void run_migration(benchmark::State& state, migrate::ImageKind kind) {
 // E3 — resilient-transport latency under packet loss.
 //
 // The full idempotent handshake (offer/GO, image/ack — migrate/wire.hpp)
-// runs through a ChaosProxy that drops request and reply frames with the
-// given probability, and the client retries under the production
+// runs through a WireChaosProxy that drops request and reply frames with
+// the given probability, and the client retries under the production
 // RetryPolicy. Measures what a lossy WAN costs a migration end to end:
 // each retry pays a reconnect plus a jittered backoff, and a retry after
 // a lost ack is answered DU from the dedup window instead of re-shipping.
@@ -150,11 +150,10 @@ void BM_MigrationResilient(benchmark::State& state) {
     }
   });
 
-  net::ProxyFaults faults;
+  net::WireFaults faults;
   faults.seed = 1000 + state.range(0);
-  faults.drop_request = drop;
-  faults.drop_reply = drop;
-  net::ChaosProxy proxy("127.0.0.1", sink.port(), faults);
+  faults.drop_frame = drop;  // requests and replies alike
+  net::WireChaosProxy proxy("127.0.0.1", sink.port(), faults);
 
   net::RetryPolicy policy;
   policy.max_attempts = 16;

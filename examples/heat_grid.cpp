@@ -40,11 +40,10 @@ int main() {
   const auto run = gridapp::run_heat(cfg, ccfg, [&](cluster::Cluster& cl) {
     cl.enable_auto_resurrection(0.02);
     // Let rank 2 checkpoint at least once, then kill it mid-computation.
-    const std::string ckpt = cl.checkpoint_name(2);
-    for (int i = 0; i < 5000 && !cl.storage().exists(ckpt); ++i) {
+    for (int i = 0; i < 5000 && !cl.has_checkpoint(2); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    if (cl.storage().exists(ckpt)) {
+    if (cl.has_checkpoint(2)) {
       std::cout << "!! injecting failure: killing node 2\n";
       cl.kill(2);
     } else {
@@ -80,6 +79,11 @@ int main() {
             << ", speculation rollbacks: " << rollbacks
             << ", COW blocks preserved: " << preserved << "\n";
   std::cout << "wall time: " << elapsed << " s\n";
+  if (restarts == 0) {
+    // Without a resurrection the run proves nothing about fault tolerance.
+    std::cout << "VERIFICATION FAILED: node 2 was never resurrected\n";
+    return 1;
+  }
   std::cout << (verified ? "VERIFIED: fault-tolerant run matches the "
                            "failure-free reference\n"
                          : "VERIFICATION FAILED\n");

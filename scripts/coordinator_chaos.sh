@@ -93,7 +93,7 @@ echo "primary (pid $PRIMARY) SIGKILLed after $n manifests"
 
 # The standby waits out the dead primary's lease, takes over its WAL at
 # the next epoch, and re-adopts the agents — which held their ranks
-# through the gap (coordinator_grace).
+# through the gap (their 10 s grace period).
 "$MOJC" cluster --nodes "127.0.0.1:$Q0,127.0.0.1:$Q1" --ranks "$RANKS" \
   --wal-root "$WAL" --lease-ttl 1.0 --standby \
   run "$PROG" >"$WORK/standby.out" 2>"$WORK/standby.err" || {

@@ -348,15 +348,13 @@ void ChunkEngine::put(const ChunkKey& key, std::span<const std::byte> data) {
     m.dedup_hits.inc();
     return;
   }
+  // Zero-run RLE, or raw when that does not shrink the record.
   std::uint8_t codec = kCodecRaw;
-  std::vector<std::byte> packed;
+  const std::vector<std::byte> packed = zero_rle_compress(data);
   std::span<const std::byte> stored = data;
-  if (opts_.compress) {
-    packed = zero_rle_compress(data);
-    if (packed.size() < data.size()) {
-      codec = kCodecZeroRle;
-      stored = packed;
-    }
+  if (packed.size() < data.size()) {
+    codec = kCodecZeroRle;
+    stored = packed;
   }
   rotate_if_needed_locked();
   const std::uint64_t seq = next_seq_;

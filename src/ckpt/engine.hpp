@@ -25,9 +25,10 @@
 // append-only and records self-framing, which makes cross-process reads
 // safe: a reader that misses in its index rescans grown/new extents from
 // its last offset (`refresh`), stopping at any partially-visible tail
-// record and retrying later. Optional compression is a dependency-free
-// zero-run RLE — checkpoint images carry large zeroed buffers, which is
-// exactly what it folds away.
+// record and retrying later. Payloads are compressed with a
+// dependency-free zero-run RLE, or stored raw when that does not shrink
+// them — checkpoint images carry large zeroed buffers, which is exactly
+// what it folds away.
 #pragma once
 
 #include <cstdint>
@@ -86,9 +87,6 @@ class ChunkEngine {
     std::uint64_t extent_target_bytes = 64ull << 20;
     /// Block cache budget (raw chunk bytes). 0 disables the cache.
     std::uint64_t cache_bytes = 64ull << 20;
-    /// Zero-run RLE compression for stored payloads (codec falls back to
-    /// raw per record when it does not help).
-    bool compress = true;
     /// compact() rewrites an extent when its dead fraction exceeds this.
     double compact_min_dead_ratio = 0.5;
     /// Never compact an extent modified more recently than this — it may

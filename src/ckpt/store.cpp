@@ -72,10 +72,6 @@ std::string hex16(std::uint64_t v) {
   return s;
 }
 
-std::string chunk_name(const ChunkKey& key) {
-  return std::string(CheckpointStore::kChunkDir) + "/" + key.hex() + ".ch";
-}
-
 std::string seq_str(std::uint64_t seq) {
   std::string s = std::to_string(seq);
   return std::string(s.size() >= 12 ? 0 : 12 - s.size(), '0') + s;
@@ -162,16 +158,6 @@ CheckpointStore::CheckpointStore(fs::path root, Options opts)
                                           opts_.engine);
 }
 
-bool CheckpointStore::chunk_exists_locked(const ChunkKey& key) const {
-  return engine_->exists(key) || storage_.exists(chunk_name(key));
-}
-
-std::optional<std::vector<std::byte>> CheckpointStore::chunk_read_locked(
-    const ChunkKey& key) const {
-  if (auto data = engine_->read(key)) return data;
-  return storage_.read(chunk_name(key));
-}
-
 std::shared_ptr<CheckpointStore> CheckpointStore::open_shared(
     const fs::path& root, Options opts) {
   static std::mutex mu;
@@ -253,7 +239,7 @@ PutStats CheckpointStore::put(const std::string& snapshot,
     man.chunks.push_back({key, static_cast<std::uint32_t>(chunk.size())});
     ++stats.chunks_total;
     stats.bytes_total += chunk.size();
-    if (chunk_exists_locked(key)) {
+    if (engine_->exists(key)) {
       ++stats.chunks_deduped;
     } else {
       engine_->put(key, chunk);
@@ -314,7 +300,7 @@ std::optional<std::vector<std::byte>> CheckpointStore::restore(
     image.reserve(man.image_bytes);
     bool ok = true;
     for (const ManifestEntry& e : man.chunks) {
-      const auto chunk = chunk_read_locked(e.key);
+      const auto chunk = engine_->read(e.key);
       if (!chunk.has_value() || chunk->size() != e.length ||
           ChunkKey::of(*chunk) != e.key) {
         ok = false;
@@ -410,18 +396,14 @@ GcStats CheckpointStore::collect_garbage_locked() {
   // snapshots): a chunk shared between ranks lives as long as any of
   // them references it. An undecodable manifest can never be restored,
   // so it is dropped rather than pinning garbage forever.
-  std::set<std::string> referenced;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> referenced_keys;
+  std::set<ChunkKey> referenced;
   for (const ManifestFile& mf : survivors) {
     const auto raw = storage_.read(mf.name);
     bool good = false;
     if (raw.has_value()) {
       try {
         const Manifest man = Manifest::decode(*raw);
-        for (const ManifestEntry& e : man.chunks) {
-          referenced.insert(chunk_name(e.key));
-          referenced_keys.insert({e.key.hi, e.key.lo});
-        }
+        for (const ManifestEntry& e : man.chunks) referenced.insert(e.key);
         good = true;
       } catch (const Error&) {
       }
@@ -432,17 +414,9 @@ GcStats CheckpointStore::collect_garbage_locked() {
     }
   }
   for (const auto& [key, raw_len] : engine_->live_chunks()) {
-    if (referenced_keys.contains({key.hi, key.lo})) continue;
+    if (referenced.contains(key)) continue;
     engine_->remove(key);
     gc.bytes_evicted += raw_len;
-    ++gc.chunks_evicted;
-  }
-  for (const std::string& name : storage_.list(kChunkDir)) {
-    if (referenced.contains(name)) continue;
-    std::error_code ec;
-    const auto size = fs::file_size(storage_.path_for(name), ec);
-    if (!ec) gc.bytes_evicted += size;
-    storage_.remove(name);
     ++gc.chunks_evicted;
   }
   // Opportunistic compaction: extents whose dead fraction crossed the
@@ -456,8 +430,7 @@ GcStats CheckpointStore::collect_garbage_locked() {
 VerifyReport CheckpointStore::verify() const {
   std::lock_guard<std::mutex> lock(mu_);
   VerifyReport report;
-  std::set<std::string> referenced;
-  std::set<std::string> checked;
+  std::set<ChunkKey> referenced;
   for (const ManifestFile& mf : list_manifests_locked()) {
     const auto raw = storage_.read(mf.name);
     Manifest man;
@@ -470,13 +443,11 @@ VerifyReport CheckpointStore::verify() const {
     }
     ++report.manifests_ok;
     for (const ManifestEntry& e : man.chunks) {
-      const std::string name = chunk_name(e.key);
-      referenced.insert(name);
-      if (!checked.insert(name).second) continue;  // verified already
+      if (!referenced.insert(e.key).second) continue;  // verified already
       // Present-but-unreadable in the engine is corruption (the record
       // is indexed; its payload fails the checksum), not absence.
       const bool in_engine = engine_->exists(e.key);
-      const auto chunk = chunk_read_locked(e.key);
+      const auto chunk = engine_->read(e.key);
       if (!chunk.has_value()) {
         if (in_engine) {
           ++report.chunks_corrupt;
@@ -492,10 +463,7 @@ VerifyReport CheckpointStore::verify() const {
     }
   }
   for (const auto& [key, raw_len] : engine_->live_chunks()) {
-    if (!referenced.contains(chunk_name(key))) ++report.chunks_orphaned;
-  }
-  for (const std::string& name : storage_.list(kChunkDir)) {
-    if (!referenced.contains(name)) ++report.chunks_orphaned;
+    if (!referenced.contains(key)) ++report.chunks_orphaned;
   }
   return report;
 }
@@ -522,35 +490,12 @@ StoreStats CheckpointStore::stats() const {
   s.engine = engine_->stats();
   s.chunks = s.engine.live_chunks;
   s.stored_chunk_bytes = s.engine.live_stored_bytes;
-  for (const std::string& name : storage_.list(kChunkDir)) {
-    ++s.chunks;
-    ++s.legacy_chunk_files;
-    std::error_code ec;
-    const auto size = fs::file_size(storage_.path_for(name), ec);
-    if (!ec) s.stored_chunk_bytes += size;
-  }
   return s;
 }
 
 CompactStats CheckpointStore::compact(bool force) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Fold legacy flat chunk files into extents first, so the store
-  // converges on the log-structured layout; a file that fails its own
-  // content hash is left in place for verify() to flag.
-  std::size_t folded = 0;
-  for (const std::string& name : storage_.list(kChunkDir)) {
-    const auto data = storage_.read(name);
-    if (!data.has_value()) continue;
-    const ChunkKey key = ChunkKey::of(*data);
-    if (chunk_name(key) != name) continue;  // corrupt: keep for verify()
-    if (!engine_->exists(key)) engine_->put(key, *data);
-    storage_.remove(name);
-    ++folded;
-  }
-  if (folded > 0) engine_->flush();
-  CompactStats out = engine_->compact(force);
-  out.records_rewritten += folded;
-  return out;
+  return engine_->compact(force);
 }
 
 }  // namespace mojave::ckpt

@@ -11,10 +11,12 @@
 // differ; everything else dedupes against what the store already holds,
 // across snapshots and across nodes.
 //
-// Layout under a cluster::SharedStorage root (every write is atomic
-// temp-file + rename, so concurrent readers never see a torn object):
+// Layout under a cluster::SharedStorage root (a manifest is written by
+// atomic temp-file + rename; extents are append-only, self-framing
+// records — so concurrent readers never see a torn object):
 //
-//   chunks/<32-hex-key>.ch            one chunk, keyed by content hash
+//   extents/ext-<pid>-<nonce>-<n>.x   chunk records keyed by content hash
+//                                     (ckpt/engine.hpp)
 //   manifests/<snapshot>@<seq>.mft    ordered chunk refs + checksums
 //
 // Restore walks manifests newest-first: a manifest whose checksum fails,
@@ -109,7 +111,6 @@ struct StoreStats {
   std::uint64_t stored_chunk_bytes = 0;  ///< bytes on disk for live chunks
   std::uint64_t logical_bytes = 0;       ///< sum of image_bytes over manifests
   std::uint64_t latest_image_bytes = 0;  ///< sum of latest image per snapshot
-  std::size_t legacy_chunk_files = 0;    ///< flat chunks/*.ch not yet folded
   EngineStats engine;                    ///< log-structured engine stats
 
   /// logical bytes the store represents per stored byte (>= 1 once any
@@ -131,7 +132,7 @@ class CheckpointStore {
     std::uint32_t keep_manifests = 4;
     /// Run retention + chunk GC automatically after every put().
     bool auto_gc = true;
-    /// Log-structured engine knobs (extent size, cache, compression).
+    /// Log-structured engine knobs (extent size, cache, compaction).
     ChunkEngine::Options engine;
   };
 
@@ -177,9 +178,7 @@ class CheckpointStore {
   [[nodiscard]] VerifyReport verify() const;
   [[nodiscard]] StoreStats stats() const;
 
-  /// Compact the engine (rewrite dead-heavy extents) and fold any legacy
-  /// flat chunk files into extents. Returns engine-side stats plus the
-  /// number of legacy files folded in `records_rewritten` growth.
+  /// Compact the engine: rewrite dead-heavy extents.
   CompactStats compact(bool force = true);
 
   [[nodiscard]] const std::filesystem::path& root() const {
@@ -188,7 +187,6 @@ class CheckpointStore {
   [[nodiscard]] cluster::SharedStorage& storage() { return storage_; }
   [[nodiscard]] ChunkEngine& engine() { return *engine_; }
 
-  static constexpr const char* kChunkDir = "chunks";
   static constexpr const char* kManifestDir = "manifests";
 
   /// Snapshot names are path-safe identifiers: [A-Za-z0-9._-], no '@'.
@@ -205,13 +203,6 @@ class CheckpointStore {
   [[nodiscard]] std::vector<ManifestFile> list_manifests_locked(
       const std::string& snapshot) const;
   GcStats collect_garbage_locked();
-
-  // Chunk access routed engine-first with a read fallback to the legacy
-  // flat chunks/<hex>.ch layout, so stores written before the engine
-  // existed stay restorable.
-  [[nodiscard]] bool chunk_exists_locked(const ChunkKey& key) const;
-  [[nodiscard]] std::optional<std::vector<std::byte>> chunk_read_locked(
-      const ChunkKey& key) const;
 
   Options opts_;
   cluster::SharedStorage storage_;

@@ -1,7 +1,5 @@
 #include "cluster/cluster.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
 
 #include "obs/metrics.hpp"
@@ -61,26 +59,16 @@ void append_checksum(std::vector<std::byte>& frame) {
   return true;
 }
 
-std::filesystem::path default_storage_dir() {
-  static std::atomic<int> counter{0};
-  return std::filesystem::temp_directory_path() /
-         ("mojave_cluster_" + std::to_string(::getpid()) + "_" +
-          std::to_string(counter++));
-}
-
 }  // namespace
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(cfg),
       net_(cfg.num_nodes, cfg.net),
-      storage_(cfg.storage_dir.empty() ? default_storage_dir()
-                                       : cfg.storage_dir) {
-  if (cfg_.use_ckpt_store) {
-    // Shared with the Migrators running on the node threads (they open
-    // the same root from the ckpt:// target), so puts and GC serialize.
-    ckpt_store_ =
-        ckpt::CheckpointStore::open_shared(storage_.root(), cfg_.ckpt);
-  }
+      storage_root_("mojave_cluster_"),
+      // Shared with the Migrators running on the node threads (they open
+      // the same root from the ckpt:// target), so puts and GC serialize.
+      ckpt_store_(ckpt::CheckpointStore::open_shared(storage_root_.path(),
+                                                     cfg_.ckpt)) {
   slots_.reserve(cfg_.num_nodes);
   for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
     slots_.push_back(std::make_unique<Slot>());
@@ -234,11 +222,8 @@ void Cluster::register_externals(vm::Process& proc, net::NodeId rank) {
       "checkpoint_target",
       [this, rank](vm::Interpreter& it, std::span<const Value>) -> Value {
         const std::string target =
-            cfg_.use_ckpt_store
-                ? "ckpt://" + storage_.root().string() + "/" +
-                      snapshot_name(rank)
-                : "checkpoint://" +
-                      storage_.path_for(checkpoint_name(rank)).string();
+            "ckpt://" + ckpt_store_->root().string() + "/" +
+            snapshot_name(rank);
         return Value::from_ptr(it.heap().alloc_string(target), 0);
       });
 
@@ -339,17 +324,7 @@ void Cluster::kill(net::NodeId rank) {
 }
 
 bool Cluster::has_checkpoint(net::NodeId rank) const {
-  return cfg_.use_ckpt_store ? ckpt_store_->has_snapshot(snapshot_name(rank))
-                             : storage_.exists(checkpoint_name(rank));
-}
-
-std::optional<std::vector<std::byte>> Cluster::read_checkpoint(
-    net::NodeId rank) const {
-  // Chunk-store restore verifies every chunk and the whole image, and
-  // falls back to the previous manifest on any mismatch — a node killed
-  // mid-checkpoint resurrects from the last *complete* checkpoint.
-  return cfg_.use_ckpt_store ? ckpt_store_->restore(snapshot_name(rank))
-                             : storage_.read(checkpoint_name(rank));
+  return ckpt_store_->has_snapshot(snapshot_name(rank));
 }
 
 bool Cluster::resurrect(net::NodeId rank) {
@@ -358,7 +333,10 @@ bool Cluster::resurrect(net::NodeId rank) {
   // and let exactly one of two racing callers claim the dead one.
   if (net_.alive(rank)) return false;
   if (slot.resurrecting.exchange(true)) return false;
-  const auto image = read_checkpoint(rank);
+  // Restore verifies every chunk and the whole image, and falls back to
+  // the previous manifest on any mismatch — a node killed mid-checkpoint
+  // resurrects from the last *complete* checkpoint.
+  const auto image = ckpt_store_->restore(snapshot_name(rank));
   if (!image.has_value()) {
     slot.resurrecting.store(false);
     return false;

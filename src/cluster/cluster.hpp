@@ -5,9 +5,11 @@
 // 100 Mbps network, an MCC migration daemon on every node, NFS for
 // checkpoints). A Cluster hosts one managed Process per rank on its own
 // thread; processes talk through the SimNetwork via host externals, write
-// checkpoints to SharedStorage through the standard migrate machinery,
-// and are resurrected from those checkpoints after a fault — manually or
-// by the built-in resurrection daemon.
+// checkpoints to a chunk store (ckpt::CheckpointStore) through the
+// standard migrate machinery, and are resurrected from those checkpoints
+// after a fault — manually or by the built-in resurrection daemon. Each
+// Cluster owns a fresh store directory and removes it on destruction, so
+// no run can resurrect a rank from another run's checkpoints.
 //
 // Node externals available to MojC programs (declare with `extern`):
 //   int node_id();               this process's rank
@@ -18,16 +20,13 @@
 //       0 = ok, 1 = MSG_ROLL (peer failed / speculation poisoned),
 //       2 = timeout; blocks until one of these
 //   ptr checkpoint_target();     "ckpt://<storage>/rank_<r>" (incremental
-//                                chunk store; the legacy whole-image
-//                                "checkpoint://<storage>/rank_<r>.img"
-//                                when use_ckpt_store is off)
+//                                chunk store)
 //   void report_result(float);   hand a scalar result to the host
 //   void sleep_ms(int);
 #pragma once
 
 #include <atomic>
 #include <map>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -36,12 +35,12 @@
 #include <vector>
 
 #include "ckpt/store.hpp"
-#include "cluster/storage.hpp"
 #include "cluster/tracker.hpp"
 #include "fir/ir.hpp"
 #include "migrate/migrator.hpp"
 #include "net/retry.hpp"
 #include "net/sim.hpp"
+#include "support/tempdir.hpp"
 #include "vm/process.hpp"
 
 namespace mojave::cluster {
@@ -50,14 +49,10 @@ struct ClusterConfig {
   std::uint32_t num_nodes = 4;
   net::SimConfig net;
   runtime::HeapConfig heap;
-  std::filesystem::path storage_dir;      ///< empty = fresh temp directory
   std::uint64_t max_instructions = 0;     ///< per process; 0 = unlimited
   /// msg_recv safety net; overridable with MOJAVE_RECV_TIMEOUT_S (and the
   /// mojc --recv-timeout flag, which sets that variable for the run).
   double recv_timeout_seconds = net::env_seconds("MOJAVE_RECV_TIMEOUT_S", 30.0);
-  /// Checkpoint through the incremental content-addressed chunk store
-  /// (ckpt:// targets, O(delta) writes). Off = legacy whole-image files.
-  bool use_ckpt_store = true;
   ckpt::CheckpointStore::Options ckpt;
 };
 
@@ -113,22 +108,17 @@ class Cluster {
   [[nodiscard]] std::vector<NodeResult> wait_all();
 
   [[nodiscard]] net::SimNetwork& network() { return net_; }
-  [[nodiscard]] SharedStorage& storage() { return storage_; }
   [[nodiscard]] DependencyTracker& tracker() { return tracker_; }
-  /// The chunk store backing ckpt:// checkpoints (null in legacy mode).
+  /// The chunk store backing ckpt:// checkpoints.
   [[nodiscard]] const std::shared_ptr<ckpt::CheckpointStore>& ckpt_store()
       const {
     return ckpt_store_;
-  }
-  /// Legacy whole-image checkpoint file name for `rank`.
-  [[nodiscard]] std::string checkpoint_name(net::NodeId rank) const {
-    return "rank_" + std::to_string(rank) + ".img";
   }
   /// Chunk-store snapshot name for `rank`.
   [[nodiscard]] std::string snapshot_name(net::NodeId rank) const {
     return "rank_" + std::to_string(rank);
   }
-  /// Whether a restorable checkpoint exists for `rank` (either mode).
+  /// Whether a restorable checkpoint exists for `rank`.
   [[nodiscard]] bool has_checkpoint(net::NodeId rank) const;
 
  private:
@@ -154,14 +144,10 @@ class Cluster {
   void record_migrator(net::NodeId rank, const migrate::Migrator& migrator);
   void run_body(net::NodeId rank, vm::Process& proc);
   void daemon_loop(double interval);
-  /// Latest restorable image for `rank`, from the chunk store (with
-  /// manifest fallback) or the legacy file.
-  [[nodiscard]] std::optional<std::vector<std::byte>> read_checkpoint(
-      net::NodeId rank) const;
 
   ClusterConfig cfg_;
   net::SimNetwork net_;
-  SharedStorage storage_;
+  TempDir storage_root_;  ///< outlives the store, which is destroyed first
   std::shared_ptr<ckpt::CheckpointStore> ckpt_store_;
   DependencyTracker tracker_;
   std::vector<std::unique_ptr<Slot>> slots_;

@@ -7,7 +7,7 @@
 // the NFS mount: writes are atomic (unique temp file + rename), so a
 // resurrection daemon on any node either sees a complete checkpoint or
 // the previous one, never a torn image. Names may contain '/' — the
-// chunk store (src/ckpt) keys objects under chunks/ and manifests/.
+// chunk store (src/ckpt) keys its manifests under manifests/.
 //
 // A crash between the temp write and the rename strands a *.tmp file;
 // list() both hides in-flight temp files from readers and sweeps ones

@@ -67,9 +67,7 @@ EngineResult Engine::run_file(const std::filesystem::path& path) {
 
 EngineResult Engine::run_program(fir::Program program) {
   vm::Process process(std::move(program), options_.process);
-  if (options_.enable_migration) {
-    process.adopt_hook(std::make_unique<migrate::Migrator>(process));
-  }
+  process.adopt_hook(std::make_unique<migrate::Migrator>(process));
   return finish(process, process.run());
 }
 
@@ -79,10 +77,8 @@ EngineResult Engine::resume_file(const std::filesystem::path& image_path) {
   const auto bytes = migrate::read_checkpoint_uri(image_path.string());
   migrate::UnpackResult unpacked =
       migrate::unpack_process(bytes, options_.process);
-  if (options_.enable_migration) {
-    unpacked.process->adopt_hook(
-        std::make_unique<migrate::Migrator>(*unpacked.process));
-  }
+  unpacked.process->adopt_hook(
+      std::make_unique<migrate::Migrator>(*unpacked.process));
   vm::Process& process = *unpacked.process;
   return finish(process, process.resume(unpacked.resume_fun,
                                         std::move(unpacked.resume_args)));
@@ -101,11 +97,8 @@ std::uint16_t Engine::serve(std::uint16_t port, const std::string& bind) {
   opts.port = port;
   opts.bind_address = bind;
   opts.cfg = options_.process;
-  const bool enable_migration = options_.enable_migration;
-  opts.prepare = [enable_migration](vm::Process& proc) {
-    if (enable_migration) {
-      proc.adopt_hook(std::make_unique<migrate::Migrator>(proc));
-    }
+  opts.prepare = [](vm::Process& proc) {
+    proc.adopt_hook(std::make_unique<migrate::Migrator>(proc));
   };
   server_ = std::make_unique<migrate::MigrationServer>(std::move(opts));
   return server_->port();

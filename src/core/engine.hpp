@@ -6,6 +6,9 @@
 //   mojave::Engine engine;
 //   auto result = engine.run_source("demo", "int main() { return 42; }");
 //
+// Every process the Engine runs, resumes or serves gets a Migrator, so the
+// migrate()/checkpoint primitives work out of the box.
+//
 // Lower layers stay fully accessible (frontend/, fir/, vm/, migrate/,
 // cluster/) for callers that need the individual pieces.
 #pragma once
@@ -25,9 +28,6 @@ namespace mojave {
 
 struct EngineOptions {
   vm::ProcessConfig process;
-  /// Attach a Migrator to every process so the migrate()/checkpoint
-  /// primitives work out of the box.
-  bool enable_migration = true;
   /// Run the FIR optimizer: single-use block inlining, then constant
   /// folding, copy propagation, redundant-read elimination and DCE.
   bool optimize = true;

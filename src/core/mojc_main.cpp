@@ -536,13 +536,12 @@ int cmd_ckpt(const Flags& flags) {
               << "engine live ratio:  " << s.engine.live_ratio() << "\n"
               << "engine cache hits:  " << s.engine.cache_hits << " ("
               << s.engine.cache_hit_rate() << " hit rate)\n"
-              << "engine compactions: " << s.engine.compactions << "\n"
-              << "legacy chunk files: " << s.legacy_chunk_files << "\n";
+              << "engine compactions: " << s.engine.compactions << "\n";
     return 0;
   }
   if (sub == "verify") {
     const auto s = store.stats();
-    if (s.manifests == 0 && s.chunks == 0 && s.legacy_chunk_files == 0) {
+    if (s.manifests == 0 && s.chunks == 0) {
       std::cerr << "mojc ckpt verify: store at '" << flags.positional[0]
                 << "' is empty (no manifests, no chunks) — nothing to "
                    "verify\n";

@@ -33,6 +33,11 @@ constexpr std::uint64_t kTokLinkBase = 2ull << 32;
 /// coordinator connection (peer not draining); stale beats are useless.
 constexpr std::size_t kMaxStaleHeartbeatBytes = 64 * 1024;
 
+/// How long the agent keeps its ranks running after losing the
+/// coordinator connection, waiting for a standby to take over
+/// (docs/CONTROL_PLANE.md).
+constexpr double kCoordinatorGraceSeconds = 10.0;
+
 struct AgentMetrics {
   obs::Counter& launches;
   obs::Counter& resurrections;
@@ -337,7 +342,7 @@ void NodeAgent::loop() {
     }
     const double now = now_seconds();
     if (coord_lost_at_ >= 0 && !coordinator_ &&
-        now - coord_lost_at_ >= cfg_.coordinator_grace_seconds) {
+        now - coord_lost_at_ >= kCoordinatorGraceSeconds) {
       MOJAVE_LOG(kInfo, "dnode")
           << "no coordinator takeover within grace period; shutting down";
       coord_lost_at_ = -1;
@@ -414,20 +419,12 @@ void NodeAgent::drop_conn(std::uint64_t token) {
   if (conn == coordinator_) {
     coordinator_.reset();
     if (!stopping_.load()) {
-      if (cfg_.coordinator_grace_seconds > 0) {
-        // HA mode: keep the ranks running and wait for a standby
-        // coordinator to acquire the lease and re-adopt us.
-        coord_lost_at_ = now_seconds();
-        MOJAVE_LOG(kWarn, "dnode")
-            << "coordinator connection lost; holding ranks "
-            << cfg_.coordinator_grace_seconds << "s for a takeover";
-      } else {
-        // Coordinator gone: nothing can place, poison, or collect us
-        // anymore.
-        MOJAVE_LOG(kInfo, "dnode")
-            << "coordinator connection lost; shutting down";
-        request_shutdown();
-      }
+      // Keep the ranks running and wait for a standby coordinator to
+      // acquire the lease and re-adopt us.
+      coord_lost_at_ = now_seconds();
+      MOJAVE_LOG(kWarn, "dnode")
+          << "coordinator connection lost; holding ranks "
+          << kCoordinatorGraceSeconds << "s for a takeover";
     }
   }
 }

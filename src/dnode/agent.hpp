@@ -82,11 +82,6 @@ struct AgentConfig {
   /// Instructions a rank may run per scheduler slice before it is
   /// preempted back to the event loop.
   std::uint64_t slice_instructions = 20000;
-  /// How long the agent keeps its ranks running after losing the
-  /// coordinator connection, waiting for a standby to take over
-  /// (docs/CONTROL_PLANE.md). 0 = shut down immediately (the pre-HA
-  /// behavior).
-  double coordinator_grace_seconds = 10.0;
   runtime::HeapConfig heap;
   ckpt::CheckpointStore::Options ckpt;
 };
@@ -191,7 +186,7 @@ class NodeAgent {
   /// is a fenced zombie primary and is rejected.
   std::uint64_t coord_epoch_ = 0;
   /// When the control connection died (-1 = connected). The agent keeps
-  /// running for coordinator_grace_seconds awaiting a takeover.
+  /// running for a grace period awaiting a takeover.
   double coord_lost_at_ = -1;
   /// Coordinator-bound frames buffered while disconnected, flushed to the
   /// adopting coordinator (bounded; oldest dropped first).

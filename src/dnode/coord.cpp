@@ -52,24 +52,23 @@ struct CoordMetrics {
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig cfg) : cfg_(std::move(cfg)) {
-  const bool ha = !cfg_.wal_root.empty();
+  if (cfg_.wal_root.empty()) {
+    cfg_.wal_root = temp_wal_root_.emplace("mojave_wal_").path();
+  }
+  std::filesystem::create_directories(cfg_.wal_root);
+  lease_ = std::make_unique<ctrl::Lease>(cfg_.wal_root, cfg_.lease_ttl_seconds);
+  if (!lease_->try_acquire()) {
+    throw NetError("coordinator lease is held by a live primary");
+  }
   ctrl::ReplayStats replayed;
-  if (ha) {
-    std::filesystem::create_directories(cfg_.wal_root);
-    lease_ =
-        std::make_unique<ctrl::Lease>(cfg_.wal_root, cfg_.lease_ttl_seconds);
-    if (!lease_->try_acquire()) {
-      throw NetError("coordinator lease is held by a live primary");
-    }
-    if (cfg_.resume) {
-      // Rebuild the dead primary's state through the same transition
-      // function it used live. Side effects are not re-emitted: the
-      // frames either reached their agents before the crash or the
-      // RE_ADOPT census reconciles the difference.
-      replayed = ctrl::replay_wal(
-          cfg_.wal_root,
-          [this](const ctrl::WalRecord& rec) { (void)state_.apply(rec); });
-    }
+  if (cfg_.resume) {
+    // Rebuild the dead primary's state through the same transition
+    // function it used live. Side effects are not re-emitted: the frames
+    // either reached their agents before the crash or the RE_ADOPT census
+    // reconciles the difference.
+    replayed = ctrl::replay_wal(
+        cfg_.wal_root,
+        [this](const ctrl::WalRecord& rec) { (void)state_.apply(rec); });
   }
   resumed_ = cfg_.resume && !replayed.empty();
   if (resumed_) {
@@ -85,25 +84,23 @@ Coordinator::Coordinator(CoordinatorConfig cfg) : cfg_(std::move(cfg)) {
     cfg_.recv_timeout_seconds = state_.recv_timeout_seconds();
   }
   if (cfg_.agents.empty()) throw NetError("coordinator needs agents");
-  if (ha) {
-    wal_ = std::make_unique<ctrl::WalWriter>(cfg_.wal_root, lease_->epoch());
-    // The first record of a new epoch seals everything replay consumed:
-    // a zombie primary still appending to an older segment can never get
-    // those bytes replayed (docs/CONTROL_PLANE.md, zombie fencing).
-    ctrl::WalRecord take;
-    take.op = ctrl::WalOp::kTakeover;
-    take.seals = replayed.consumed;
-    wal_->append(take);
-    (void)state_.apply(take);
-    wal_->flush();
-    if (resumed_) {
-      CoordMetrics::get().takeovers.inc();
-      MOJAVE_LOG(kInfo, "dnode")
-          << "takeover at lease epoch " << lease_->epoch() << ": replayed "
-          << replayed.records << " WAL records across " << replayed.segments
-          << " segments (" << replayed.sealed_off << " zombie bytes sealed, "
-          << replayed.truncated << " torn tails)";
-    }
+  wal_ = std::make_unique<ctrl::WalWriter>(cfg_.wal_root, lease_->epoch());
+  // The first record of a new epoch seals everything replay consumed: a
+  // zombie primary still appending to an older segment can never get
+  // those bytes replayed (docs/CONTROL_PLANE.md, zombie fencing).
+  ctrl::WalRecord take;
+  take.op = ctrl::WalOp::kTakeover;
+  take.seals = replayed.consumed;
+  wal_->append(take);
+  (void)state_.apply(take);
+  wal_->flush();
+  if (resumed_) {
+    CoordMetrics::get().takeovers.inc();
+    MOJAVE_LOG(kInfo, "dnode")
+        << "takeover at lease epoch " << lease_->epoch() << ": replayed "
+        << replayed.records << " WAL records across " << replayed.segments
+        << " segments (" << replayed.sealed_off << " zombie bytes sealed, "
+        << replayed.truncated << " torn tails)";
   }
   if (!resumed_) {
     ctrl::WalRecord meta;
@@ -114,7 +111,7 @@ Coordinator::Coordinator(CoordinatorConfig cfg) : cfg_(std::move(cfg)) {
     }
     meta.max_instructions = cfg_.max_instructions;
     meta.recv_timeout_seconds = cfg_.recv_timeout_seconds;
-    if (wal_) wal_->append(meta);
+    wal_->append(meta);
     (void)state_.apply(meta);
     for (std::uint32_t r = 0; r < cfg_.num_ranks; ++r) {
       ctrl::WalRecord p;
@@ -122,17 +119,17 @@ Coordinator::Coordinator(CoordinatorConfig cfg) : cfg_(std::move(cfg)) {
       p.rank = r;
       p.agent = r % static_cast<std::uint32_t>(cfg_.agents.size());
       p.alive = true;
-      if (wal_) wal_->append(p);
+      wal_->append(p);
       (void)state_.apply(p);
     }
-    if (wal_) wal_->flush();
+    wal_->flush();
   }
 
   const auto config_frame = [&](std::uint32_t agent) {
     return encode_config(agent, cfg_.num_ranks, cfg_.agents,
                          cfg_.max_instructions, cfg_.recv_timeout_seconds);
   };
-  const std::uint64_t epoch = lease_ ? lease_->epoch() : 0;
+  const std::uint64_t epoch = lease_->epoch();
   std::vector<std::uint32_t> unreachable;
   for (std::uint32_t a = 0; a < cfg_.agents.size(); ++a) {
     auto conn = std::make_unique<AgentConn>();
@@ -195,7 +192,7 @@ Coordinator::~Coordinator() {
 }
 
 ctrl::CoordState::ApplyResult Coordinator::apply_locked(ctrl::WalRecord rec) {
-  if (wal_ && wal_->is_open() && !fenced_.load()) wal_->append(rec);
+  if (wal_->is_open() && !fenced_.load()) wal_->append(rec);
   ctrl::CoordState::ApplyResult res = state_.apply(rec);
   for (const std::uint32_t p : res.poisoned) poison_rank_locked(p);
   return res;
@@ -277,7 +274,7 @@ void Coordinator::shutdown_agents() {
           outbox_.emplace_back(a, encode_shutdown());
         }
       }
-      if (wal_ && wal_->is_open() && !fenced_.load()) {
+      if (wal_->is_open() && !fenced_.load()) {
         if (state_.all_done() && !state_.run_complete()) {
           ctrl::WalRecord rec;
           rec.op = ctrl::WalOp::kRunComplete;
@@ -286,7 +283,7 @@ void Coordinator::shutdown_agents() {
         }
         wal_->close();  // fsync + close: the segment is durable on exit
       }
-      if (lease_ && !fenced_.load()) lease_->release();
+      if (!fenced_.load()) lease_->release();
       stopping_.store(true);
     }
   }
@@ -719,7 +716,7 @@ void Coordinator::monitor_tick(double now) {
   // standby already owns a higher epoch: this instance is a zombie. It
   // fences itself — no more WAL appends, no more SHUTDOWN authority —
   // and the agents reject its epoch if it ever reconnects.
-  if (lease_ && !fenced_.load() && now >= next_lease_renew_) {
+  if (!fenced_.load() && now >= next_lease_renew_) {
     next_lease_renew_ = now + lease_->ttl_seconds() / 3.0;
     if (!lease_->renew()) {
       fenced_.store(true);
@@ -730,7 +727,7 @@ void Coordinator::monitor_tick(double now) {
   std::lock_guard<std::mutex> lock(mu_);
   // Batched WAL durability: appends since the last tick hit disk here
   // (and unconditionally at close).
-  if (wal_ && wal_->is_open() && now >= next_wal_flush_) {
+  if (wal_->is_open() && now >= next_wal_flush_) {
     next_wal_flush_ = now + 0.05;
     wal_->flush();
   }

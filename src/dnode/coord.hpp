@@ -24,8 +24,8 @@
 //
 // Durability (docs/CONTROL_PLANE.md): all of the state above lives in a
 // ctrl::CoordState and is mutated ONLY through log-then-apply — the
-// transition is appended to the control-plane WAL (when `wal_root` is
-// set), applied through ctrl::CoordState::apply, and only then do its
+// transition is appended to the control-plane WAL under `wal_root`,
+// applied through ctrl::CoordState::apply, and only then do its
 // side effects go out on the wire. A standby started with `resume = true`
 // replays the log through the same apply function, acquires the lease at
 // a higher epoch, seals the dead primary's segment, and re-adopts the
@@ -43,6 +43,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -57,6 +58,7 @@
 #include "net/poller.hpp"
 #include "net/retry.hpp"
 #include "net/tcp.hpp"
+#include "support/tempdir.hpp"
 
 namespace mojave::dnode {
 
@@ -72,8 +74,9 @@ struct CoordinatorConfig {
   double balance_threshold = 1.5;
   std::uint64_t max_instructions = 0;
   double recv_timeout_seconds = 30.0;
-  /// WAL + lease directory (docs/CONTROL_PLANE.md). Empty = volatile
-  /// coordinator: no durability, no failover — the pre-HA behavior.
+  /// WAL + lease directory (docs/CONTROL_PLANE.md). Empty = a fresh
+  /// temporary directory the coordinator removes on destruction: the run
+  /// is logged the same way, but no standby can find it to take over.
   std::filesystem::path wal_root;
   /// Take over an existing run: replay the WAL under wal_root, seal the
   /// prior primary's segment, and RE_ADOPT live agents instead of
@@ -125,9 +128,9 @@ class Coordinator {
   /// use this to force a cross-agent poison avalanche).
   void force_rollback(std::uint32_t rank);
 
-  /// Send SHUTDOWN to every live agent and stop the control plane. In HA
-  /// mode also fsync+close the WAL segment (appending kRunComplete when
-  /// every rank finished) and release the lease for a clean handoff.
+  /// Send SHUTDOWN to every live agent and stop the control plane; also
+  /// fsync+close the WAL segment (appending kRunComplete when every rank
+  /// finished) and release the lease for a clean handoff.
   void shutdown_agents();
 
   [[nodiscard]] std::uint32_t agent_of(std::uint32_t rank) const;
@@ -141,9 +144,12 @@ class Coordinator {
     return state_.tracker();
   }
 
-  /// Lease epoch this coordinator writes under (0 = volatile mode).
-  [[nodiscard]] std::uint64_t lease_epoch() const {
-    return lease_ ? lease_->epoch() : 0;
+  /// Lease epoch this coordinator writes under.
+  [[nodiscard]] std::uint64_t lease_epoch() const { return lease_->epoch(); }
+  /// The WAL + lease directory in use (a temporary one when
+  /// `CoordinatorConfig::wal_root` was empty).
+  [[nodiscard]] const std::filesystem::path& wal_root() const {
+    return cfg_.wal_root;
   }
   /// True once the lease was lost: this instance is a zombie and has
   /// stopped writing the WAL and commanding agents.
@@ -188,10 +194,9 @@ class Coordinator {
   /// agent claimed are treated as lost — poisoned and resurrected.
   void finish_readopt_locked();
 
-  /// Log-then-apply: append the transition to the WAL (unless fenced or
-  /// volatile), apply it to the state machine, send the owed POISON
-  /// frames. The single mutation path for all replicated state.
-  /// Requires mu_.
+  /// Log-then-apply: append the transition to the WAL (unless fenced),
+  /// apply it to the state machine, send the owed POISON frames. The
+  /// single mutation path for all replicated state. Requires mu_.
   ctrl::CoordState::ApplyResult apply_locked(ctrl::WalRecord rec);
 
   /// Mark the agent dead, poison dependents of its ranks, and schedule
@@ -210,6 +215,9 @@ class Coordinator {
   static constexpr std::uint32_t kNoAgent = ~std::uint32_t{0};
 
   CoordinatorConfig cfg_;
+  /// Owns cfg_.wal_root when the caller named none; declared before the
+  /// lease and WAL so it is removed after they close.
+  std::optional<TempDir> temp_wal_root_;
   std::vector<std::unique_ptr<AgentConn>> conns_;
   net::Poller poller_;
   std::thread loop_thread_;
@@ -226,7 +234,7 @@ class Coordinator {
   /// The replicated state machine: placement, tracker, fences, commit
   /// counts, outcomes. Mutated only via apply_locked.
   ctrl::CoordState state_;
-  std::unique_ptr<ctrl::WalWriter> wal_;  ///< null in volatile mode
+  std::unique_ptr<ctrl::WalWriter> wal_;
   std::unique_ptr<ctrl::Lease> lease_;
   double next_lease_renew_ = 0;  ///< loop thread cadence (steady clock)
   double next_wal_flush_ = 0;

@@ -38,8 +38,9 @@ WireChaosProxy::WireChaosProxy(std::string upstream_host,
                                std::uint16_t upstream_port, WireFaults faults)
     : upstream_host_(std::move(upstream_host)),
       upstream_port_(upstream_port),
-      faults_(faults),
-      listener_(0) {
+      faults_(std::move(faults)),
+      listener_(0),
+      rng_(faults_.seed) {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -63,6 +64,16 @@ WireStats WireChaosProxy::stats() const {
   return stats_;
 }
 
+bool WireChaosProxy::condemn_frame(bool to_upstream) {
+  std::lock_guard<std::mutex> lock(mu_);
+  bool drop = faults_.drop_frame > 0 && rng_.chance(faults_.drop_frame);
+  if (!to_upstream) {
+    drop = faults_.drop_reply_frames.count(++replies_seen_) != 0 || drop;
+  }
+  if (drop) ++stats_.frames_dropped;
+  return drop;
+}
+
 void WireChaosProxy::accept_loop() {
   while (!stopping_.load()) {
     auto client = listener_.accept();
@@ -81,18 +92,20 @@ void WireChaosProxy::accept_loop() {
       std::lock_guard<std::mutex> lock(mu_);
       conn_id = ++stats_.connections;
       pipes_.push_back(pipe);
-      workers_.emplace_back(
-          [this, pipe, conn_id] { pump(pipe, /*downstream=*/true, conn_id); });
-      workers_.emplace_back(
-          [this, pipe, conn_id] { pump(pipe, /*downstream=*/false, conn_id); });
+      workers_.emplace_back([this, pipe, conn_id] {
+        pump(pipe, /*to_upstream=*/true, conn_id);
+      });
+      workers_.emplace_back([this, pipe, conn_id] {
+        pump(pipe, /*to_upstream=*/false, conn_id);
+      });
     }
   }
 }
 
-void WireChaosProxy::pump(const std::shared_ptr<Pipe>& pipe, bool downstream,
+void WireChaosProxy::pump(const std::shared_ptr<Pipe>& pipe, bool to_upstream,
                           std::uint64_t conn_id) {
-  const int from = downstream ? pipe->client.fd() : pipe->upstream.fd();
-  const int to = downstream ? pipe->upstream.fd() : pipe->client.fd();
+  const int from = to_upstream ? pipe->client.fd() : pipe->upstream.fd();
+  const int to = to_upstream ? pipe->upstream.fd() : pipe->client.fd();
 
   // Bandwidth-cap pacing state: bytes this pump has emitted vs. the time
   // they were "entitled" to take at the configured rate.
@@ -165,10 +178,12 @@ void WireChaosProxy::pump(const std::shared_ptr<Pipe>& pipe, bool downstream,
     return true;
   };
 
-  // Frame-reorder state: with reorder_every_n > 0 the byte stream is
-  // parsed into u32(LE)-length-prefixed frames and every Nth complete
-  // frame is held back and emitted after its successor.
-  bool frame_mode = faults_.reorder_every_n > 0;
+  // Frame state: with reordering or drops on, the byte stream is parsed
+  // into u32(LE)-length-prefixed frames. A dropped frame cuts the
+  // connection; every Nth surviving frame is held back and emitted after
+  // its successor.
+  bool frame_mode = faults_.reorder_every_n > 0 || faults_.drop_frame > 0 ||
+                    !faults_.drop_reply_frames.empty();
   std::vector<std::byte> inbuf;
   std::vector<std::byte> held;
   std::uint64_t frames_seen = 0;
@@ -204,8 +219,14 @@ void WireChaosProxy::pump(const std::shared_ptr<Pipe>& pipe, bool downstream,
           inbuf.begin(), inbuf.begin() + static_cast<std::ptrdiff_t>(total));
       inbuf.erase(inbuf.begin(),
                   inbuf.begin() + static_cast<std::ptrdiff_t>(total));
+      if (condemn_frame(to_upstream)) {
+        MOJAVE_LOG(kDebug, "chaos") << "dropped a frame on conn " << conn_id;
+        pipe->cut(false);
+        return;
+      }
       ++frames_seen;
-      if (held.empty() && frames_seen % faults_.reorder_every_n == 0) {
+      if (held.empty() && faults_.reorder_every_n > 0 &&
+          frames_seen % faults_.reorder_every_n == 0) {
         held = std::move(frame);  // swap with the next frame
         continue;
       }
@@ -226,98 +247,6 @@ void WireChaosProxy::pump(const std::shared_ptr<Pipe>& pipe, bool downstream,
   // release it unswapped rather than swallow it.
   if (!held.empty()) forward(held.data(), held.size());
   pipe->cut(false);
-}
-
-ChaosProxy::ChaosProxy(std::string upstream_host, std::uint16_t upstream_port,
-                       ProxyFaults faults)
-    : upstream_host_(std::move(upstream_host)),
-      upstream_port_(upstream_port),
-      faults_(faults),
-      listener_(0),
-      rng_(faults.seed) {
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-ChaosProxy::~ChaosProxy() { stop(); }
-
-void ChaosProxy::stop() {
-  if (stopping_.exchange(true)) return;
-  listener_.shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-ProxyStats ChaosProxy::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void ChaosProxy::accept_loop() {
-  while (!stopping_.load()) {
-    auto client = listener_.accept();
-    if (!client.has_value()) break;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.connections;
-    workers_.emplace_back(
-        [this, c = std::make_shared<TcpStream>(std::move(*client))]() mutable {
-          relay(std::move(*c));
-        });
-  }
-}
-
-void ChaosProxy::relay(TcpStream client) {
-  try {
-    TcpStream upstream = TcpStream::connect(upstream_host_, upstream_port_,
-                                            Deadlines{5.0, 30.0});
-    while (true) {
-      auto request = client.recv_frame();
-      if (!request.has_value()) return;  // client done
-      bool drop_req = false;
-      bool corrupt = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        drop_req = faults_.drop_request > 0 && rng_.chance(faults_.drop_request);
-        corrupt = !drop_req && !request->empty() && faults_.corrupt_request > 0 &&
-                  rng_.chance(faults_.corrupt_request);
-        if (drop_req) ++stats_.requests_dropped;
-        if (corrupt) {
-          ++stats_.requests_corrupted;
-          const std::size_t i = rng_.below(request->size());
-          (*request)[i] ^= std::byte{static_cast<std::uint8_t>(
-              1 + rng_.below(255))};
-        }
-      }
-      if (drop_req) return;  // cut the connection: the request is lost
-      if (faults_.delay_seconds > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(faults_.delay_seconds));
-      }
-      upstream.send_frame(*request);
-
-      auto reply = upstream.recv_frame();
-      if (!reply.has_value()) return;  // upstream cut us off
-      bool drop_rep = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++replies_seen_;
-        drop_rep = faults_.drop_reply_frames.count(replies_seen_) != 0 ||
-                   (faults_.drop_reply > 0 && rng_.chance(faults_.drop_reply));
-        if (drop_rep) {
-          ++stats_.replies_dropped;
-        } else {
-          stats_.frames_forwarded += 2;
-        }
-      }
-      // A dropped reply models the worst failure for exactly-once delivery:
-      // the server has already acted, only the acknowledgement is lost.
-      if (drop_rep) return;
-      client.send_frame(*reply);
-    }
-  } catch (const NetError& e) {
-    MOJAVE_LOG(kDebug, "chaos") << "relay ended: " << e.what();
-  }
 }
 
 }  // namespace mojave::net

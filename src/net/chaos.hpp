@@ -1,15 +1,13 @@
-// ChaosProxy: a frame-level TCP fault injector for loopback tests.
+// WireChaosProxy: a TCP fault injector for loopback tests.
 //
-// Sits between a migration client and a MigrationServer (or any
-// request/response protocol built on TcpStream frames) and injects the
-// faults a real WAN produces but loopback never does: swallowed requests,
-// lost acknowledgements (the connection dies *after* the server committed),
-// corrupted payloads, and added latency. All randomness comes from a
-// seeded PRNG; the deterministic `drop_reply_frames` list pins exact
-// lost-ACK scenarios for the idempotent-handshake tests.
-//
-// The relay assumes strict request/response alternation per connection —
-// exactly the rhythm of the migration handshake (offer/accept, image/ack).
+// Sits between two peers (a migration client and a MigrationServer, or
+// two dnode agents) and injects the faults a real WAN produces but
+// loopback never does: added latency, fragmented writes, connections cut
+// mid-frame, a narrow link, reordered frames, swallowed frames, and lost
+// acknowledgements (the connection dies *after* the server committed).
+// All randomness comes from a seeded PRNG; the deterministic
+// `drop_reply_frames` set pins exact lost-ACK scenarios for the
+// idempotent-handshake tests.
 #pragma once
 
 #include <atomic>
@@ -26,28 +24,10 @@
 
 namespace mojave::net {
 
-struct ProxyFaults {
-  std::uint64_t seed = 1;
-  double drop_request = 0;  ///< swallow a client frame and cut the connection
-  double drop_reply = 0;    ///< forward the request, swallow the server reply
-  double corrupt_request = 0;  ///< flip one byte of a client frame
-  double delay_seconds = 0;    ///< added latency per forwarded frame
-  /// Deterministic lost-ACKs: the Nth server reply this proxy ever relays
-  /// (1-based, across connections) is swallowed and the connection cut.
-  std::set<std::uint64_t> drop_reply_frames;
-};
-
-struct ProxyStats {
-  std::uint64_t connections = 0;
-  std::uint64_t frames_forwarded = 0;
-  std::uint64_t requests_dropped = 0;
-  std::uint64_t replies_dropped = 0;
-  std::uint64_t requests_corrupted = 0;
-};
-
-/// Socket-level fault profile for WireChaosProxy: the byte-stream
-/// pathologies a frame-level relay cannot model. All faults compose.
+/// Fault profile for WireChaosProxy. All faults compose.
 struct WireFaults {
+  /// Seeds the PRNG behind `drop_frame`: one seed, one drop schedule.
+  std::uint64_t seed = 1;
   /// Added latency per forwarded read batch (both directions).
   double delay_seconds = 0;
   /// Forward in writes of at most this many bytes (0 = as read). Exposes
@@ -68,6 +48,13 @@ struct WireFaults {
   /// profile. Requires the u32-length-prefix wire protocol on the link;
   /// tolerated by the dnode runtime because mailboxes key on (src, tag).
   std::uint64_t reorder_every_n = 0;
+  /// Swallow each complete frame, in either direction, with this
+  /// probability and cut its connection: a lost request or a lost reply.
+  double drop_frame = 0;
+  /// Deterministic lost ACKs: the Nth frame the upstream peer sends back
+  /// (1-based, counted across connections) is swallowed and its
+  /// connection cut.
+  std::set<std::uint64_t> drop_reply_frames;
 };
 
 struct WireStats {
@@ -76,16 +63,19 @@ struct WireStats {
   std::uint64_t split_writes = 0;
   std::uint64_t resets = 0;
   std::uint64_t frames_reordered = 0;
+  std::uint64_t frames_dropped = 0;
   std::uint64_t throttle_waits = 0;
 };
 
-/// A transparent byte-level TCP relay for full-duplex protocols (the
-/// dnode agent wire, where both peers push frames at will — the
-/// request/response ChaosProxy above cannot sit on such links). Faults
-/// operate below the framing layer: latency, fragmented writes, and
-/// connections dropped mid-frame. The runtime on either side must
-/// tolerate all three; redial + rollback-retry + replay make dropped
-/// bytes recoverable.
+/// A transparent TCP relay for full-duplex protocols (the dnode agent
+/// wire, where both peers push frames at will) and request/response ones
+/// (the migration handshake). Latency, fragmented writes, mid-frame
+/// resets and the bandwidth cap act on the byte stream. Reordering and
+/// frame drops parse it into the u32(LE)-length-prefixed frames of
+/// TcpStream and FramedSocket. The runtime on either side must tolerate
+/// all of them; redial + rollback-retry + replay make dropped bytes
+/// recoverable, and the migration handshake's dedup window makes a retry
+/// after a lost ACK safe.
 class WireChaosProxy {
  public:
   WireChaosProxy(std::string upstream_host, std::uint16_t upstream_port,
@@ -104,8 +94,11 @@ class WireChaosProxy {
   struct Pipe;
 
   void accept_loop();
-  void pump(const std::shared_ptr<Pipe>& pipe, bool downstream,
+  void pump(const std::shared_ptr<Pipe>& pipe, bool to_upstream,
             std::uint64_t conn_id);
+  /// Decide whether a complete frame travelling in this direction is
+  /// swallowed (random or condemned); counts it when it is.
+  [[nodiscard]] bool condemn_frame(bool to_upstream);
 
   std::string upstream_host_;
   std::uint16_t upstream_port_;
@@ -115,37 +108,8 @@ class WireChaosProxy {
   std::vector<std::thread> workers_;
   std::vector<std::shared_ptr<Pipe>> pipes_;  // guarded by mu_
   mutable std::mutex mu_;
-  WireStats stats_;          // guarded by mu_
-  bool reset_done_ = false;  // guarded by mu_
-  std::atomic<bool> stopping_{false};
-};
-
-class ChaosProxy {
- public:
-  ChaosProxy(std::string upstream_host, std::uint16_t upstream_port,
-             ProxyFaults faults);
-  ~ChaosProxy();
-
-  ChaosProxy(const ChaosProxy&) = delete;
-  ChaosProxy& operator=(const ChaosProxy&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  [[nodiscard]] ProxyStats stats() const;
-
-  void stop();
-
- private:
-  void accept_loop();
-  void relay(TcpStream client);
-
-  std::string upstream_host_;
-  std::uint16_t upstream_port_;
-  ProxyFaults faults_;
-  TcpListener listener_;
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-  mutable std::mutex mu_;
-  ProxyStats stats_;                // guarded by mu_
+  WireStats stats_;                 // guarded by mu_
+  bool reset_done_ = false;         // guarded by mu_
   Rng rng_;                         // guarded by mu_
   std::uint64_t replies_seen_ = 0;  // guarded by mu_
   std::atomic<bool> stopping_{false};

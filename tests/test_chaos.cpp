@@ -190,14 +190,14 @@ TEST(GridChaos, KillMidCheckpointResurrectsFromLastCompleteManifest) {
     // Emulate the torn manifest the mid-checkpoint crash leaves behind:
     // replace the newest one with garbage.
     const auto manifests =
-        cl.storage().list(ckpt::CheckpointStore::kManifestDir);
+        store->storage().list(ckpt::CheckpointStore::kManifestDir);
     std::string newest;
     for (const auto& name : manifests) {
       if (name.find("/" + victim + "@") != std::string::npos) newest = name;
     }
     ASSERT_FALSE(newest.empty());
     const char garbage[] = "not a manifest";
-    cl.storage().write(
+    store->storage().write(
         newest, std::as_bytes(std::span(garbage, std::strlen(garbage))));
 
     ASSERT_TRUE(cl.resurrect(1)) << "no restorable checkpoint survived";

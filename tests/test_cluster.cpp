@@ -7,8 +7,12 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <filesystem>
 #include <thread>
 
+#include <unistd.h>
+
+#include "ckpt/store.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/tracker.hpp"
 #include "frontend/compile.hpp"
@@ -162,6 +166,45 @@ TEST(Cluster, PingPongMessages) {
   EXPECT_EQ(results[0].run.exit_code, 42);
   EXPECT_EQ(results[1].run.exit_code, 0);
   EXPECT_TRUE(results[0].error.empty());
+}
+
+TEST(Cluster, FreshStoreNeverHoldsAnotherRunsCheckpoints) {
+  namespace fs = std::filesystem;
+  fs::path first_root;
+  {
+    cluster::Cluster first(small_cluster(1));
+    first_root = first.ckpt_store()->root();
+  }
+  EXPECT_FALSE(fs::exists(first_root)) << "store root outlived its cluster";
+
+  // Plant a rank-0 snapshot where a pid-and-counter naming would put the
+  // next cluster of this process: a stale store left by an earlier
+  // process whose pid was recycled looks exactly like this.
+  const std::string prefix =
+      "mojave_cluster_" + std::to_string(::getpid()) + "_";
+  const std::string first_name = first_root.filename().string();
+  std::uint64_t next = 0;
+  if (first_name.rfind(prefix, 0) == 0) {
+    next = std::stoull(first_name.substr(prefix.size())) + 1;
+  }
+  const fs::path planted =
+      fs::temp_directory_path() / (prefix + std::to_string(next));
+  {
+    ckpt::CheckpointStore stale(planted);
+    const std::vector<std::byte> image(64, std::byte{0x5a});
+    stale.put("rank_0", image);
+  }
+
+  fs::path second_root;
+  {
+    cluster::Cluster second(small_cluster(1));
+    second_root = second.ckpt_store()->root();
+    EXPECT_FALSE(second.has_checkpoint(0))
+        << "a new cluster sees another run's checkpoint in " << second_root;
+    EXPECT_TRUE(second.ckpt_store()->snapshots().empty());
+  }
+  EXPECT_FALSE(fs::exists(second_root));
+  fs::remove_all(planted);
 }
 
 TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {

@@ -274,9 +274,9 @@ TEST(DnodeE2E, AgentDeathResurrectsRanksAndPoisonCrossesAgents) {
 
 /// The HA acceptance scenario (docs/CONTROL_PLANE.md): the *coordinator*
 /// is the process that dies. A real `mojc cluster --wal-root` primary is
-/// SIGKILLed mid-heat-grid; the agents hold their ranks through the
-/// coordinator_grace window; an in-process standby waits out the lease,
-/// replays the WAL, seals the dead primary's segment, and RE-ADOPTs the
+/// SIGKILLed mid-heat-grid; the agents hold their ranks through their
+/// grace window; an in-process standby waits out the lease, replays the
+/// WAL, seals the dead primary's segment, and RE-ADOPTs the
 /// still-running agents. The run must complete with zero rank loss (no
 /// resurrection — nothing below the control plane failed) and the sums
 /// must still bit-match the sequential reference.
@@ -383,6 +383,44 @@ TEST(DnodeCluster, InProcessAgentsRunHeatGrid) {
   EXPECT_EQ(coord.agent_of(0), 0u);
   EXPECT_EQ(coord.agent_of(1), 1u);
   coord.shutdown_agents();
+}
+
+TEST(DnodeCluster, EmptyWalRootLogsToATempDirRemovedOnDestruction) {
+  const fs::path storage = fresh_dir("mojave_dnode_tempwal");
+
+  gridapp::HeatConfig hcfg;
+  hcfg.nodes = 2;
+  hcfg.rows = 8;
+  hcfg.cols = 8;
+  hcfg.steps = 8;
+  hcfg.checkpoint_interval = 4;
+
+  dnode::AgentConfig acfg;
+  acfg.storage_root = storage;
+  dnode::NodeAgent a0(acfg), a1(acfg);
+
+  fs::path wal;
+  {
+    const auto cfg = coord_config({a0.port(), a1.port()}, hcfg.nodes);
+    ASSERT_TRUE(cfg.wal_root.empty());
+    dnode::Coordinator coord(cfg);
+    wal = coord.wal_root();
+    ASSERT_FALSE(wal.empty());
+    EXPECT_GE(coord.lease_epoch(), 1u);
+    coord.launch_spmd(gridapp::heat_program(hcfg));
+    ASSERT_TRUE(coord.wait_all(120.0));
+    expect_sums_match(coord, hcfg);
+    coord.shutdown_agents();
+
+    // Every transition went through the log: replaying it rebuilds the
+    // coordinator's state exactly.
+    ctrl::CoordState replayed;
+    const auto stats = ctrl::replay_wal(
+        wal, [&](const ctrl::WalRecord& rec) { (void)replayed.apply(rec); });
+    EXPECT_GT(stats.records, 0u);
+    EXPECT_EQ(replayed.snapshot_bytes(), coord.state_snapshot());
+  }
+  EXPECT_FALSE(fs::exists(wal)) << "temporary WAL outlived its coordinator";
 }
 
 TEST(DnodeCluster, BalancerMovesRankOffThrottledAgent) {

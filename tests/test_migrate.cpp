@@ -349,9 +349,9 @@ TEST(MigrateResilience, LostAckRetryDoesNotDuplicateTheProcess) {
 
   // Swallow the 2nd reply the proxy ever relays: reply 1 is the GO, reply
   // 2 is the OK *after* the server committed — the classic lost ack.
-  net::ProxyFaults faults;
+  net::WireFaults faults;
   faults.drop_reply_frames = {2};
-  net::ChaosProxy proxy("127.0.0.1", server.port(), faults);
+  net::WireChaosProxy proxy("127.0.0.1", server.port(), faults);
 
   // interval 7 → exactly one migrate (at i=7); the resumed copy then runs
   // to completion on the server with no further hops.
@@ -383,7 +383,7 @@ TEST(MigrateResilience, LostAckRetryDoesNotDuplicateTheProcess) {
   EXPECT_EQ(server.processes_started(), 1u);
   EXPECT_GE(server.dedup_hits(), 1u);
   EXPECT_EQ(dedup_acks.value(), dedup_acks_before + 1);
-  EXPECT_EQ(proxy.stats().replies_dropped, 1u);
+  EXPECT_EQ(proxy.stats().frames_dropped, 1u);
 }
 
 }  // namespace

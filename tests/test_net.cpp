@@ -1,6 +1,6 @@
 // Transport-layer tests: connect/recv deadlines, error paths that must not
 // leak fds, frame-size hardening, the retry policy's budget accounting,
-// the SimNetwork fault matrix, and the ChaosProxy fault shim.
+// the SimNetwork fault matrix, and the WireChaosProxy fault shim.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -24,10 +24,8 @@
 namespace {
 
 using namespace mojave;
-using net::ChaosProxy;
 using net::Deadlines;
 using net::FaultPlan;
-using net::ProxyFaults;
 using net::RecvStatus;
 using net::RetryPolicy;
 using net::SimConfig;
@@ -356,11 +354,11 @@ TEST(SimFaults, SameSeedSameSchedule) {
   EXPECT_NE(run(11), run(12));  // astronomically unlikely to collide
 }
 
-// --- ChaosProxy ---------------------------------------------------------
+// --- WireChaosProxy -----------------------------------------------------
 
-TEST(ChaosProxyTest, CleanProxyRelaysBothDirections) {
+TEST(WireChaosProxyTest, CleanProxyRelaysBothDirections) {
   EchoServer echo;
-  ChaosProxy proxy("127.0.0.1", echo.port(), ProxyFaults{});
+  net::WireChaosProxy proxy("127.0.0.1", echo.port(), net::WireFaults{});
   TcpStream client =
       TcpStream::connect("127.0.0.1", proxy.port(), Deadlines{2.0, 2.0});
   client.send_frame(bytes_of("ping"));
@@ -368,14 +366,18 @@ TEST(ChaosProxyTest, CleanProxyRelaysBothDirections) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, bytes_of("ping"));
   client.close();
-  EXPECT_GE(proxy.stats().frames_forwarded, 2u);
+  // A pump counts its bytes after the send that delivered them; stop()
+  // joins the pumps so the count is final.
+  proxy.stop();
+  // Both frames (4-byte header + "ping"), one in each direction.
+  EXPECT_GE(proxy.stats().bytes_forwarded, 2u * 8u);
 }
 
-TEST(ChaosProxyTest, DeterministicReplyDropCutsTheConnection) {
+TEST(WireChaosProxyTest, DeterministicReplyDropCutsTheConnection) {
   EchoServer echo;
-  ProxyFaults faults;
+  net::WireFaults faults;
   faults.drop_reply_frames = {1};  // swallow the first reply ever relayed
-  ChaosProxy proxy("127.0.0.1", echo.port(), faults);
+  net::WireChaosProxy proxy("127.0.0.1", echo.port(), faults);
   {
     TcpStream client =
         TcpStream::connect("127.0.0.1", proxy.port(), Deadlines{2.0, 2.0});
@@ -395,10 +397,8 @@ TEST(ChaosProxyTest, DeterministicReplyDropCutsTheConnection) {
   const auto back = retry.recv_frame();
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, bytes_of("again"));
-  EXPECT_EQ(proxy.stats().replies_dropped, 1u);
+  EXPECT_EQ(proxy.stats().frames_dropped, 1u);
 }
-
-// --- WireChaosProxy -----------------------------------------------------
 
 TEST(WireChaosProxyTest, SplitWritesAndDelayPreserveEveryFrame) {
   EchoServer echo;
@@ -420,6 +420,7 @@ TEST(WireChaosProxyTest, SplitWritesAndDelayPreserveEveryFrame) {
     EXPECT_EQ(*back, big) << "round " << round;
   }
   client.close();
+  proxy.stop();  // join the pumps: the last reply's count is final
 
   const auto stats = proxy.stats();
   EXPECT_EQ(stats.connections, 1u);
