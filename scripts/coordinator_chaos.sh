@@ -9,7 +9,8 @@
 #      seals the dead primary's segment, RE-ADOPTs the still-running
 #      agents, and finishes the run;
 #   3. the two runs' RANK_SUM lines must be byte-identical (the sums are
-#      printed with %.17g, so "identical" means bit-identical doubles).
+#      printed with %.17g, so "identical" means bit-identical doubles);
+#   4. both runs' shared checkpoint stores must pass `mojc ckpt verify`.
 #
 # Usage: scripts/coordinator_chaos.sh path/to/mojc [heat.mjc]
 set -euo pipefail
@@ -111,3 +112,13 @@ if ! diff -u "$WORK/ref.sums" "$WORK/ha.sums"; then
   exit 1
 fi
 echo "OK: $RANKS ranks, sums bit-identical across the coordinator failover"
+
+# Both agents checkpointed into each store at once; neither may have
+# garbage-collected a chunk the other still references.
+echo "== store integrity =="
+for S in "$REF_STORE" "$STORE"; do
+  "$MOJC" ckpt "$S" verify || {
+    echo "FAIL: checkpoint store $S does not verify" >&2
+    exit 1
+  }
+done

@@ -24,6 +24,10 @@ std::array<std::uint64_t, 256> make_gear_table() {
   return gear;
 }
 
+/// Bytes of history the gear hash keeps: `h << 1` per byte pushes a
+/// byte's contribution out of the 64-bit state after this many steps.
+constexpr std::size_t kGearWindow = 64;
+
 const std::array<std::uint64_t, 256>& gear_table() {
   static const std::array<std::uint64_t, 256> table = make_gear_table();
   return table;
@@ -67,13 +71,19 @@ std::vector<std::span<const std::byte>> split_chunks(
       break;
     }
     const std::size_t limit = std::min(remaining, cfg.max_bytes);
+    // A byte shifts out of the 64-bit hash 64 positions later, so the
+    // hash at the first eligible position (min_bytes - 1) depends only
+    // on the 64 bytes ending there: warm up over those, not the whole
+    // minimum region. Cut points are the same as hashing from `start`.
+    std::size_t len =
+        cfg.min_bytes > kGearWindow ? cfg.min_bytes - kGearWindow : 0;
     std::uint64_t h = 0;
-    std::size_t len = 0;
-    // The hash warms up inside the skipped minimum region so the first
-    // eligible position already sees a full window of context.
+    for (; len + 1 < cfg.min_bytes; ++len) {
+      h = (h << 1) + gear[static_cast<std::uint8_t>(data[start + len])];
+    }
     for (; len < limit; ++len) {
       h = (h << 1) + gear[static_cast<std::uint8_t>(data[start + len])];
-      if (len + 1 >= cfg.min_bytes && (h & mask) == 0) {
+      if ((h & mask) == 0) {
         ++len;
         break;
       }

@@ -22,7 +22,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint32_t kExtentMagic = 0x31584a4d;  // 'M' 'J' 'X' '1'
+constexpr std::uint32_t kExtentMagic = 0x32584a4d;  // 'M' 'J' 'X' '2'
+// The FNV-1a-checksummed record format this one replaced. An extent of
+// such records is reported and ignored, never read as a torn tail.
+constexpr std::uint32_t kExtentMagicV1 = 0x31584a4d;  // 'M' 'J' 'X' '1'
 constexpr std::uint8_t kKindPut = 1;
 constexpr std::uint8_t kKindTombstone = 2;
 constexpr std::uint8_t kCodecRaw = 0;
@@ -226,7 +229,7 @@ void ChunkEngine::append_record_locked(std::uint8_t kind, const ChunkKey& key,
   w.u8(codec);
   w.bytes(stored);
   const auto body = w.view().subspan(4);  // everything after the magic
-  w.u64(fnv1a(body));
+  w.u64(xxh64(body));
   const auto rec = w.view();
   std::size_t off = 0;
   while (off < rec.size()) {
@@ -277,6 +280,15 @@ void ChunkEngine::scan_extent_locked(std::uint32_t id) {
   while (pos + kHeaderBytes + kTrailerBytes <= data.size()) {
     Reader r{std::span(data).subspan(pos)};
     const std::uint32_t magic = r.u32();
+    if (magic == kExtentMagicV1) {
+      // An older build's records, not a torn tail: report the file once
+      // and skip all of it, so no refresh rescans it.
+      MOJAVE_LOG(kError, "ckpt.engine")
+          << "ignoring extent " << ext.path.string()
+          << ": it holds MJX1 records, a format this build does not read";
+      ext.scanned = size;
+      return;
+    }
     if (magic != kExtentMagic) break;  // torn or foreign bytes: stop here
     const std::uint8_t kind = r.u8();
     const std::uint64_t seq = r.u64();
@@ -406,7 +418,7 @@ std::optional<std::vector<std::byte>> ChunkEngine::read_locked(
   const auto body =
       std::span(rec).subspan(4, kHeaderBytes - 4 + e.stored_len);
   Reader tail{std::span(rec).subspan(kHeaderBytes + e.stored_len)};
-  if (fnv1a(body) != tail.u64()) {
+  if (xxh64(body) != tail.u64()) {
     m.read_errors.inc();
     return std::nullopt;
   }
@@ -469,29 +481,35 @@ void ChunkEngine::flush() {
 
 CompactStats ChunkEngine::compact(bool force) {
   std::lock_guard lock(mu_);
-  refresh_locked();
+  // Only a forced compaction reads other writers' extents: their dead
+  // bytes come from their own tombstones, which they compact themselves.
+  if (force) refresh_locked();
   CompactStats out;
+  std::vector<std::uint32_t> victims;
+  for (std::uint32_t id = 0; id < extents_.size(); ++id) {
+    const Extent& ext = extents_[id];
+    if (id == active_id_ && active_fd_ >= 0) continue;
+    if (ext.path.empty()) continue;  // already compacted away
+    if (!force && !ext.own) continue;
+    const std::uint64_t total = ext.live_stored + ext.dead_stored;
+    if (total == 0 || ext.dead_stored == 0) continue;
+    const double dead_ratio = static_cast<double>(ext.dead_stored) /
+                              static_cast<double>(total);
+    if (!force && dead_ratio < opts_.compact_min_dead_ratio) continue;
+    if (!ext.own &&
+        seconds_since_mtime(ext.path) < opts_.compact_min_idle_seconds) {
+      continue;  // possibly another process's active extent
+    }
+    victims.push_back(id);
+  }
+  if (victims.empty()) return out;
   // Keys grouped by extent up front: rewriting mutates index_ as it goes.
   std::unordered_map<std::uint32_t, std::vector<KeyPair>> by_extent;
   for (const auto& [k, e] : index_) by_extent[e.extent_id].push_back(k);
-  const std::uint32_t n = static_cast<std::uint32_t>(extents_.size());
-  for (std::uint32_t id = 0; id < n; ++id) {
-    if (id == active_id_ && active_fd_ >= 0) continue;
+  for (const std::uint32_t id : victims) {
     // No reference into extents_ survives the rewrite loop below:
     // rotate_if_needed_locked() can grow the vector and reallocate.
     const fs::path ext_path = extents_[id].path;
-    if (ext_path.empty()) continue;  // already compacted away
-    const std::uint64_t total =
-        extents_[id].live_stored + extents_[id].dead_stored;
-    if (total == 0) continue;
-    const double dead_ratio = static_cast<double>(extents_[id].dead_stored) /
-                              static_cast<double>(total);
-    if (!force && dead_ratio < opts_.compact_min_dead_ratio) continue;
-    if (force && extents_[id].dead_stored == 0) continue;
-    if (!extents_[id].own &&
-        seconds_since_mtime(ext_path) < opts_.compact_min_idle_seconds) {
-      continue;  // possibly another process's active extent
-    }
     // Move every live record out, then drop the husk. Tombstones that
     // still mask an older put elsewhere are re-appended so a fresh scan
     // cannot resurrect the dead key.

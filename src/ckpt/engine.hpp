@@ -12,16 +12,23 @@
 // Record format inside an extent (little-endian, docs/CONTROL_PLANE.md
 // sibling of the WAL framing):
 //
-//   u32 magic 'MJX1' | u8 kind (1 put, 2 tombstone) | u64 seq
+//   u32 magic 'MJX2' | u8 kind (1 put, 2 tombstone) | u64 seq
 //   | u64 key.hi | u64 key.lo | u32 raw_len | u32 stored_len | u8 codec
-//   | payload[stored_len] | u64 fnv1a(body after magic)
+//   | payload[stored_len] | u64 xxh64(body after magic)
+//
+// 'MJX1' was the same layout with an FNV-1a trailer; an extent holding
+// MJX1 records is logged as an error and ignored whole, instead of being
+// read as a torn tail.
 //
 // `seq` is a global monotonic stamp: rebuilding the index replays records
 // in seq order, so a tombstone and a later re-put resolve correctly no
 // matter which extent file each landed in.
 //
 // Concurrency: every agent process owns its *own* active extent (the file
-// name embeds pid + nonce), so writers never contend. Extents are
+// name embeds pid + nonce), so writers never contend. A tombstone masks
+// every older put of its key in any extent, so a writer must tombstone
+// only keys it wrote; CheckpointStore guarantees that by seeding each
+// writer's keys differently. Extents are
 // append-only and records self-framing, which makes cross-process reads
 // safe: a reader that misses in its index rescans grown/new extents from
 // its last offset (`refresh`), stopping at any partially-visible tail
@@ -122,7 +129,10 @@ class ChunkEngine {
   void flush();
 
   /// Rewrite live records out of dead-heavy extents and delete the husks.
-  /// `force` compacts any extent with any dead bytes (CLI verb).
+  /// Without `force`, only this instance's own extents whose dead
+  /// fraction reached `compact_min_dead_ratio` (cheap when none has; run
+  /// after every put). `force` also takes other writers' idle extents and
+  /// any extent with any dead bytes (offline GC and the CLI verb).
   CompactStats compact(bool force = false);
 
   [[nodiscard]] EngineStats stats();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 
 #include "obs/metrics.hpp"
@@ -18,7 +19,9 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint32_t kManifestMagic = 0x74666b6d;  // "mkft"
-constexpr std::uint32_t kManifestVersion = 1;
+// 2: xxh64 chunk keys and trailer, plus the writer's key seed.
+// 1: FNV-1a, no key seed.
+constexpr std::uint32_t kManifestVersion = 2;
 
 struct CkptMetrics {
   obs::Counter& chunks_written;
@@ -92,6 +95,7 @@ std::vector<std::byte> Manifest::encode() const {
   w.u32(kManifestVersion);
   w.str(snapshot);
   w.u64(seq);
+  w.u64(key_seed);
   w.u64(image_bytes);
   w.u64(image_hash);
   w.u32(static_cast<std::uint32_t>(chunks.size()));
@@ -100,20 +104,24 @@ std::vector<std::byte> Manifest::encode() const {
     w.u64(e.key.lo);
     w.u32(e.length);
   }
-  w.u64(fnv1a(w.view()));
+  w.u64(xxh64(w.view()));
   return w.take();
 }
 
 Manifest Manifest::decode(std::span<const std::byte> bytes) {
   if (bytes.size() < 8) throw ImageError("manifest truncated");
-  const std::uint64_t want =
-      fnv1a(bytes.subspan(0, bytes.size() - 8));
   Reader r(bytes);
   if (r.u32() != kManifestMagic) throw ImageError("manifest bad magic");
-  if (r.u32() != kManifestVersion) throw ImageError("manifest bad version");
+  if (const std::uint32_t version = r.u32(); version != kManifestVersion) {
+    throw ImageError("manifest format version " + std::to_string(version) +
+                     " is not readable by this build (it reads version " +
+                     std::to_string(kManifestVersion) + ")");
+  }
+  const std::uint64_t want = xxh64(bytes.subspan(0, bytes.size() - 8));
   Manifest m;
   m.snapshot = r.str();
   m.seq = r.u64();
+  m.key_seed = r.u64();
   m.image_bytes = r.u64();
   m.image_hash = r.u64();
   const std::uint32_t n = r.u32();
@@ -156,6 +164,8 @@ CheckpointStore::CheckpointStore(fs::path root, Options opts)
   }
   engine_ = std::make_unique<ChunkEngine>(storage_.root() / kExtentDir,
                                           opts_.engine);
+  std::random_device rd;
+  key_seed_ = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
 }
 
 std::shared_ptr<CheckpointStore> CheckpointStore::open_shared(
@@ -221,36 +231,59 @@ PutStats CheckpointStore::put(const std::string& snapshot,
   CkptMetrics& m = CkptMetrics::get();
 
   PutStats stats;
-  const auto existing = list_manifests_locked(snapshot);
+  GcStats gc;
+  const std::vector<ManifestFile> listing = list_manifests_locked();
+  if (opts_.auto_gc && !own_manifests_.empty()) {
+    // Own manifests another writer's retention pruned: their references
+    // go now (the listing is the only place that pruning shows up).
+    std::unordered_set<std::string_view> listed;
+    for (const ManifestFile& mf : listing) listed.insert(mf.name);
+    release_own_except_locked(listed, gc);
+  }
+  std::vector<const ManifestFile*> existing;
+  for (const ManifestFile& mf : listing) {
+    if (mf.snapshot == snapshot) existing.push_back(&mf);
+  }
   stats.first_snapshot = existing.empty();
-  stats.seq = existing.empty() ? 1 : existing.back().seq + 1;
+  stats.seq = existing.empty() ? 1 : existing.back()->seq + 1;
+  const std::string name = manifest_name(snapshot, stats.seq);
 
   Manifest man;
   man.snapshot = snapshot;
   man.seq = stats.seq;
+  man.key_seed = key_seed_;
   man.image_bytes = image.size();
-  man.image_hash = fnv1a(image);
+  man.image_hash = xxh64(image);
 
   // Chunks first, manifest last: the checkpoint only becomes visible once
-  // every byte it references is durably in place.
-  for (std::span<const std::byte> chunk :
-       split_chunks(image, opts_.chunker)) {
-    const ChunkKey key = ChunkKey::of(chunk);
-    man.chunks.push_back({key, static_cast<std::uint32_t>(chunk.size())});
-    ++stats.chunks_total;
-    stats.bytes_total += chunk.size();
-    if (engine_->exists(key)) {
-      ++stats.chunks_deduped;
-    } else {
-      engine_->put(key, chunk);
-      ++stats.chunks_written;
-      stats.bytes_written += chunk.size();
+  // every byte it references is durably in place. Each entry takes its
+  // reference as it is listed, so a repeat within this image dedups too;
+  // a failed put gives them back, evicting what it wrote.
+  try {
+    for (std::span<const std::byte> chunk :
+         split_chunks(image, opts_.chunker)) {
+      const ChunkKey key = ChunkKey::of(chunk, key_seed_);
+      man.chunks.push_back({key, static_cast<std::uint32_t>(chunk.size())});
+      ++stats.chunks_total;
+      stats.bytes_total += chunk.size();
+      if (own_refs_[key]++ > 0) {
+        ++stats.chunks_deduped;
+      } else {
+        engine_->put(key, chunk);
+        ++stats.chunks_written;
+        stats.bytes_written += chunk.size();
+      }
     }
+    // fsync appended chunk records before the manifest rename makes them
+    // reachable — chunks-before-manifest durability holds for the engine.
+    engine_->flush();
+    storage_.write(name, man.encode());
+  } catch (...) {
+    GcStats undo;
+    release_locked(man.chunks, undo);
+    throw;
   }
-  // fsync appended chunk records before the manifest rename makes them
-  // reachable — chunks-before-manifest durability holds for the engine.
-  engine_->flush();
-  storage_.write(manifest_name(snapshot, stats.seq), man.encode());
+  own_manifests_.emplace(name, std::move(man.chunks));
 
   m.chunks_written.inc(stats.chunks_written);
   m.chunks_deduped.inc(stats.chunks_deduped);
@@ -265,12 +298,52 @@ PutStats CheckpointStore::put(const std::string& snapshot,
   m.written_bytes.record_us(static_cast<double>(stats.bytes_written));
 
   if (opts_.auto_gc) {
-    const GcStats gc = collect_garbage_locked();
+    // Retention for this snapshot only: it is the one this put grew.
+    // Pruning another writer's manifest drops no reference here; that
+    // writer notices at its next put.
+    const std::size_t kept = existing.size() + 1;
+    for (std::size_t i = 0; i + opts_.keep_manifests < kept; ++i) {
+      storage_.remove(existing[i]->name);
+      ++gc.manifests_pruned;
+      const auto own = own_manifests_.find(existing[i]->name);
+      if (own == own_manifests_.end()) continue;
+      release_locked(own->second, gc);
+      own_manifests_.erase(own);
+    }
+    // Rewrites own extents whose dead fraction crossed the threshold;
+    // a check of per-extent counters when none has.
+    engine_->compact(/*force=*/false);
+    m.chunks_evicted.inc(gc.chunks_evicted);
+    m.manifests_pruned.inc(gc.manifests_pruned);
     stats.manifests_pruned = gc.manifests_pruned;
     stats.chunks_evicted = gc.chunks_evicted;
   }
   m.put_us.record_seconds(sw.seconds());
   return stats;
+}
+
+void CheckpointStore::release_locked(const std::vector<ManifestEntry>& entries,
+                                     GcStats& gc) {
+  for (const ManifestEntry& e : entries) {
+    const auto it = own_refs_.find(e.key);
+    if (it == own_refs_.end() || --it->second > 0) continue;
+    own_refs_.erase(it);
+    engine_->remove(e.key);
+    gc.bytes_evicted += e.length;
+    ++gc.chunks_evicted;
+  }
+}
+
+void CheckpointStore::release_own_except_locked(
+    const std::unordered_set<std::string_view>& present, GcStats& gc) {
+  for (auto it = own_manifests_.begin(); it != own_manifests_.end();) {
+    if (present.contains(it->first)) {
+      ++it;
+      continue;
+    }
+    release_locked(it->second, gc);
+    it = own_manifests_.erase(it);
+  }
 }
 
 std::optional<std::vector<std::byte>> CheckpointStore::restore(
@@ -302,14 +375,14 @@ std::optional<std::vector<std::byte>> CheckpointStore::restore(
     for (const ManifestEntry& e : man.chunks) {
       const auto chunk = engine_->read(e.key);
       if (!chunk.has_value() || chunk->size() != e.length ||
-          ChunkKey::of(*chunk) != e.key) {
+          ChunkKey::of(*chunk, man.key_seed) != e.key) {
         ok = false;
         break;
       }
       image.insert(image.end(), chunk->begin(), chunk->end());
     }
     if (!ok || image.size() != man.image_bytes ||
-        fnv1a(image) != man.image_hash) {
+        xxh64(image) != man.image_hash) {
       ++skipped;
       continue;
     }
@@ -370,10 +443,6 @@ std::vector<Manifest> CheckpointStore::manifests(
 
 GcStats CheckpointStore::collect_garbage() {
   std::lock_guard<std::mutex> lock(mu_);
-  return collect_garbage_locked();
-}
-
-GcStats CheckpointStore::collect_garbage_locked() {
   GcStats gc;
   CkptMetrics& m = CkptMetrics::get();
 
@@ -397,6 +466,7 @@ GcStats CheckpointStore::collect_garbage_locked() {
   // them references it. An undecodable manifest can never be restored,
   // so it is dropped rather than pinning garbage forever.
   std::set<ChunkKey> referenced;
+  std::unordered_set<std::string_view> kept;
   for (const ManifestFile& mf : survivors) {
     const auto raw = storage_.read(mf.name);
     bool good = false;
@@ -408,20 +478,25 @@ GcStats CheckpointStore::collect_garbage_locked() {
       } catch (const Error&) {
       }
     }
-    if (!good) {
+    if (good) {
+      kept.insert(mf.name);
+    } else {
       storage_.remove(mf.name);
       ++gc.manifests_pruned;
     }
   }
+  // This instance's own manifests that did not survive give their
+  // references back first, so its refcounts stay exact for later puts.
+  release_own_except_locked(kept, gc);
   for (const auto& [key, raw_len] : engine_->live_chunks()) {
     if (referenced.contains(key)) continue;
     engine_->remove(key);
     gc.bytes_evicted += raw_len;
     ++gc.chunks_evicted;
   }
-  // Opportunistic compaction: extents whose dead fraction crossed the
-  // engine threshold are rewritten now that eviction tombstoned them.
-  engine_->compact(/*force=*/false);
+  // Eviction tombstoned records in every writer's extents: rewrite each
+  // idle extent that holds dead bytes.
+  engine_->compact(/*force=*/true);
   m.chunks_evicted.inc(gc.chunks_evicted);
   m.manifests_pruned.inc(gc.manifests_pruned);
   return gc;
@@ -455,7 +530,7 @@ VerifyReport CheckpointStore::verify() const {
           ++report.chunks_missing;
         }
       } else if (chunk->size() != e.length ||
-                 ChunkKey::of(*chunk) != e.key) {
+                 ChunkKey::of(*chunk, man.key_seed) != e.key) {
         ++report.chunks_corrupt;
       } else {
         ++report.chunks_ok;

@@ -8,8 +8,8 @@
 // and a checkpoint becomes a small *manifest* — the ordered chunk list
 // plus whole-image checksum. A second snapshot whose heap pages and
 // program text are unchanged uploads only the chunks that actually
-// differ; everything else dedupes against what the store already holds,
-// across snapshots and across nodes.
+// differ; everything else dedupes against what this store instance
+// already wrote, across snapshots and across the ranks that share it.
 //
 // Layout under a cluster::SharedStorage root (a manifest is written by
 // atomic temp-file + rename; extents are append-only, self-framing
@@ -25,18 +25,30 @@
 // writes and the manifest rename costs at most one checkpoint interval,
 // never a torn image.
 //
-// Retention keeps the newest `keep_manifests` manifests per snapshot and
-// garbage-collects chunks no surviving manifest references, with
-// reference counting across *all* snapshots so shared chunks survive.
+// Several writers, one root. Every agent process opens its own instance
+// on the shared root, so writers must never evict what another live
+// writer references or is about to reference. Each instance therefore
+// draws a random *key seed* and keys its chunks with it (ckpt/key.hpp):
+// a writer dedups only against chunks it wrote, and online GC evicts
+// only those. Each instance refcounts, in memory, the chunks its own
+// manifests reference: a put adds references; pruning one of its
+// manifests (by its own retention, or by another writer, which shows up
+// as a manifest missing from the listing a put makes anyway) drops them;
+// a chunk is evicted when its count reaches zero. A put therefore costs
+// what it adds, never a scan of the store. Chunks of a writer that died
+// stay until the offline full sweep (`collect_garbage`, `mojc ckpt gc`).
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "ckpt/chunker.hpp"
@@ -55,8 +67,11 @@ struct ManifestEntry {
 struct Manifest {
   std::string snapshot;
   std::uint64_t seq = 0;
+  /// Seed of the writer's chunk keys: restore and verify recompute each
+  /// chunk's key with it.
+  std::uint64_t key_seed = 0;
   std::uint64_t image_bytes = 0;
-  std::uint64_t image_hash = 0;  ///< FNV-1a of the whole image
+  std::uint64_t image_hash = 0;  ///< xxh64 of the whole image
   std::vector<ManifestEntry> chunks;
 
   [[nodiscard]] std::vector<std::byte> encode() const;
@@ -140,11 +155,10 @@ class CheckpointStore {
   explicit CheckpointStore(std::filesystem::path root)
       : CheckpointStore(std::move(root), Options{}) {}
 
-  /// Process-wide shared instance per (canonical) root. Concurrent
-  /// checkpointers — one per cluster rank — must share an instance so
-  /// puts and GC serialize against each other; two instances on one root
-  /// could GC a chunk the other just deduplicated against. Options are
-  /// taken from the first opener.
+  /// Process-wide shared instance per (canonical) root, so every rank
+  /// checkpointing from one process dedups against the others. Separate
+  /// instances (in this process or another) are safe on one root, but
+  /// never share chunks. Options are taken from the first opener.
   [[nodiscard]] static std::shared_ptr<CheckpointStore> open_shared(
       const std::filesystem::path& root, Options opts);
   [[nodiscard]] static std::shared_ptr<CheckpointStore> open_shared(
@@ -152,9 +166,12 @@ class CheckpointStore {
     return open_shared(root, Options{});
   }
 
-  /// Store one checkpoint of `snapshot`. Only chunks the store does not
-  /// already hold are written; the manifest is written (atomically) last,
-  /// so a crash mid-put leaves the previous checkpoint restorable.
+  /// Store one checkpoint of `snapshot`. Only chunks this instance does
+  /// not already hold are written; the manifest is written (atomically)
+  /// last, so a crash mid-put leaves the previous checkpoint restorable.
+  /// With `auto_gc`, the put then prunes `snapshot` to `keep_manifests`
+  /// and evicts the chunks of this instance that no manifest of it
+  /// references any more.
   PutStats put(const std::string& snapshot, std::span<const std::byte> image);
 
   /// Reassemble the newest complete checkpoint of `snapshot`, verifying
@@ -172,7 +189,10 @@ class CheckpointStore {
   [[nodiscard]] std::vector<Manifest> manifests(
       const std::string& snapshot) const;
 
-  /// Apply retention and evict unreferenced chunks.
+  /// Full sweep: apply retention to every snapshot, drop undecodable
+  /// manifests and evict every chunk no surviving manifest references —
+  /// including chunks another writer appended for a manifest it has not
+  /// published yet. Only safe while no other process writes the root.
   GcStats collect_garbage();
   /// Integrity-check every manifest and chunk in the store.
   [[nodiscard]] VerifyReport verify() const;
@@ -202,12 +222,24 @@ class CheckpointStore {
   [[nodiscard]] std::vector<ManifestFile> list_manifests_locked() const;
   [[nodiscard]] std::vector<ManifestFile> list_manifests_locked(
       const std::string& snapshot) const;
-  GcStats collect_garbage_locked();
+  /// Drop one reference per entry; evict the chunks that reach zero.
+  void release_locked(const std::vector<ManifestEntry>& entries,
+                      GcStats& gc);
+  /// Release and forget every own manifest whose name is not `present`.
+  void release_own_except_locked(
+      const std::unordered_set<std::string_view>& present, GcStats& gc);
 
   Options opts_;
   cluster::SharedStorage storage_;
   std::unique_ptr<ChunkEngine> engine_;
   mutable std::mutex mu_;
+  std::uint64_t key_seed_ = 0;
+  /// Manifests this instance wrote and has not seen pruned, by
+  /// storage-relative name.
+  std::map<std::string, std::vector<ManifestEntry>> own_manifests_;
+  /// Entries in own_manifests_ per chunk key; a key is live in the
+  /// engine exactly while it is present here.
+  std::map<ChunkKey, std::uint32_t> own_refs_;
 
   static constexpr const char* kExtentDir = "extents";
 };

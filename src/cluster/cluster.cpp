@@ -30,7 +30,7 @@ struct ClusterMetrics {
   }
 };
 
-/// Every cluster message carries a trailing fnv1a of its body so a frame
+/// Every cluster message carries a trailing xxh64 of its body so a frame
 /// mangled on the wire (the fault matrix flips bytes) is rejected instead
 /// of decoded into garbage values.
 constexpr std::size_t kChecksumBytes = 8;
@@ -38,7 +38,7 @@ constexpr std::size_t kChecksumBytes = 8;
 constexpr std::size_t kMinBodyBytes = 8;
 
 void append_checksum(std::vector<std::byte>& frame) {
-  const std::uint64_t h = fnv1a(frame);
+  const std::uint64_t h = xxh64(frame);
   for (std::size_t i = 0; i < kChecksumBytes; ++i) {
     frame.push_back(std::byte{static_cast<std::uint8_t>(h >> (8 * i))});
   }
@@ -54,7 +54,7 @@ void append_checksum(std::vector<std::byte>& frame) {
   for (std::size_t i = 0; i < kChecksumBytes; ++i) {
     stored |= std::to_integer<std::uint64_t>(frame[body + i]) << (8 * i);
   }
-  if (stored != fnv1a(std::span(frame).first(body))) return false;
+  if (stored != xxh64(std::span(frame).first(body))) return false;
   frame.resize(body);
   return true;
 }
@@ -125,7 +125,7 @@ void Cluster::register_externals(vm::Process& proc, net::NodeId rank) {
         // Lazy cancellation: a byte-identical re-send (deterministic
         // re-execution after a rollback) is not speculative — its
         // consumers already hold exactly this data.
-        const std::uint64_t h = fnv1a(values);
+        const std::uint64_t h = xxh64(values);
         bool duplicate = false;
         {
           Slot& sender_slot = *slots_[rank];

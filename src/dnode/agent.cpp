@@ -818,7 +818,7 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         // Lazy cancellation: a byte-identical re-send (deterministic
         // re-execution after a rollback) is not speculative — its
         // consumers already hold exactly this data.
-        const std::uint64_t h = fnv1a(values);
+        const std::uint64_t h = xxh64(values);
         auto& prev = slot.sent_hashes[{dst, tag}];
         const bool duplicate = prev == h;
         prev = h;

@@ -1,6 +1,9 @@
 #include "dnode/wire.hpp"
 
+#include <atomic>
+
 #include "support/hash.hpp"
+#include "support/log.hpp"
 
 namespace mojave::dnode {
 
@@ -17,7 +20,7 @@ Writer begin(MsgType type) {
 
 std::vector<std::byte> finish(Writer& w) {
   std::vector<std::byte> frame = w.take();
-  const std::uint64_t h = fnv1a(frame);
+  const std::uint64_t h = xxh64(frame);
   for (std::size_t i = 0; i < kChecksumBytes; ++i) {
     frame.push_back(std::byte{static_cast<std::uint8_t>(h >> (8 * i))});
   }
@@ -259,12 +262,21 @@ std::vector<std::byte> encode_data_payload(std::uint32_t spec_level,
 
 std::optional<Msg> decode(std::span<const std::byte> frame) {
   if (frame.size() < 4 + 1 + kChecksumBytes) return std::nullopt;
+  if (Reader(frame.first(4)).u32() == kWireMagicV1) {
+    static std::atomic<bool> reported{false};
+    if (!reported.exchange(true)) {
+      MOJAVE_LOG(kError, "dnode")
+          << "dropping DNO1 frames: the peer runs a build with an older "
+             "wire format (this build speaks DNO2)";
+    }
+    return std::nullopt;
+  }
   const std::size_t body = frame.size() - kChecksumBytes;
   std::uint64_t stored = 0;
   for (std::size_t i = 0; i < kChecksumBytes; ++i) {
     stored |= std::to_integer<std::uint64_t>(frame[body + i]) << (8 * i);
   }
-  if (stored != fnv1a(frame.first(body))) return std::nullopt;
+  if (stored != xxh64(frame.first(body))) return std::nullopt;
 
   try {
     Reader r(frame.first(body));

@@ -4,11 +4,13 @@
 // two node agents, is one TcpStream frame (u32 length prefix) whose body
 // is:
 //
-//   u32 magic 'DNO1' | u8 type | type-specific fields | u64 fnv1a
+//   u32 magic 'DNO2' | u8 type | type-specific fields | u64 xxh64
 //
-// The trailing fnv1a covers everything before it, so a frame mangled in
+// The trailing xxh64 covers everything before it, so a frame mangled in
 // transit is rejected (node.corrupt_frames) instead of decoded into
 // garbage — the same contract the simulated cluster enforces per message.
+// 'DNO1' frames (an FNV-1a trailer) come from a build of another wire
+// version: decode logs that once per process and drops them.
 //
 // Control plane (agent <-> coordinator, one long-lived connection):
 //   HELLO/CONFIG/LAUNCH/PLACEMENT       session setup and rank placement
@@ -40,7 +42,8 @@
 
 namespace mojave::dnode {
 
-inline constexpr std::uint32_t kWireMagic = 0x314f4e44;  // "DNO1"
+inline constexpr std::uint32_t kWireMagic = 0x324f4e44;  // "DNO2"
+inline constexpr std::uint32_t kWireMagicV1 = 0x314f4e44;  // "DNO1"
 
 enum class MsgType : std::uint8_t {
   kHello = 1,
@@ -176,7 +179,8 @@ struct Msg {
 [[nodiscard]] std::vector<std::byte> encode_re_adopt_ack(
     std::uint32_t agent, const std::vector<CensusEntry>& census);
 
-/// Verify magic + checksum and parse. nullopt = corrupt or unknown frame
+/// Verify magic + checksum and parse. nullopt = corrupt, unknown or
+/// old-version frame
 /// (the caller counts it and drops it; TCP gives no re-delivery, but every
 /// dnode exchange is either idempotent or re-requested at a higher layer).
 [[nodiscard]] std::optional<Msg> decode(std::span<const std::byte> frame);

@@ -30,12 +30,22 @@ struct BlockRecord {
   std::span<const std::byte> raw;  // kRaw (view into the image)
 };
 
-void verify_checksum(std::span<const std::byte> image) {
+/// Magic and version first, so an image from another format version is
+/// reported as such rather than as a checksum mismatch.
+void verify_header_and_checksum(std::span<const std::byte> image) {
   if (image.size() < 12 + 8) throw ImageError("image too small");
+  Reader head(image.subspan(0, 8));
+  if (head.u32() != kImageMagic) throw ImageError("bad image magic");
+  if (const std::uint32_t version = head.u32();
+      version != kImageFormatVersion) {
+    throw ImageError("image format version " + std::to_string(version) +
+                     " is not readable by this build (it reads version " +
+                     std::to_string(kImageFormatVersion) + ")");
+  }
   const std::size_t body = image.size() - 8;
   Reader tail(image.subspan(body));
   const std::uint64_t want = tail.u64();
-  const std::uint64_t got = fnv1a(image.subspan(0, body));
+  const std::uint64_t got = xxh64(image.subspan(0, body));
   if (want != got) throw ImageError("image checksum mismatch");
 }
 
@@ -118,7 +128,7 @@ PackResult pack_process(vm::Process& proc, MigrateLabel label,
     result.stats.heap_payload_bytes += b->payload_bytes();
   });
   w.patch_u32(count_pos, nblocks);
-  w.u64(fnv1a(w.view()));
+  w.u64(xxh64(w.view()));
 
   result.stats.heap_blocks = nblocks;
   result.stats.serialize_seconds = ser_sw.seconds();
@@ -141,14 +151,9 @@ UnpackResult unpack_process(std::span<const std::byte> image,
   obs::ScopedSpan span("migrate", "unpack");
   span.set_arg("image_bytes", image.size());
   Stopwatch unpack_sw;
-  verify_checksum(image);
+  verify_header_and_checksum(image);
   UnpackResult out;
-  Reader r(image.subspan(0, image.size() - 8));
-
-  if (r.u32() != kImageMagic) throw ImageError("bad image magic");
-  if (r.u32() != kImageFormatVersion) {
-    throw ImageError("unsupported image format version");
-  }
+  Reader r(image.subspan(8, image.size() - 16));
   const std::uint8_t kind_byte = r.u8();
   if (kind_byte > 1) throw ImageError("bad image kind");
   out.kind = static_cast<ImageKind>(kind_byte);
@@ -294,13 +299,9 @@ UnpackResult unpack_process(std::span<const std::byte> image,
 }
 
 ImageInfo inspect_image(std::span<const std::byte> image) {
-  verify_checksum(image);
-  Reader r(image.subspan(0, image.size() - 8));
+  verify_header_and_checksum(image);
+  Reader r(image.subspan(8, image.size() - 16));
   ImageInfo info;
-  if (r.u32() != kImageMagic) throw ImageError("bad image magic");
-  if (r.u32() != kImageFormatVersion) {
-    throw ImageError("unsupported image format version");
-  }
   const std::uint8_t kind_byte = r.u8();
   if (kind_byte > 1) throw ImageError("bad image kind");
   info.kind = static_cast<ImageKind>(kind_byte);

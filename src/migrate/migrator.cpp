@@ -77,16 +77,16 @@ vm::MigrationHook::Action Migrator::on_migrate(
         break;
       case Protocol::kCkpt: {
         // Incremental checkpoint: unchanged chunks dedupe against what
-        // the store already holds, so only the delta hits storage. Shared
-        // storage can hiccup (full NFS, transient EIO), so the put runs
-        // under the retry policy; chunk puts are idempotent by content
-        // address, so a repeated attempt is safe.
+        // this Migrator's store already wrote, so only the delta hits
+        // storage. Shared storage can hiccup (full NFS, transient EIO),
+        // so the put runs under the retry policy; chunk puts are
+        // idempotent by content address, so a repeated attempt is safe.
         net::Backoff backoff(retry_policy_, label + 1);
         while (true) {
           try {
-            const auto store = ckpt::CheckpointStore::open_shared(target.path);
+            ckpt_store_ = ckpt::CheckpointStore::open_shared(target.path);
             const ckpt::PutStats put =
-                store->put(target.snapshot, packed.bytes);
+                ckpt_store_->put(target.snapshot, packed.bytes);
             event.bytes_written = put.bytes_written;
             break;
           } catch (const Error& e) {

@@ -11,8 +11,8 @@
 //  * suspend    — pack to a file; terminate only if the write succeeded.
 //  * checkpoint — pack to a file; always continue running.
 //  * ckpt       — incremental checkpoint into the content-addressed chunk
-//                 store (src/ckpt): only chunks the store does not already
-//                 hold are written, so steady-state checkpoint cost is
+//                 store (src/ckpt): only chunks this Migrator's store has
+//                 not written before are written, so steady-state cost is
 //                 O(delta), not O(image); always continue running.
 //
 // Checkpoint files are written atomically (temp file + rename) so a
@@ -27,6 +27,7 @@
 #pragma once
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,10 @@
 #include "net/retry.hpp"
 #include "vm/interpreter.hpp"
 #include "vm/process.hpp"
+
+namespace mojave::ckpt {
+class CheckpointStore;
+}  // namespace mojave::ckpt
 
 namespace mojave::migrate {
 
@@ -101,6 +106,10 @@ class Migrator final : public vm::MigrationHook {
   vm::Process& process_;
   net::RetryPolicy retry_policy_;
   std::vector<Event> events_;
+  /// The store of the last ckpt:// put, held so the next checkpoint
+  /// dedups against it and its GC reclaims what later ones drop: a store
+  /// instance does both only for chunks it wrote itself.
+  std::shared_ptr<ckpt::CheckpointStore> ckpt_store_;
 };
 
 /// Convenience for hosts: reconstruct and resume a process from a

@@ -44,6 +44,10 @@ std::string journal_snapshot_name(const std::string& program) {
 
 MigrationServer::MigrationServer(Options options)
     : options_(std::move(options)),
+      journal_(options_.ckpt_journal_root.empty()
+                   ? nullptr
+                   : ckpt::CheckpointStore::open_shared(
+                         options_.ckpt_journal_root)),
       listener_(options_.bind_address, options_.port) {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
@@ -152,11 +156,10 @@ void MigrationServer::handle(net::TcpStream stream) {
     // before the sender is allowed to terminate its copy.
     UnpackResult unpacked = unpack_process(*frame, options_.cfg);
     record.breakdown = unpacked.breakdown;
-    if (!options_.ckpt_journal_root.empty()) {
+    if (journal_) {
       // Journal before the ack: the sender terminates its copy on ack, so
       // the image must already be durable (and restorable) here.
-      ckpt::CheckpointStore::open_shared(options_.ckpt_journal_root)
-          ->put(journal_snapshot_name(info.program_name), *frame);
+      journal_->put(journal_snapshot_name(info.program_name), *frame);
     }
     // Commit before the ack: if the ack is lost, the client's retry must
     // find the id committed (→ DU), not unknown (→ a second copy).

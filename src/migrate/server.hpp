@@ -34,6 +34,10 @@
 #include "migrate/image.hpp"
 #include "net/tcp.hpp"
 
+namespace mojave::ckpt {
+class CheckpointStore;
+}  // namespace mojave::ckpt
+
 namespace mojave::migrate {
 
 class MigrationServer {
@@ -121,6 +125,9 @@ class MigrationServer {
   void release_id(std::uint64_t id);
 
   Options options_;
+  /// Open for the server's lifetime: a store instance dedups against,
+  /// and garbage-collects, only the chunks it wrote itself.
+  std::shared_ptr<ckpt::CheckpointStore> journal_;
   net::TcpListener listener_;
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

@@ -135,6 +135,14 @@ in_addr resolve_host(const std::string& host, double timeout_seconds) {
   return st->addr;
 }
 
+/// Frames go out as header + payload sends; without TCP_NODELAY a reply
+/// can wait out Nagle plus the peer's delayed ACK (~40 ms). Every stream,
+/// dialed or accepted, sets it.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 TcpStream::~TcpStream() { close(); }
@@ -191,8 +199,7 @@ TcpStream TcpStream::connect_begin(const std::string& host,
     TcpMetrics::get().connect_failures.inc();
     fail("connect to " + host + ":" + std::to_string(port));
   }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  set_nodelay(fd.get());
   return TcpStream(fd.release());
 }
 
@@ -266,8 +273,7 @@ TcpStream TcpStream::connect(const std::string& host, std::uint16_t port,
     fail("connect to " + where);
   }
 
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  set_nodelay(fd.get());
   TcpMetrics::get().connect_us.record_seconds(sw.seconds());
   TcpStream stream(fd.release());
   stream.set_io_deadline(deadlines.io_seconds);
@@ -387,6 +393,7 @@ std::optional<TcpStream> TcpListener::accept() {
         ::close(client);
         return std::nullopt;
       }
+      set_nodelay(client);
       return TcpStream(client);
     }
     if (errno == EINTR) continue;
@@ -412,6 +419,7 @@ std::optional<TcpStream> TcpListener::try_accept() {
         ::close(client);
         return std::nullopt;
       }
+      set_nodelay(client);
       return TcpStream(client);
     }
     if (errno == EINTR) continue;

@@ -8,8 +8,9 @@
 namespace mojave {
 
 /// Version of the on-disk / on-wire state image format. Bumped whenever
-/// the serialized layout of programs or process images changes.
-inline constexpr std::uint32_t kImageFormatVersion = 3;
+/// the serialized layout of programs or process images changes, or its
+/// checksum (4: xxh64 trailer; 3 used FNV-1a).
+inline constexpr std::uint32_t kImageFormatVersion = 4;
 
 /// Magic prefix for serialized process images ("MOJV").
 inline constexpr std::uint32_t kImageMagic = 0x4d4f4a56;

@@ -3,6 +3,10 @@
 // hygiene, and the ckpt:// protocol end-to-end through the Migrator.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,7 +21,10 @@
 #include "migrate/protocols.hpp"
 #include "migrate/server.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
+#include "support/log.hpp"
 #include "support/rng.hpp"
+#include "support/serialize.hpp"
 #include "vm/process.hpp"
 
 namespace {
@@ -116,6 +123,82 @@ TEST(Chunker, RejectsBadConfig) {
   EXPECT_THROW((void)ckpt::split_chunks(random_bytes(64, 4), cfg), Error);
 }
 
+/// The gear CDC loop as it was before it skipped the warm-up: hash every
+/// byte from the chunk start. split_chunks must cut at the same places.
+std::vector<std::size_t> reference_cuts(std::span<const std::byte> data,
+                                        const ckpt::ChunkerConfig& cfg) {
+  std::array<std::uint64_t, 256> gear{};
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (auto& g : gear) {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    g = z ^ (z >> 31);
+  }
+  const std::uint64_t mask = cfg.target_bytes - 1;
+  std::vector<std::size_t> cuts;
+  std::size_t start = 0;
+  while (start < data.size()) {
+    const std::size_t remaining = data.size() - start;
+    if (remaining <= cfg.min_bytes) {
+      cuts.push_back(data.size());
+      break;
+    }
+    const std::size_t limit = std::min(remaining, cfg.max_bytes);
+    std::uint64_t h = 0;
+    std::size_t len = 0;
+    for (; len < limit; ++len) {
+      h = (h << 1) + gear[static_cast<std::uint8_t>(data[start + len])];
+      if (len + 1 >= cfg.min_bytes && (h & mask) == 0) {
+        ++len;
+        break;
+      }
+    }
+    start += len;
+    cuts.push_back(start);
+  }
+  return cuts;
+}
+
+TEST(Chunker, WarmupSkipKeepsTheCutPointsOfTheFullLoop) {
+  // Random bytes, zero pages, and random bytes broken by zero runs, at
+  // minimums below, at and above the 64-byte gear window.
+  std::vector<std::vector<std::byte>> inputs;
+  inputs.push_back(random_bytes(300 * 1024 + 7, 50));
+  inputs.emplace_back(100 * 1024, std::byte{0});
+  auto mixed = random_bytes(200 * 1024, 51);
+  for (std::size_t i = 0; i < mixed.size(); i += 9000) {
+    std::fill_n(mixed.begin() + static_cast<std::ptrdiff_t>(i),
+                std::min<std::size_t>(3000, mixed.size() - i), std::byte{0});
+  }
+  inputs.push_back(std::move(mixed));
+  const std::array<std::array<std::size_t, 3>, 6> configs{{
+      {512, 2048, 8192},  // the default
+      {16, 64, 256},
+      {64, 256, 1024},
+      {65, 128, 512},
+      {100, 128, 100},
+      {4096, 16384, 65536},
+  }};
+  for (const auto& [min, target, max] : configs) {
+    ckpt::ChunkerConfig cfg;
+    cfg.min_bytes = min;
+    cfg.target_bytes = target;
+    cfg.max_bytes = std::max(max, target);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      std::vector<std::size_t> cuts;
+      std::size_t end = 0;
+      for (const auto& c : ckpt::split_chunks(inputs[i], cfg)) {
+        end += c.size();
+        cuts.push_back(end);
+      }
+      EXPECT_EQ(cuts, reference_cuts(inputs[i], cfg))
+          << "min " << min << " target " << target << " input " << i;
+    }
+  }
+}
+
 // --------------------------------------------------------------- manifest
 
 TEST(Manifest, EncodeDecodeRoundTrip) {
@@ -142,6 +225,26 @@ TEST(Manifest, EncodeDecodeRoundTrip) {
   auto truncated = bytes;
   truncated.resize(truncated.size() - 3);
   EXPECT_THROW((void)ckpt::Manifest::decode(truncated), ImageError);
+}
+
+TEST(Manifest, VersionOneManifestIsRejectedByVersionNotAsCorrupt) {
+  // The version 1 layout: no key seed, FNV-1a trailer.
+  Writer w;
+  w.u32(0x74666b6d);  // "mkft"
+  w.u32(1);
+  w.str("rank_0");
+  w.u64(1);  // seq
+  w.u64(0);  // image_bytes
+  w.u64(0);  // image_hash
+  w.u32(0);  // no chunks
+  w.u64(fnv1a(w.view()));
+  try {
+    (void)ckpt::Manifest::decode(w.view());
+    FAIL() << "a version 1 manifest decoded";
+  } catch (const ImageError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------------------ store
@@ -308,6 +411,178 @@ TEST(CheckpointStore, ValidatesSnapshotNames) {
   EXPECT_THROW((void)store.put("..", img), Error);
   (void)store.put("ok-Name_1.x", img);
   EXPECT_EQ(store.snapshots(), std::vector<std::string>{"ok-Name_1.x"});
+}
+
+// ------------------------------------------------ several writers, one root
+
+TEST(CheckpointStore, AnotherWritersUnpublishedChunkSurvivesGc) {
+  // Writer A has appended a chunk for a manifest it has not published
+  // yet; writer B's puts prune B's manifests and evict. B must not touch
+  // A's chunk.
+  const auto root = fresh_dir("mj_ckpt_inflight");
+  ckpt::CheckpointStore::Options opts;
+  opts.keep_manifests = 1;
+  ckpt::CheckpointStore a(root, opts);
+  ckpt::CheckpointStore b(root, opts);
+  const auto pending = random_bytes(4096, 30);
+  const auto key = ckpt::ChunkKey::of(pending);
+  a.engine().put(key, pending);
+  a.engine().flush();
+  std::size_t evicted = 0;
+  for (int v = 0; v < 3; ++v) {
+    evicted += b.put("b", random_bytes(16 * 1024, 31 + v)).chunks_evicted;
+  }
+  EXPECT_GT(evicted, 0u) << "B never collected its own garbage";
+
+  ckpt::ChunkEngine fresh(a.engine().dir());
+  const auto back = fresh.read(key);
+  ASSERT_TRUE(back.has_value()) << "B's GC evicted A's in-flight chunk";
+  EXPECT_EQ(*back, pending);
+}
+
+TEST(CheckpointStore, ContentBothWritersHoldSurvivesTheOtherWritersEviction) {
+  const auto root = fresh_dir("mj_ckpt_shared_content");
+  ckpt::CheckpointStore::Options opts;
+  opts.keep_manifests = 1;
+  ckpt::CheckpointStore a(root, opts);
+  ckpt::CheckpointStore b(root, opts);
+  const auto x = random_bytes(32 * 1024, 40);
+  (void)a.put("a", x);                          // A holds x
+  (void)b.put("b", random_bytes(32 * 1024, 41));  // B reads A's extent
+  // A's retention drops a@1, the only manifest of A holding x: A evicts
+  // its copy of x.
+  EXPECT_GT(a.put("a", random_bytes(32 * 1024, 42)).chunks_evicted, 0u);
+  (void)b.put("b", x);  // B holds x from now on
+
+  ckpt::CheckpointStore fresh(root, opts);
+  ckpt::RestoreStats rs;
+  const auto back = fresh.restore("b", &rs);
+  ASSERT_TRUE(back.has_value()) << "b@2 lost chunks to A's eviction";
+  EXPECT_EQ(*back, x);
+  EXPECT_EQ(rs.seq, 2u);
+  EXPECT_EQ(rs.manifests_skipped, 0u);
+  EXPECT_TRUE(fresh.verify().ok());
+}
+
+TEST(CheckpointStore, OwnManifestPrunedByAnotherWriterReleasesItsChunks) {
+  // A writes s@1; B's retention of snapshot s prunes it. A learns that
+  // from the manifest listing of its next put and evicts s@1's chunks.
+  const auto root = fresh_dir("mj_ckpt_pruned_by_other");
+  ckpt::CheckpointStore::Options opts;
+  opts.keep_manifests = 1;
+  ckpt::CheckpointStore a(root, opts);
+  ckpt::CheckpointStore b(root, opts);
+  (void)a.put("s", random_bytes(32 * 1024, 60));
+  const auto by_b = b.put("s", random_bytes(32 * 1024, 61));
+  EXPECT_EQ(by_b.manifests_pruned, 1u);
+  EXPECT_EQ(by_b.chunks_evicted, 0u);  // s@1 is A's, not B's
+  EXPECT_GT(ckpt::CheckpointStore(root).verify().chunks_orphaned, 0u);
+
+  const auto next = a.put("t", random_bytes(1024, 62));
+  EXPECT_GT(next.chunks_evicted, 0u);
+  const auto report = ckpt::CheckpointStore(root).verify();
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.chunks_orphaned, 0u);
+}
+
+/// Two processes put interleaved checkpoints with online GC into `root`,
+/// as two node agents do. Writer 1 puts at step i the content writer 0
+/// put at steps i-3..i-5: about when writer 0's retention drops it, which
+/// is where cross-writer dedup and eviction used to meet.
+void run_two_writer_processes(const fs::path& root) {
+  constexpr int kWriters = 2;
+  constexpr int kPuts = 60;
+  const auto stable = random_bytes(48 * 1024, 70);
+  std::vector<pid_t> pids;
+  for (int w = 0; w < kWriters; ++w) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      int rc = 0;
+      try {
+        ckpt::CheckpointStore::Options opts;
+        opts.keep_manifests = 2;
+        ckpt::CheckpointStore store(root, opts);
+        for (int i = 0; i < kPuts; ++i) {
+          auto img = stable;
+          for (int lag = 3 * w; lag <= 5 * w; ++lag) {
+            const auto churn = random_bytes(16 * 1024, 1000 + i - lag);
+            img.insert(img.end(), churn.begin(), churn.end());
+          }
+          (void)store.put("w" + std::to_string(w) + "_r" +
+                              std::to_string(i % 2),
+                          img);
+        }
+      } catch (...) {
+        rc = 1;
+      }
+      ::_exit(rc);
+    }
+    pids.push_back(pid);
+  }
+  for (const pid_t pid : pids) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
+}
+
+TEST(CheckpointStore, ConcurrentWriterProcessesLeaveAVerifiableStore) {
+  // The race is timing-dependent; three rounds make a store that loses
+  // chunks to the other writer show up almost surely.
+  for (int round = 0; round < 3; ++round) {
+    const auto root =
+        fresh_dir("mj_ckpt_two_procs_" + std::to_string(round));
+    run_two_writer_processes(root);
+    ckpt::CheckpointStore store(root);
+    const auto report = store.verify();
+    EXPECT_TRUE(report.ok()) << "round " << round << ": "
+                             << report.chunks_missing << " chunk(s) missing, "
+                             << report.chunks_corrupt << " corrupt";
+    const auto names = store.snapshots();
+    EXPECT_EQ(names.size(), 4u);
+    for (const std::string& name : names) {
+      ckpt::RestoreStats rs;
+      const auto back = store.restore(name, &rs);
+      ASSERT_TRUE(back.has_value()) << name;
+      EXPECT_EQ(rs.seq, store.latest_seq(name)) << name;
+      EXPECT_EQ(rs.manifests_skipped, 0u) << name;
+    }
+  }
+}
+
+TEST(ChunkEngine, MjxOneExtentIsRejectedLoudly) {
+  // One put record in the MJX1 layout (FNV-1a trailer) in an extent file.
+  const auto dir = fresh_dir("mj_ckpt_mjx1");
+  const auto payload = random_bytes(64, 80);
+  Writer w;
+  w.u32(0x31584a4d);  // 'M' 'J' 'X' '1'
+  w.u8(1);            // put
+  w.u64(1);           // seq
+  w.u64(2);           // key.hi
+  w.u64(3);           // key.lo
+  w.u32(64);          // raw_len
+  w.u32(64);          // stored_len
+  w.u8(0);            // raw codec
+  w.bytes(payload);
+  w.u64(fnv1a(w.view().subspan(4)));
+  {
+    std::ofstream out(dir / "ext-1-0000000000000001-0.x", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(w.view().data()),
+              static_cast<std::streamsize>(w.view().size()));
+  }
+  std::vector<std::string> errors;
+  Logger::instance().set_sink(
+      [&](LogLevel level, const std::string&, const std::string& msg) {
+        if (level == LogLevel::kError) errors.push_back(msg);
+      });
+  ckpt::ChunkEngine engine(dir);
+  EXPECT_FALSE(engine.read(ckpt::ChunkKey{2, 3}).has_value());
+  EXPECT_EQ(engine.stats().live_chunks, 0u);
+  Logger::instance().set_sink(nullptr);
+  ASSERT_EQ(errors.size(), 1u) << "reported once, not on every rescan";
+  EXPECT_NE(errors[0].find("MJX1"), std::string::npos) << errors[0];
 }
 
 // ---------------------------------------------------- storage hygiene

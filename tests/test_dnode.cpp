@@ -29,8 +29,11 @@
 #include "ctrl/lease.hpp"
 #include "dnode/agent.hpp"
 #include "dnode/coord.hpp"
+#include "dnode/wire.hpp"
 #include "gridapp/heat.hpp"
 #include "net/chaos.hpp"
+#include "support/hash.hpp"
+#include "support/log.hpp"
 
 namespace {
 
@@ -165,6 +168,74 @@ TEST(DnodeE2E, HeatAcrossTwoAgentsMatchesSingleProcessCluster) {
   coord.shutdown_agents();
   EXPECT_EQ(a0.reap(), 0);
   EXPECT_EQ(a1.reap(), 0);
+}
+
+/// Fault-free checkpointing on two agents that share one store root.
+/// Each agent's online GC must leave the other's chunks alone: afterwards
+/// a fresh store instance verifies clean and restores every rank image
+/// and replay log at its latest seq, without falling back.
+TEST(DnodeE2E, FaultFreeCheckpointsLeaveAVerifiableStore) {
+  const fs::path storage = fresh_dir("mojave_dnode_e2e_ckpt_store");
+
+  gridapp::HeatConfig hcfg;
+  hcfg.nodes = 4;
+  hcfg.rows = 16;
+  hcfg.cols = 8;
+  hcfg.steps = 60;
+  hcfg.checkpoint_interval = 4;
+
+  AgentProc a0, a1;
+  a0.start(storage);
+  a1.start(storage);
+
+  dnode::Coordinator coord(coord_config({a0.port, a1.port}, hcfg.nodes));
+  coord.launch_spmd(gridapp::heat_program(hcfg));
+  ASSERT_TRUE(coord.wait_all(120.0)) << "checkpointing run timed out";
+  expect_sums_match(coord, hcfg);
+  coord.shutdown_agents();
+  EXPECT_EQ(a0.reap(), 0);
+  EXPECT_EQ(a1.reap(), 0);
+
+  ckpt::CheckpointStore store(storage);
+  const auto report = store.verify();
+  EXPECT_TRUE(report.ok()) << report.chunks_missing << " chunk(s) missing, "
+                           << report.chunks_corrupt << " corrupt, "
+                           << report.manifests_corrupt << " bad manifest(s)";
+  for (std::uint32_t r = 0; r < hcfg.nodes; ++r) {
+    const std::string image = "rank_" + std::to_string(r);
+    for (const std::string& name : {image, image + "_sendlog"}) {
+      ckpt::RestoreStats rs;
+      const auto back = store.restore(name, &rs);
+      ASSERT_TRUE(back.has_value()) << name << " does not restore";
+      EXPECT_GT(rs.seq, 0u) << name;
+      EXPECT_EQ(rs.seq, store.latest_seq(name)) << name;
+      EXPECT_EQ(rs.manifests_skipped, 0u) << name;
+    }
+  }
+}
+
+TEST(DnodeWire, OlderWireFormatIsReportedNotCountedAsCorrupt) {
+  std::vector<std::string> errors;
+  Logger::instance().set_sink(
+      [&](LogLevel level, const std::string&, const std::string& msg) {
+        if (level == LogLevel::kError) errors.push_back(msg);
+      });
+  // A heartbeat as a DNO1 build frames it: old magic, FNV-1a trailer.
+  auto frame = dnode::encode_heartbeat(1, 0.5, 2);
+  ASSERT_TRUE(dnode::decode(frame).has_value());
+  frame.resize(frame.size() - 8);
+  Writer head;
+  head.u32(dnode::kWireMagicV1);
+  std::copy(head.view().begin(), head.view().end(), frame.begin());
+  Writer trailer;
+  trailer.u64(fnv1a(frame));
+  frame.insert(frame.end(), trailer.view().begin(), trailer.view().end());
+
+  EXPECT_FALSE(dnode::decode(frame).has_value());
+  EXPECT_FALSE(dnode::decode(frame).has_value());
+  Logger::instance().set_sink(nullptr);
+  ASSERT_EQ(errors.size(), 1u) << "reported once per process";
+  EXPECT_NE(errors[0].find("DNO1"), std::string::npos) << errors[0];
 }
 
 /// Acceptance under a hostile wire: every byte into agent 1 crosses a

@@ -12,6 +12,8 @@
 #include "net/chaos.hpp"
 #include "net/retry.hpp"
 #include "obs/metrics.hpp"
+#include "support/hash.hpp"
+#include "support/serialize.hpp"
 #include "vm/process.hpp"
 
 namespace {
@@ -280,6 +282,34 @@ TEST(Migrate, CorruptImageRejected) {
   auto truncated = migrate::Migrator::read_image_file(file);
   truncated.resize(truncated.size() / 2);
   EXPECT_THROW((void)migrate::unpack_process(truncated), ImageError);
+}
+
+TEST(Migrate, OlderImageFormatVersionIsReportedNotReadAsCorrupt) {
+  const fs::path dir = fs::temp_directory_path() / "mojave_test_v3_image";
+  fs::create_directories(dir);
+  const fs::path file = dir / "v.img";
+  vm::Process p(make_counter_program("suspend://" + file.string(), 4));
+  migrate::Migrator mig(p);
+  EXPECT_EQ(p.run().kind, vm::RunResult::Kind::kMigratedAway);
+
+  // Re-stamp the image as format version 3, whose trailer was FNV-1a.
+  auto img = migrate::Migrator::read_image_file(file);
+  img[4] = std::byte{3};
+  img.resize(img.size() - 8);
+  Writer trailer;
+  trailer.u64(fnv1a(img));
+  img.insert(img.end(), trailer.view().begin(), trailer.view().end());
+  const auto expect_version_3 = [](auto read) {
+    try {
+      read();
+      ADD_FAILURE() << "a version 3 image was read";
+    } catch (const ImageError& e) {
+      EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_version_3([&] { (void)migrate::unpack_process(img); });
+  expect_version_3([&] { (void)migrate::inspect_image(img); });
 }
 
 TEST(Migrate, ForgedResumeLabelRejected) {

@@ -2,6 +2,9 @@
 // checkpoint storage, TCP framing, hashing/RNG determinism, and the grid
 // application's source generator & reference kernel.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <filesystem>
 #include <thread>
@@ -151,6 +154,34 @@ TEST(Tcp, FrameRoundTripAndPeerClose) {
   listener.shutdown();
 }
 
+TEST(Tcp, AcceptedStreamsSetNoDelayLikeDialedOnes) {
+  const auto nodelay = [](int fd) {
+    int v = 0;
+    socklen_t len = sizeof(v);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len), 0);
+    return v != 0;
+  };
+  net::TcpListener listener(0);
+  auto client = net::TcpStream::connect("127.0.0.1", listener.port());
+  auto accepted = listener.accept();
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_TRUE(nodelay(client.fd()));
+  EXPECT_TRUE(nodelay(accepted->fd()));
+
+  listener.set_nonblocking();
+  auto client2 = net::TcpStream::connect("127.0.0.1", listener.port());
+  std::optional<net::TcpStream> polled;
+  for (int i = 0; i < 2000 && !polled.has_value(); ++i) {
+    polled = listener.try_accept();
+    if (!polled.has_value()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_TRUE(polled.has_value());
+  EXPECT_TRUE(nodelay(polled->fd()));
+  listener.shutdown();
+}
+
 TEST(Tcp, ConnectFailureIsTypedError) {
   EXPECT_THROW((void)net::TcpStream::connect("127.0.0.1", 1),
                NetError);
@@ -165,6 +196,29 @@ TEST(Hash, Fnv1aKnownValuesAndSensitivity) {
   EXPECT_NE(fnv1a("ab"), fnv1a("ba"));
   // Deterministic across calls.
   EXPECT_EQ(fnv1a("mojave"), fnv1a("mojave"));
+}
+
+TEST(Hash, Xxh64MatchesReferenceVectors) {
+  // Reference XXH64 values, seed 0 (they agree with LLVM's xxHash64);
+  // the last two take the 32-byte stripe path.
+  EXPECT_EQ(xxh64(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(xxh64("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(xxh64("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(xxh64("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+  EXPECT_EQ(xxh64("The quick brown fox jumps over the lazy dog"),
+            0x0b242d361fda71bcULL);
+  // Every tail path (32-byte stripes, 8- and 4-byte words, single bytes)
+  // is sensitive to each byte and to the seed.
+  std::string s(77, 'x');
+  for (std::size_t n = 0; n <= s.size(); ++n) {
+    const std::string_view v(s.data(), n);
+    EXPECT_NE(xxh64(v), xxh64(v, 1)) << n;
+    if (n == 0) continue;
+    std::string flipped(v);
+    flipped[n - 1] ^= 1;
+    EXPECT_NE(xxh64(v), xxh64(flipped)) << n;
+  }
 }
 
 TEST(Rng, DeterministicPerSeedAndWellDistributed) {
