@@ -1,11 +1,7 @@
-// E8 — the distributed node runtime: what the real-TCP data plane costs
-// relative to the in-process simulated cluster on the same computation.
-//
-// Both benchmarks run the Figure-2 heat grid; one on `cluster::Cluster`
-// (shared-memory SimNetwork), one across two in-process NodeAgents
-// connected by real sockets with the full wire protocol (framing,
-// checksums, DEP_RECORD round-trips to the coordinator). The gap is the
-// price of distribution — the paper's LAN numbers, shrunk to loopback.
+// E8 — the distributed node runtime on the Figure-2 heat grid: two
+// in-process NodeAgents connected by real sockets with the full wire
+// protocol (framing, checksums, DEP_RECORD round-trips to the
+// coordinator) — the paper's LAN setting, shrunk to loopback.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -38,24 +34,6 @@ fs::path bench_storage() {
   return dir;
 }
 
-/// Baseline: the same grid on the single-process simulated cluster.
-void BM_HeatSimulatedCluster(benchmark::State& state) {
-  const auto cfg = bench_grid();
-  double insns = 0;
-  for (auto _ : state) {
-    cluster::ClusterConfig ccfg;
-    ccfg.recv_timeout_seconds = 30.0;
-    const auto run = gridapp::run_heat(cfg, ccfg);
-    if (!run.all_clean) state.SkipWithError("simulated run failed");
-    benchmark::DoNotOptimize(run.sums.data());
-    insns = 0;
-    for (const auto& node : run.nodes) {
-      insns += static_cast<double>(node.instructions);
-    }
-  }
-  state.counters["vm_minsns"] = insns / 1e6;
-}
-
 /// The distributed runtime: two agents, real TCP, full join protocol.
 void BM_HeatTwoNodeAgents(benchmark::State& state) {
   const auto cfg = bench_grid();
@@ -85,8 +63,6 @@ void BM_HeatTwoNodeAgents(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_HeatSimulatedCluster)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_HeatTwoNodeAgents)
     ->Unit(benchmark::kMillisecond)->MinTime(0.5);
 

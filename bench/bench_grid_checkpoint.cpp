@@ -45,12 +45,6 @@ gridapp::HeatConfig bench_grid(std::uint32_t interval) {
   return cfg;
 }
 
-cluster::ClusterConfig bench_cluster() {
-  cluster::ClusterConfig ccfg;
-  ccfg.recv_timeout_seconds = 30.0;
-  return ccfg;
-}
-
 /// Failure-free runtime vs checkpoint interval (Arg = interval; 0 = no
 /// checkpointing, the baseline).
 void BM_GridInterval(benchmark::State& state) {
@@ -62,21 +56,17 @@ void BM_GridInterval(benchmark::State& state) {
   double ckpt_kb = 0;
   double written_kb = 0;
   for (auto _ : state) {
-    const auto run = gridapp::run_heat(cfg, bench_cluster());
+    const auto run = gridapp::run_heat(cfg);
     if (!run.all_clean) state.SkipWithError("grid run failed");
     benchmark::DoNotOptimize(run.sums.data());
-    checkpoints = 0;
-    ckpt_ms = 0;
-    insns = 0;
-    written_kb = 0;
-    for (const auto& node : run.nodes) {
-      checkpoints += static_cast<double>(node.checkpoints);
-      ckpt_ms += node.checkpoint_seconds * 1e3;
-      insns += static_cast<double>(node.instructions);
-      ckpt_kb = static_cast<double>(node.checkpoint_bytes) / 1024.0;
-      written_kb +=
-          static_cast<double>(node.checkpoint_bytes_written) / 1024.0;
-    }
+    checkpoints = static_cast<double>(run.checkpoints);
+    ckpt_ms = run.checkpoint_seconds * 1e3;
+    insns = static_cast<double>(run.instructions);
+    ckpt_kb = run.checkpoints == 0
+                  ? 0
+                  : static_cast<double>(run.image_bytes) /
+                        static_cast<double>(run.checkpoints) / 1024.0;
+    written_kb = static_cast<double>(run.bytes_written) / 1024.0;
   }
   state.counters["interval"] = interval;
   state.counters["checkpoints_per_run"] = checkpoints;
@@ -85,8 +75,9 @@ void BM_GridInterval(benchmark::State& state) {
   state.counters["ckpt_cost_ms"] = ckpt_ms;
   state.counters["vm_minsns"] = insns / 1e6;
   state.counters["image_kb"] = ckpt_kb;
-  // Chunk-store delta actually uploaded across the whole run — with
-  // dedup this stays far below checkpoints_per_run * image_kb.
+  // Chunk-store delta actually uploaded across the whole run (images and
+  // replay logs) — with dedup this stays far below checkpoints_per_run *
+  // image_kb.
   state.counters["written_kb"] = written_kb;
 }
 
@@ -100,21 +91,19 @@ void BM_GridRecoveryVsRestart(benchmark::State& state) {
   double fault_free_s = 0;
   {
     Stopwatch sw;
-    const auto run = gridapp::run_heat(cfg, bench_cluster());
+    const auto run = gridapp::run_heat(cfg);
     if (!run.all_clean) state.SkipWithError("baseline failed");
     fault_free_s = sw.seconds();
     fault_free_wall_s_ = fault_free_s;
-    fault_free_insns_ = 0;
-    for (const auto& node : run.nodes) {
-      fault_free_insns_ += static_cast<double>(node.instructions);
-    }
+    fault_free_insns_ = static_cast<double>(run.instructions);
   }
 
   // Inject the failure after the victim's 6th checkpoint (step ~60 of
   // 160), detected by watching its snapshot's manifest sequence advance
-  // in the chunk store. This is where the recovery-vs-restart gap the
-  // paper argues for lives: a restart re-executes the whole 6-interval
-  // prefix on every node, while recovery re-executes at most one interval.
+  // in the chunk store: stop the agent that hosts it. This is where the
+  // recovery-vs-restart gap the paper argues for lives: a restart
+  // re-executes the whole 6-interval prefix on every node, while recovery
+  // re-executes at most one interval.
   constexpr int kKillAfterCheckpoints = 6;
   double faulted_s = 0;
   std::int64_t n = 0;
@@ -122,32 +111,28 @@ void BM_GridRecoveryVsRestart(benchmark::State& state) {
   for (auto _ : state) {
     Stopwatch sw;
     const auto run = gridapp::run_heat(
-        cfg, bench_cluster(), [&](cluster::Cluster& cl) {
-          cl.enable_auto_resurrection(0.01);
-          const auto& store = cl.ckpt_store();
-          const std::string victim = cl.snapshot_name(1);
+        cfg, {}, [&](gridapp::LocalCluster& cl) {
           for (int spin = 0; spin < 20000; ++spin) {
-            if (store->latest_seq(victim) >=
+            if (cl.latest_seq(1) >=
                 static_cast<std::uint64_t>(kKillAfterCheckpoints)) {
               break;
             }
             std::this_thread::sleep_for(std::chrono::microseconds(200));
           }
-          cl.kill(1);
+          cl.kill_host_of(1);
         });
     faulted_s += sw.seconds();
     if (!run.all_clean) state.SkipWithError("faulted run did not recover");
-    faulted_insns = 0;
-    for (const auto& node : run.nodes) {
-      faulted_insns += static_cast<double>(node.instructions);
-    }
+    if (run.resurrections == 0) state.SkipWithError("victim not resurrected");
+    faulted_insns = static_cast<double>(run.instructions);
     ++n;
   }
   faulted_s /= static_cast<double>(n);
 
-  // Work lost to the failure under each policy, in VM instructions:
-  // recovery re-executes ≤ 1 checkpoint interval; a restart at the same
-  // point re-pays the whole prefix on every node.
+  // Work lost to the failure under each policy, in VM instructions
+  // (every incarnation's, the killed one's included): recovery
+  // re-executes ≤ 1 checkpoint interval; a restart at the same point
+  // re-pays the whole prefix on every node.
   const double per_interval = fault_free_insns_ / 16.0;  // 160 steps / 10
   state.counters["fault_free_minsns"] = fault_free_insns_ / 1e6;
   state.counters["recovery_lost_minsns"] =

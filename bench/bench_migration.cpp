@@ -11,9 +11,9 @@
 // destination-side verification + recompilation, not by the wire; trusted
 // (binary) migration is several times faster and transfer-bound to a much
 // larger degree. Absolute numbers differ (2007 dual-700MHz vs this host;
-// native codegen vs bytecode lowering); the network term uses the paper's
-// 100 Mbps link via the simulated-network cost model, plus a real loopback
-// TCP transfer for reference.
+// native codegen vs bytecode lowering); the network term prices the image
+// on the paper's 100 Mbps link, plus a real loopback TCP transfer for
+// reference.
 //
 // Rows: heap size ∈ {200 KB, 1 MB, 5 MB} × {FIR, binary}. Counters give
 // the phase breakdown in microseconds and the transfer fraction.
@@ -28,7 +28,6 @@
 #include "migrate/wire.hpp"
 #include "net/chaos.hpp"
 #include "net/retry.hpp"
-#include "net/sim.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
@@ -39,11 +38,15 @@ namespace {
 using namespace mojave;
 using mojave::Stopwatch;
 
+// The paper's interconnect (Section 5): 100 Mbps Ethernet, with a
+// per-message latency of 100 µs.
+constexpr double kPaperLinkBytesPerSecond = 100e6 / 8.0;
+constexpr double kPaperLinkLatencySeconds = 100e-6;
+
 void run_migration(benchmark::State& state, migrate::ImageKind kind) {
   const auto heap_kb = static_cast<std::size_t>(state.range(0));
   const auto code_funcs = static_cast<std::size_t>(state.range(1));
   auto workload = bench::make_migratable_process(heap_kb, code_funcs);
-  net::SimNetwork net(2);  // the paper's 100 Mbps link model
 
   // A loopback sink that acks frames, to measure a real TCP leg too.
   net::TcpListener sink(0);
@@ -57,7 +60,7 @@ void run_migration(benchmark::State& state, migrate::ImageKind kind) {
   });
 
   double pack_s = 0, unpack_s = 0, recompile_s = 0, typecheck_s = 0,
-         sim_transfer_s = 0, tcp_transfer_s = 0;
+         link_transfer_s = 0, tcp_transfer_s = 0;
   std::size_t image_bytes = 0;
   std::int64_t iterations = 0;
 
@@ -70,8 +73,10 @@ void run_migration(benchmark::State& state, migrate::ImageKind kind) {
     pack_s += sw.seconds();
     image_bytes = packed.bytes.size();
 
-    // Network leg 1: the paper's 100 Mbps wire (simulated cost model).
-    sim_transfer_s += net.transfer_seconds(packed.bytes.size());
+    // Network leg 1: the paper's 100 Mbps wire (cost model).
+    link_transfer_s += kPaperLinkLatencySeconds +
+                       static_cast<double>(packed.bytes.size()) /
+                           kPaperLinkBytesPerSecond;
 
     // Network leg 2: real loopback TCP (connection setup + streaming).
     sw.reset();
@@ -95,18 +100,18 @@ void run_migration(benchmark::State& state, migrate::ImageKind kind) {
   sink_thread.join();
 
   const double n = static_cast<double>(iterations);
-  const double total_s = (pack_s + sim_transfer_s + unpack_s) / n;
+  const double total_s = (pack_s + link_transfer_s + unpack_s) / n;
   state.counters["code_funcs"] = static_cast<double>(code_funcs);
   state.counters["image_kb"] =
       static_cast<double>(image_bytes) / 1024.0;
   state.counters["pack_us"] = pack_s / n * 1e6;
-  state.counters["net100mbps_us"] = sim_transfer_s / n * 1e6;
+  state.counters["net100mbps_us"] = link_transfer_s / n * 1e6;
   state.counters["tcp_loopback_us"] = tcp_transfer_s / n * 1e6;
   state.counters["unpack_us"] = unpack_s / n * 1e6;
   state.counters["verify_us"] = typecheck_s / n * 1e6;
   state.counters["recompile_us"] = recompile_s / n * 1e6;
   state.counters["total_us"] = total_s * 1e6;
-  state.counters["transfer_frac"] = sim_transfer_s / n / total_s;
+  state.counters["transfer_frac"] = link_transfer_s / n / total_s;
   state.counters["recompile_frac"] =
       (recompile_s + typecheck_s) / n / total_s;
 }

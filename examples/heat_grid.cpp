@@ -1,8 +1,9 @@
 // The paper's evaluation application (Figure 2): a distributed 2D heat
-// stencil on a simulated cluster, with the speculative checkpointing main
-// loop, an injected node failure, automatic resurrection from the shared
-// checkpoint store, and verification that the answer is identical to the
-// failure-free sequential reference.
+// stencil on four node agents (in this process, over loopback TCP), with
+// the speculative checkpointing main loop, an injected node failure,
+// automatic resurrection from the shared checkpoint store, and
+// verification that the answer is identical to the failure-free
+// sequential reference.
 //
 //   $ ./examples/heat_grid
 #include <chrono>
@@ -11,6 +12,7 @@
 #include <thread>
 
 #include "gridapp/heat.hpp"
+#include "obs/metrics.hpp"
 #include "support/stopwatch.hpp"
 
 int main() {
@@ -25,31 +27,36 @@ int main() {
 
   std::cout << "2D heat diffusion, " << cfg.rows << "x" << cfg.cols
             << " grid, " << cfg.steps << " timesteps, " << cfg.nodes
-            << " simulated nodes, checkpoint every "
-            << cfg.checkpoint_interval << " steps\n";
+            << " node agents, checkpoint every " << cfg.checkpoint_interval
+            << " steps\n";
   std::cout << "the per-node program is MojC compiled through the Mojave "
                "pipeline;\nits main loop is the paper's Figure 2: "
                "speculate / exchange-or-rollback /\ncompute / "
                "commit+checkpoint\n\n";
 
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = cfg.nodes;
-  ccfg.recv_timeout_seconds = 30.0;
-
+  obs::Counter& preserved_ctr =
+      obs::MetricsRegistry::instance().counter("spec.blocks_preserved");
+  const std::uint64_t preserved_before = preserved_ctr.value();
   Stopwatch sw;
-  const auto run = gridapp::run_heat(cfg, ccfg, [&](cluster::Cluster& cl) {
-    cl.enable_auto_resurrection(0.02);
-    // Let rank 2 checkpoint at least once, then kill it mid-computation.
-    for (int i = 0; i < 5000 && !cl.has_checkpoint(2); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (cl.has_checkpoint(2)) {
-      std::cout << "!! injecting failure: killing node 2\n";
-      cl.kill(2);
-    } else {
-      std::cout << "(node 2 never checkpointed; skipping fault injection)\n";
-    }
-  });
+  const auto run =
+      gridapp::run_heat(cfg, {}, [&](gridapp::LocalCluster& cl) {
+        // Let rank 2 checkpoint at least once, then kill its node.
+        for (int i = 0; i < 5000 && !cl.has_checkpoint(2); ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        if (cl.has_checkpoint(2) && cl.kill_host_of(2)) {
+          std::cout << "!! injected failure: stopped the node hosting "
+                       "rank 2\n";
+          // Wait for the coordinator to bring rank 2 back elsewhere.
+          for (int i = 0; i < 10000 && cl.coordinator().resurrections() == 0;
+               ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        } else {
+          std::cout << "(rank 2 never checkpointed; skipping fault "
+                       "injection)\n";
+        }
+      });
   const double elapsed = sw.seconds();
 
   const auto ref = gridapp::heat_reference_sums(cfg);
@@ -64,24 +71,21 @@ int main() {
               << (match ? "  [match]" : "  [MISMATCH]") << "\n";
   }
 
-  std::uint64_t restarts = 0;
   std::uint64_t rollbacks = 0;
-  std::uint64_t preserved = 0;
-  for (const auto& node : run.nodes) {
-    restarts += node.restarts;
-    rollbacks += node.spec.rollbacks;
-    preserved += node.spec.blocks_preserved;
-    if (!node.error.empty()) {
-      std::cout << "  rank " << node.rank << " error: " << node.error << "\n";
+  for (const auto& rank : run.ranks) {
+    rollbacks += rank.rollbacks;
+    if (!rank.error.empty()) {
+      std::cout << "  rank " << rank.rank << " error: " << rank.error << "\n";
     }
   }
-  std::cout << "\nresurrections: " << restarts
+  std::cout << "\nresurrections: " << run.resurrections
             << ", speculation rollbacks: " << rollbacks
-            << ", COW blocks preserved: " << preserved << "\n";
+            << ", COW blocks preserved: "
+            << preserved_ctr.value() - preserved_before << "\n";
   std::cout << "wall time: " << elapsed << " s\n";
-  if (restarts == 0) {
+  if (run.resurrections == 0) {
     // Without a resurrection the run proves nothing about fault tolerance.
-    std::cout << "VERIFICATION FAILED: node 2 was never resurrected\n";
+    std::cout << "VERIFICATION FAILED: rank 2 was never resurrected\n";
     return 1;
   }
   std::cout << (verified ? "VERIFIED: fault-tolerant run matches the "

@@ -6,18 +6,17 @@
 
 namespace mojave::cluster {
 
-void DependencyTracker::record(net::NodeId sender, SpecLevel sender_level,
-                               net::NodeId receiver,
-                               SpecLevel receiver_level) {
+void DependencyTracker::record(NodeId sender, SpecLevel sender_level,
+                               NodeId receiver, SpecLevel receiver_level) {
   if (sender_level == 0) return;  // non-speculative send: nothing to join
   std::lock_guard<std::mutex> lock(mu_);
   deps_[sender].push_back(Dep{receiver, sender_level, receiver_level});
 }
 
-std::vector<net::NodeId> DependencyTracker::on_rollback(net::NodeId node,
-                                                        SpecLevel level) {
+std::vector<NodeId> DependencyTracker::on_rollback(NodeId node,
+                                                   SpecLevel level) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<net::NodeId> hit;
+  std::vector<NodeId> hit;
 
   // Sender side: messages this node sent at level ≥ `level` never happened;
   // their consumers must roll back with it.
@@ -49,7 +48,7 @@ std::vector<net::NodeId> DependencyTracker::on_rollback(net::NodeId node,
   return hit;
 }
 
-void DependencyTracker::on_commit_to_zero(net::NodeId node) {
+void DependencyTracker::on_commit_to_zero(NodeId node) {
   std::lock_guard<std::mutex> lock(mu_);
   // Sender side: messages sent at level 1 are now durable; deeper levels
   // shift down by one.
@@ -70,7 +69,7 @@ void DependencyTracker::on_commit_to_zero(net::NodeId node) {
   }
 }
 
-bool DependencyTracker::consume_poison(net::NodeId node) {
+bool DependencyTracker::consume_poison(NodeId node) {
   std::lock_guard<std::mutex> lock(mu_);
   return poisoned_.erase(node) > 0;
 }
@@ -101,7 +100,7 @@ std::vector<std::byte> DependencyTracker::encode_state() const {
     }
   }
   w.u32(static_cast<std::uint32_t>(poisoned_.size()));
-  for (const net::NodeId n : poisoned_) w.u32(n);
+  for (const NodeId n : poisoned_) w.u32(n);
   w.u64(poisons_);
   return w.take();
 }

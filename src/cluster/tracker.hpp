@@ -24,28 +24,30 @@
 #include <set>
 #include <vector>
 
-#include "net/sim.hpp"
 #include "support/common.hpp"
 
 namespace mojave::cluster {
 
+/// A rank: the unit the tracker joins and poisons.
+using NodeId = std::uint32_t;
+
 class DependencyTracker {
  public:
-  void record(net::NodeId sender, SpecLevel sender_level, net::NodeId receiver,
+  void record(NodeId sender, SpecLevel sender_level, NodeId receiver,
               SpecLevel receiver_level);
 
   /// `node` rolled back `level` (and everything deeper). Poisons its
   /// dependents and voids its own receiver-side records at level ≥ l.
   /// Returns the nodes poisoned by this rollback.
-  std::vector<net::NodeId> on_rollback(net::NodeId node, SpecLevel level);
+  std::vector<NodeId> on_rollback(NodeId node, SpecLevel level);
 
   /// `node` committed its oldest level: sender-side dependencies on that
   /// level are durable; its receiver-side records shift down one level
   /// (level-0 consumptions are permanent and never voided).
-  void on_commit_to_zero(net::NodeId node);
+  void on_commit_to_zero(NodeId node);
 
   /// Check and clear the poison flag for a node.
-  [[nodiscard]] bool consume_poison(net::NodeId node);
+  [[nodiscard]] bool consume_poison(NodeId node);
 
   [[nodiscard]] std::size_t dependency_count() const;
   [[nodiscard]] std::uint64_t poisons_issued() const;
@@ -58,14 +60,14 @@ class DependencyTracker {
 
  private:
   struct Dep {
-    net::NodeId receiver;
+    NodeId receiver;
     SpecLevel sender_level;
     SpecLevel receiver_level;
   };
 
   mutable std::mutex mu_;
-  std::map<net::NodeId, std::vector<Dep>> deps_;  // sender → dependents
-  std::set<net::NodeId> poisoned_;
+  std::map<NodeId, std::vector<Dep>> deps_;  // sender → dependents
+  std::set<NodeId> poisoned_;
   std::uint64_t poisons_ = 0;
 };
 

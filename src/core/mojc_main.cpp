@@ -66,7 +66,7 @@ int usage() {
       "  mojc node --storage ROOT [--bind ADDR] [--port P] [--throttle-ms X]\n"
       "  mojc cluster --nodes host:port,... [--ranks N] [--storage ROOT]\n"
       "       [--balance-interval S] [--balance-threshold X] [--timeout S]\n"
-      "       [--wal-root DIR] [--standby] [--lease-ttl S]\n"
+      "       [--wal-root DIR] [--standby] [--lease-ttl S] [--recv-timeout S]\n"
       "       run <file.mjc>\n"
       "  mojc inspect <image>\n"
       "  mojc ckpt <store-root> [list|stats|verify|gc|compact]\n"
@@ -85,7 +85,6 @@ int usage() {
       "  --migrate-deadline S  overall deadline across all attempts\n"
       "  --connect-timeout S   TCP connect (and DNS resolve) deadline\n"
       "  --io-timeout S        per-syscall send/recv deadline\n"
-      "  --recv-timeout S      cluster msg_recv safety-net timeout\n"
       "  active values appear as config.* gauges in --stats\n";
   return 2;
 }
@@ -199,15 +198,10 @@ Flags parse_flags(int argc, char** argv, int first) {
 }
 
 /// Install transport overrides process-wide: retry-policy flags layer on
-/// top of the environment-derived defaults (and win), and --recv-timeout
-/// is exported as MOJAVE_RECV_TIMEOUT_S so every ClusterConfig built in
-/// this process picks it up. The resulting values are published as
-/// config.* gauges, so --stats shows what the run actually used.
+/// top of the environment-derived defaults (and win). The resulting
+/// values are published as config.* gauges, so --stats shows what the
+/// run actually used.
 void apply_transport_flags(const Flags& flags) {
-  if (flags.recv_timeout_s.has_value()) {
-    ::setenv("MOJAVE_RECV_TIMEOUT_S",
-             std::to_string(*flags.recv_timeout_s).c_str(), 1);
-  }
   if (flags.jit_flag_given) {
     // Re-export so ProcessConfig instances built from env defaults (node
     // agents, unpacked migrations) honour the flag too.
@@ -359,7 +353,6 @@ int cmd_node(const Flags& flags) {
   cfg.port = flags.port;
   cfg.storage_root = flags.storage;
   cfg.throttle_ms = flags.throttle_ms;
-  if (flags.recv_timeout_s) cfg.recv_timeout_seconds = *flags.recv_timeout_s;
   dnode::NodeAgent agent(cfg);
   // The ready line is the launch protocol: a parent (test harness or
   // operator script) reads the chosen port from stdout.
@@ -578,6 +571,13 @@ int cmd_ckpt(const Flags& flags) {
 }
 
 int dispatch(const std::string& cmd, const Flags& flags) {
+  if (flags.recv_timeout_s && cmd != "cluster") {
+    // The coordinator hands every agent its receive timeout in CONFIG;
+    // nothing else has one to set.
+    std::cerr << "mojc " << cmd
+              << ": --recv-timeout applies to `mojc cluster` only\n";
+    return usage();
+  }
   if (cmd == "run") return cmd_run(flags);
   if (cmd == "compile") return cmd_compile(flags);
   if (cmd == "exec") return cmd_exec(flags);

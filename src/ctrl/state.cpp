@@ -82,8 +82,19 @@ CoordState::ApplyResult CoordState::apply(const WalRecord& rec) {
           }
         }
       }
-      tracker_.record(rec.sender, rec.sender_level, rec.receiver,
-                      rec.receiver_level);
+      // Each commit the sender made since the send discharged one of its
+      // levels, exactly as on_commit_to_zero() shifts recorded ones. Data
+      // from a speculation that has since committed is durable: recording
+      // it at its send-time level would let the sender's *next* rollback
+      // poison this receiver, and a resurrected rank re-reading committed
+      // border data would be poisoned by every rollback of its peers.
+      const std::uint64_t commits = commit_count(rec.sender);
+      const std::uint64_t discharged =
+          commits > rec.commit_seq ? commits - rec.commit_seq : 0;
+      if (discharged >= rec.sender_level) break;
+      tracker_.record(rec.sender,
+                      rec.sender_level - static_cast<SpecLevel>(discharged),
+                      rec.receiver, rec.receiver_level);
       break;
     }
 

@@ -19,8 +19,7 @@ using runtime::Value;
 namespace {
 
 /// Thrown out of a network external when the agent is shutting down; it
-/// unwinds the interpreter and retires the rank fiber (the dnode twin of
-/// the simulated cluster's NodeKilled).
+/// unwinds the interpreter and retires the rank fiber.
 struct AgentStopping {};
 
 /// Poller token namespaces: the listener, accepted connections, outbound
@@ -148,6 +147,10 @@ struct NodeAgent::RankSlot {
   /// re-read the same cached payload, and livelock. Seeded from the
   /// coordinator's RESURRECT so incarnations agree on the count.
   std::atomic<std::uint64_t> commit_seq{0};
+  /// Level-1 rollbacks of this incarnation, stamped into outgoing DATA
+  /// (DataHeader::outer_rollbacks) so receivers can tell reverted data
+  /// from data a nested rollback left standing. Loop thread only.
+  std::uint64_t outer_rollbacks = 0;
   std::atomic<bool> has_reported{false};
   std::atomic<double> reported{0};
 
@@ -168,6 +171,21 @@ struct NodeAgent::RankSlot {
   /// Set by an external just before it throws WouldBlock; the fiber parks
   /// on this key.
   std::uint64_t pending_wait_key = 0;
+
+  /// Per sender, the newest speculative payload this rank consumed and
+  /// its own level then: the receiver half of a DEP_RECORD. Once a later
+  /// delivery from that sender proves the payload reverted, a POISON is
+  /// on its way through the coordinator, while the sender's later data
+  /// comes straight here and can overtake it. Receives wait for that
+  /// POISON rather than consume on top of an aborted speculation.
+  /// A rollback voids the entries at its level and deeper.
+  struct Joined {
+    SendStamp stamp;
+    std::uint32_t level = 0;
+  };
+  std::map<std::uint32_t, Joined> joined;
+  bool doom_armed = false;  ///< waiting for the POISON of a reverted join
+  double doom_until = 0;
 
   /// Lazy cancellation (TimeWarp): hash of the last payload per (dst,
   /// tag); a byte-identical re-send after a rollback goes out at level 0.
@@ -593,7 +611,7 @@ void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
       agents_ = m.agents;
       max_instructions_ = m.max_instructions;
       if (m.recv_timeout_seconds > 0) {
-        cfg_.recv_timeout_seconds = m.recv_timeout_seconds;
+        recv_timeout_seconds_ = m.recv_timeout_seconds;
       }
       placement_.assign(num_ranks_, Placement{});
       break;
@@ -602,9 +620,13 @@ void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
       {
         std::lock_guard<std::mutex> lock(mu_);
         for (const PlacementEntry& e : m.placement) {
-          if (e.rank < placement_.size()) {
-            placement_[e.rank] = Placement{e.agent, e.alive};
+          if (e.rank >= placement_.size()) continue;
+          if (e.alive && !placement_[e.rank].alive) {
+            // A new incarnation numbers its rollbacks from zero again.
+            for (auto& [rank, mb] : mail_) mb.newest.erase(e.rank);
+            for (auto& [rank, slot] : slots_) slot->joined.erase(e.rank);
           }
+          placement_[e.rank] = Placement{e.agent, e.alive};
         }
       }
       // Receives parked on a now-dead peer must wake to report MSG_ROLL.
@@ -687,7 +709,11 @@ void NodeAgent::handle_replay_req(const Msg& m) {
 void NodeAgent::deliver_local(std::uint32_t src, std::uint32_t dst,
                               std::int32_t tag,
                               std::vector<std::byte> payload) {
-  mail_[dst].q[{src, tag}].push_back(std::move(payload));
+  Mailbox& mb = mail_[dst];
+  const DataHeader h = decode_data_header(payload);
+  SendStamp& newest = mb.newest[src];
+  newest = std::max(newest, SendStamp{h.commit_seq, h.outer_rollbacks});
+  mb.q[{src, tag}].push_back(std::move(payload));
   sched_.wake_key(recv_wait_key(src, static_cast<std::uint64_t>(
                                          static_cast<std::uint32_t>(tag))));
 }
@@ -825,8 +851,10 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         const std::uint32_t level =
             duplicate ? 0 : proc.spec().current_level();
         std::vector<std::byte> payload = encode_data_payload(
-            level, slot.epoch.load(), slot.commit_seq.load(),
-            static_cast<std::uint32_t>(count), values);
+            DataHeader{level, slot.epoch.load(), slot.commit_seq.load(),
+                       slot.outer_rollbacks,
+                       static_cast<std::uint32_t>(count)},
+            values);
         slot.sent_log[{dst, tag}] = payload;
         if (cfg_.throttle_ms > 0) {
           slot.next_send_at = now + cfg_.throttle_ms * 1e-3;
@@ -852,6 +880,12 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         const std::int64_t count = args[3].as_int();
         if (count < 0) throw SafetyError("msg_recv negative count");
         const double now = now_seconds();
+        Mailbox& mb = mail_[rank];
+        const auto join_reverted = [&](const auto& entry) {
+          const auto it = mb.newest.find(entry.first);
+          return it != mb.newest.end() &&
+                 reverted(entry.second.stamp, it->second);
+        };
         if (slot.poisoned.load()) {
           // Pace the poison-driven MSG_ROLL exactly like the peer-down
           // one: the report triggers a rollback whose re-execution lands
@@ -868,23 +902,79 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
           slot.roll_pace_armed = false;
           slot.poisoned.store(false);
           slot.recv.active = false;
+          // This is the POISON a reverted join was waiting for.
+          std::erase_if(slot.joined, join_reverted);
+          slot.doom_armed = false;
+          return Value::from_int(1);  // MSG_ROLL
+        }
+        if (std::any_of(slot.joined.begin(), slot.joined.end(),
+                        join_reverted)) {
+          // A speculation this rank joined is gone; its POISON comes
+          // through the coordinator. Wait for it; should it not come by
+          // the first replay-request interval (a lagging coordinator, or
+          // a DEP_RECORD it judged after the sender's next commit), report
+          // MSG_ROLL here. A POISON arriving after that costs one spare
+          // rollback; consuming on would build on reverted data.
+          if (!slot.doom_armed) {
+            slot.doom_armed = true;
+            slot.doom_until = now + cfg_.replay_request_seconds;
+          }
+          if (now < slot.doom_until) {
+            slot.pending_wait_key = rank_wait_key(rank);
+            throw vm::WouldBlock{slot.doom_until};
+          }
+          slot.doom_armed = false;
+          std::erase_if(slot.joined, join_reverted);
+          slot.recv.active = false;
           return Value::from_int(1);  // MSG_ROLL
         }
         const auto key = std::make_pair(src, tag);
         std::vector<std::byte> payload;
         bool got = false;
-        Mailbox& mb = mail_[rank];
-        if (auto qi = mb.q.find(key); qi != mb.q.end() && !qi->second.empty()) {
-          payload = std::move(qi->second.front());
-          qi->second.pop_front();
-          mb.delivered[key] = payload;
-          got = true;
-        } else if (auto di = mb.delivered.find(key);
-                   di != mb.delivered.end()) {
-          // Receiver-side replay: a re-execution after rollback reads the
-          // message it already consumed.
-          payload = di->second;
-          got = true;
+        // A copy its sender reverted would join a speculation that no
+        // longer exists and come back as a poison, whose rollback leaves
+        // this rank's own in-flight sends stale in turn — a wave of
+        // rollbacks that outlives any failure. So reverted copies ahead of
+        // a live one are dropped (the sender never sent them, as far as
+        // its re-execution is concerned), and a lone reverted copy waits
+        // for the re-send until the first replay request is due; after
+        // that it is read, and the coordinator's fence poisons this rank,
+        // so a sender that does not re-send costs a delay, never a stall.
+        const std::uint64_t wkey = recv_wait_key(
+            src, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
+        const bool hold_stale =
+            !slot.recv.active || slot.recv.key != wkey ||
+            now < slot.recv.start + cfg_.replay_request_seconds;
+        const auto stale = [&](std::span<const std::byte> p) {
+          const DataHeader h = decode_data_header(p);
+          const auto it = mb.newest.find(src);
+          return h.spec_level > 0 && it != mb.newest.end() &&
+                 reverted(SendStamp{h.commit_seq, h.outer_rollbacks},
+                          it->second);
+        };
+        auto qi = mb.q.find(key);
+        if (qi != mb.q.end()) {
+          auto& dq = qi->second;
+          const auto fresh = std::find_if_not(
+              dq.begin(), dq.end(),
+              [&](const std::vector<std::byte>& p) { return stale(p); });
+          if (fresh != dq.end()) dq.erase(dq.begin(), fresh);
+          if (!dq.empty() && (fresh != dq.end() || !hold_stale)) {
+            payload = std::move(dq.front());
+            dq.pop_front();
+            mb.delivered[key] = payload;
+            got = true;
+          }
+        }
+        if (!got) {
+          if (auto di = mb.delivered.find(key);
+              di != mb.delivered.end() &&
+              (!hold_stale || !stale(di->second))) {
+            // Receiver-side replay: a re-execution after rollback reads
+            // the message it already consumed.
+            payload = di->second;
+            got = true;
+          }
         }
         if (!got) {
           bool peer_down = false;
@@ -907,13 +997,11 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
             slot.recv.active = false;
             return Value::from_int(1);  // MSG_ROLL
           }
-          const std::uint64_t wkey = recv_wait_key(
-              src, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
           if (!slot.recv.active || slot.recv.key != wkey) {
             slot.recv = RankSlot::RecvWait{
                 true, wkey, now, now + cfg_.replay_request_seconds};
           }
-          if (now - slot.recv.start >= cfg_.recv_timeout_seconds) {
+          if (now - slot.recv.start >= recv_timeout_seconds_) {
             slot.recv.active = false;
             MOJAVE_LOG(kDebug, "dnode") << "rank " << rank
                                         << " recv timeout from " << src
@@ -929,31 +1017,32 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
           }
           const double deadline =
               std::min(slot.recv.next_replay,
-                       slot.recv.start + cfg_.recv_timeout_seconds);
+                       slot.recv.start + recv_timeout_seconds_);
           slot.pending_wait_key = wkey;
           throw vm::WouldBlock{deadline};
         }
         slot.recv.active = false;
         slot.roll_pace_armed = false;
-        // A rollback poisons dependents before the rolled-back sender can
-        // send anything new; re-checking here keeps MSG_ROLL delivery
-        // deterministic even when a fresh message raced in.
+        // A POISON that arrived since the checks above still wins over the
+        // payload in hand. (Data that overtook the POISON of a level-1
+        // rollback is held back above; the stamp cannot show a deeper
+        // rollback, so after one of those the race remains.)
         if (slot.poisoned.exchange(false)) return Value::from_int(1);
-        Reader r(payload);
-        const std::uint32_t sender_level = r.u32();
-        const std::uint64_t sender_epoch = r.u64();
-        const std::uint64_t sender_commit = r.u64();
-        const std::uint32_t n = r.u32();
-        if (sender_level > 0) {
+        const DataHeader h = decode_data_header(payload);
+        Reader r(std::span<const std::byte>(payload).subspan(kDataHeaderBytes));
+        if (h.spec_level > 0) {
           // Speculative data: join the sender's speculation (the
           // distributed record() of the join protocol).
           AgentMetrics::get().dep_records.inc();
-          send_to_coordinator(encode_dep_record(src, sender_level, rank,
-                                                proc.spec().current_level(),
-                                                sender_epoch, sender_commit));
+          const std::uint32_t level = proc.spec().current_level();
+          send_to_coordinator(encode_dep_record(
+              src, h.spec_level, rank, level, h.epoch, h.commit_seq));
+          RankSlot::Joined& j = slot.joined[src];
+          j.stamp = std::max(j.stamp, SendStamp{h.commit_seq, h.outer_rollbacks});
+          j.level = level;
         }
         const std::uint32_t to_copy =
-            std::min(n, static_cast<std::uint32_t>(count));
+            std::min(h.count, static_cast<std::uint32_t>(count));
         for (std::uint32_t i = 0; i < to_copy; ++i) {
           it.heap().write_slot(buf.index, buf.offset + i,
                                runtime::read_value(r));
@@ -999,6 +1088,10 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
   proc.spec().set_rollback_observer([this, rank, &slot](SpecLevel level,
                                                         bool) {
     const std::uint64_t e = slot.epoch.fetch_add(1) + 1;
+    if (level <= 1) ++slot.outer_rollbacks;
+    std::erase_if(slot.joined,
+                  [&](const auto& entry) { return entry.second.level >= level; });
+    slot.doom_armed = false;
     send_to_coordinator(encode_roll_poison(rank, level, e));
   });
   proc.spec().set_commit_observer([this, rank, &slot] {

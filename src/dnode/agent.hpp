@@ -23,9 +23,9 @@
 //    blocking the loop; small DATA frames coalesce per (peer, tick) into
 //    one writev, large payloads go out zero-copy.
 //  * Sender-based replay logs (the MPICH-V companion of rollback
-//    recovery, same contract as SimNetwork's) answer REPLAY_REQ frames so
-//    a rolled-back or resurrected receiver can re-request border messages
-//    its peers will never send again.
+//    recovery) answer REPLAY_REQ frames so a rolled-back or resurrected
+//    receiver can re-request border messages its peers will never send
+//    again.
 //  * Ranks checkpoint into the content-addressed chunk store under
 //    --storage ROOT (shared across agents, the role NFS played in the
 //    paper); RESURRECT restores any rank from that store, which is how
@@ -74,8 +74,6 @@ struct AgentConfig {
   /// Deliberate slowdown per send (ms) + load inflation in heartbeats.
   double throttle_ms = 0;
   double heartbeat_seconds = 0.05;
-  /// msg_recv safety net (overridden by the coordinator's CONFIG).
-  double recv_timeout_seconds = 30.0;
   /// How long a receive waits before re-requesting a missing message from
   /// the sender's replay log (and between repeat requests).
   double replay_request_seconds = 0.1;
@@ -114,18 +112,39 @@ class NodeAgent {
     std::uint32_t agent = 0;
     bool alive = true;
   };
+  /// Where a sender stood when it sent a payload (wire.hpp, DataHeader):
+  /// its commit count and its level-1 rollbacks so far. Both only grow
+  /// within an incarnation.
+  struct SendStamp {
+    std::uint64_t commit_seq = 0;
+    std::uint64_t outer_rollbacks = 0;
+    auto operator<=>(const SendStamp&) const = default;
+  };
+  /// True when a speculative payload stamped `sent` was reverted by its
+  /// sender, as a later stamp `seen` of the same sender proves: a level-1
+  /// rollback came after it and no level-1 commit did. A rollback at a
+  /// deeper level, or one after a commit, proves nothing (the payload may
+  /// lie outside it), so this never guesses.
+  [[nodiscard]] static bool reverted(const SendStamp& sent,
+                                     const SendStamp& seen) {
+    return seen.commit_seq == sent.commit_seq &&
+           seen.outer_rollbacks > sent.outer_rollbacks;
+  }
 
   /// One rank's inbox. Keyed by the rank, not the slot, so frames that
   /// arrive before LAUNCH/RESURRECT (or between incarnations on this
   /// agent) are not lost. `delivered` is the receiver-side replay log: a
   /// rank re-executing after a rollback re-reads the message it already
-  /// consumed, exactly as SimNetwork replays for the simulated cluster.
+  /// consumed.
   struct Mailbox {
     std::map<std::pair<std::uint32_t, std::int32_t>,
              std::deque<std::vector<std::byte>>>
         q;
     std::map<std::pair<std::uint32_t, std::int32_t>, std::vector<std::byte>>
         delivered;
+    /// Per sender, the newest stamp delivered here: the evidence
+    /// reverted() judges queued and consumed payloads against.
+    std::map<std::uint32_t, SendStamp> newest;
   };
 
   // --- Event loop (all private state below is loop-thread-owned unless
@@ -200,6 +219,7 @@ class NodeAgent {
   std::uint32_t my_agent_ = 0;
   std::uint32_t num_ranks_ = 0;
   std::uint64_t max_instructions_ = 0;
+  double recv_timeout_seconds_ = 30.0;  ///< msg_recv safety net
   std::vector<AgentAddr> agents_;
   std::vector<Placement> placement_;
   std::map<std::uint32_t, std::unique_ptr<RankSlot>> slots_;

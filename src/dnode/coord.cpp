@@ -515,6 +515,12 @@ void Coordinator::handle_rank_up(const Msg& m) {
   std::lock_guard<std::mutex> lock(mu_);
   if (m.rank >= state_.placement().size()) return;
   if (!m.ok) {
+    if (state_.ranks()[m.rank].done) {
+      // A finished rank that never checkpointed has nothing to come back
+      // from, and its result is already in: stop asking.
+      pending_resurrect_.erase(m.rank);
+      return;
+    }
     // Usually "no checkpoint yet" — retry after a beat, anywhere live.
     pending_resurrect_[m.rank] =
         PendingResurrect{now_seconds() + 0.1, kNoAgent};
@@ -640,9 +646,14 @@ void Coordinator::agent_down_locked(std::uint32_t agent) {
   rec.op = ctrl::WalOp::kAgentDown;
   rec.agent = agent;
   apply_locked(std::move(rec));
-  for (const std::uint32_t r : hit) {
-    if (!state_.ranks()[r].done) pending_resurrect_[r] = PendingResurrect{};
-  }
+  // Finished ranks come back too. The verdict marks them not-alive, and a
+  // neighbour re-executing its last interval after a rollback must still
+  // be able to send to them: msg_send to a not-alive rank fails, so that
+  // neighbour would roll back and retry forever. The resurrected
+  // incarnation re-runs from its last checkpoint; its second RESULT is a
+  // duplicate the state machine ignores. One without a checkpoint answers
+  // RANK_UP(false) and is dropped (handle_rank_up).
+  for (const std::uint32_t r : hit) pending_resurrect_[r] = PendingResurrect{};
   broadcast_placement_locked();
 }
 

@@ -1,16 +1,16 @@
 // Coordinator: the control plane of the distributed node runtime.
 //
-// Owns what the single-process cluster::Cluster kept as shared memory:
+// Owns the cluster-wide state no single agent can hold:
 //
 //  * the rank → agent placement map, broadcast to every agent so the data
 //    plane routes without asking;
 //  * failure detection (heartbeat timeouts + control-connection EOF) and
-//    resurrection of a dead agent's ranks from the shared `ckpt://` store
-//    onto surviving agents — the paper's "resurrected on a remote node
-//    from the last checkpoint";
+//    resurrection of a dead agent's ranks, finished ones included, from
+//    the shared `ckpt://` store onto surviving agents — the paper's
+//    "resurrected on a remote node from the last checkpoint";
 //  * the speculation join, as the server side of a protocol: DEP_RECORD
-//    frames feed the same `cluster::DependencyTracker` state machine the
-//    simulated cluster uses (its unit tests still pin the semantics),
+//    frames feed the `cluster::DependencyTracker` state machine (its unit
+//    tests pin the semantics),
 //    ROLL_POISON triggers the avalanche, poisoned ranks get POISON frames,
 //    COMMIT_DISCHARGE discharges. An epoch fence closes the race the wire
 //    adds: a DEP_RECORD describing data sent *before* a rollback the
@@ -32,7 +32,8 @@
 // still-running agents via RE_ADOPT instead of relaunching the world.
 //
 // `mojc cluster --nodes host:port,... run prog.mjc` drives this class;
-// tests drive it in-process against `mojc node` child processes.
+// tests drive it against `mojc node` child processes and against
+// in-process agents (gridapp::run_spmd).
 #pragma once
 
 #include <atomic>
@@ -139,7 +140,7 @@ class Coordinator {
   [[nodiscard]] std::uint64_t resurrections() const {
     return resurrections_.load();
   }
-  /// The join-protocol state machine (shared with the simulated cluster).
+  /// The join-protocol state machine.
   [[nodiscard]] cluster::DependencyTracker& tracker() {
     return state_.tracker();
   }

@@ -246,28 +246,40 @@ std::vector<std::byte> encode_re_adopt_ack(
   return finish(w);
 }
 
-std::vector<std::byte> encode_data_payload(std::uint32_t spec_level,
-                                           std::uint64_t epoch,
-                                           std::uint64_t commit_seq,
-                                           std::uint32_t count,
+std::vector<std::byte> encode_data_payload(const DataHeader& header,
                                            std::span<const std::byte> values) {
   Writer w;
-  w.u32(spec_level);
-  w.u64(epoch);
-  w.u64(commit_seq);
-  w.u32(count);
+  w.u32(header.spec_level);
+  w.u64(header.epoch);
+  w.u64(header.commit_seq);
+  w.u64(header.outer_rollbacks);
+  w.u32(header.count);
   w.bytes(values);
   return w.take();
 }
 
+DataHeader decode_data_header(std::span<const std::byte> payload) {
+  Reader r(payload);
+  DataHeader h;
+  h.spec_level = r.u32();
+  h.epoch = r.u64();
+  h.commit_seq = r.u64();
+  h.outer_rollbacks = r.u64();
+  h.count = r.u32();
+  return h;
+}
+
 std::optional<Msg> decode(std::span<const std::byte> frame) {
   if (frame.size() < 4 + 1 + kChecksumBytes) return std::nullopt;
-  if (Reader(frame.first(4)).u32() == kWireMagicV1) {
+  if (const std::uint32_t magic = Reader(frame.first(4)).u32();
+      magic != kWireMagic && (magic & 0xffffffu) == (kWireMagic & 0xffffffu)) {
     static std::atomic<bool> reported{false};
     if (!reported.exchange(true)) {
       MOJAVE_LOG(kError, "dnode")
-          << "dropping DNO1 frames: the peer runs a build with an older "
-             "wire format (this build speaks DNO2)";
+          << "dropping DNO" << static_cast<char>(magic >> 24)
+          << " frames: the peer runs a build with another wire format "
+             "(this build speaks DNO"
+          << static_cast<char>(kWireMagic >> 24) << ")";
     }
     return std::nullopt;
   }
@@ -326,6 +338,9 @@ std::optional<Msg> decode(std::span<const std::byte> frame) {
         m.dst = r.u32();
         m.tag = r.i32();
         const std::uint32_t n = r.u32();
+        // A DATA body always starts with a DataHeader; a shorter one is
+        // as corrupt as a bad checksum.
+        if (n < kDataHeaderBytes) return std::nullopt;
         const auto span = r.bytes(n);
         m.payload.assign(span.begin(), span.end());
         break;

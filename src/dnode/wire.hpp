@@ -4,13 +4,14 @@
 // two node agents, is one TcpStream frame (u32 length prefix) whose body
 // is:
 //
-//   u32 magic 'DNO2' | u8 type | type-specific fields | u64 xxh64
+//   u32 magic 'DNO3' | u8 type | type-specific fields | u64 xxh64
 //
 // The trailing xxh64 covers everything before it, so a frame mangled in
 // transit is rejected (node.corrupt_frames) instead of decoded into
-// garbage — the same contract the simulated cluster enforces per message.
-// 'DNO1' frames (an FNV-1a trailer) come from a build of another wire
-// version: decode logs that once per process and drops them.
+// garbage.
+// Frames with another 'DNOn' magic ('DNO1' had an FNV-1a trailer, 'DNO2'
+// a shorter DATA header) come from a build of another wire version:
+// decode logs that once per process and drops them.
 //
 // Control plane (agent <-> coordinator, one long-lived connection):
 //   HELLO/CONFIG/LAUNCH/PLACEMENT       session setup and rank placement
@@ -25,11 +26,12 @@
 //   DATA                                one msg_send payload
 //   REPLAY_REQ                          re-request from the sender's log
 //
-// DATA payloads carry {spec_level, rollback_epoch, count, values}: the
-// sender's speculation level joins the receiver to its speculation
-// (DEP_RECORD at consume time), and the epoch lets the coordinator fence
-// dependency records that arrive after the speculation they depend on has
-// already rolled back (see docs/SPECULATION.md, "epoch fencing").
+// DATA payloads carry {spec_level, rollback_epoch, commit_seq,
+// outer_rollbacks, count, values}: the sender's speculation level joins
+// the receiver to its speculation (DEP_RECORD at consume time), and the
+// epoch lets the coordinator fence dependency records that arrive after
+// the speculation they depend on has already rolled back (see
+// docs/SPECULATION.md, "epoch fencing").
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,7 @@
 
 namespace mojave::dnode {
 
-inline constexpr std::uint32_t kWireMagic = 0x324f4e44;  // "DNO2"
+inline constexpr std::uint32_t kWireMagic = 0x334f4e44;  // "DNO3"
 inline constexpr std::uint32_t kWireMagicV1 = 0x314f4e44;  // "DNO1"
 
 enum class MsgType : std::uint8_t {
@@ -187,22 +189,31 @@ struct Msg {
 
 // --- DATA payload (the body routed between ranks) --------------------
 //
-// {u32 spec_level, u64 rollback_epoch, u64 commit_seq, u32 count,
-// values...} — values are runtime::write_value encodings, exactly count
-// of them. commit_seq is the sender's commit count at send time: replay
-// logs and receiver-side caches keep payloads long after the speculation
-// that stamped them was discharged, and only this stamp lets the
-// coordinator's epoch fence tell committed data from reverted data.
+// {u32 spec_level, u64 rollback_epoch, u64 commit_seq, u64
+// outer_rollbacks, u32 count, values...} — values are runtime::write_value
+// encodings, exactly count of them. commit_seq is the sender's commit
+// count at send time: replay logs and receiver-side caches keep payloads
+// long after the speculation that stamped them was discharged, and only
+// this stamp lets the coordinator's epoch fence tell committed data from
+// reverted data. outer_rollbacks counts the sender's level-1 rollbacks in
+// its current incarnation (the epoch counts rollbacks at every level): a
+// later payload with the same commit_seq and a larger count proves that
+// an earlier speculative one was reverted, so a receiver can act on it
+// without asking the coordinator.
 
 struct DataHeader {
   std::uint32_t spec_level = 0;
   std::uint64_t epoch = 0;
   std::uint64_t commit_seq = 0;
+  std::uint64_t outer_rollbacks = 0;
   std::uint32_t count = 0;
 };
+inline constexpr std::size_t kDataHeaderBytes = 4 + 8 + 8 + 8 + 4;
 
 [[nodiscard]] std::vector<std::byte> encode_data_payload(
-    std::uint32_t spec_level, std::uint64_t epoch, std::uint64_t commit_seq,
-    std::uint32_t count, std::span<const std::byte> values);
+    const DataHeader& header, std::span<const std::byte> values);
+/// The header of an encode_data_payload() body. decode() rejects DATA
+/// frames too short to hold one, so this cannot fail on a decoded frame.
+[[nodiscard]] DataHeader decode_data_header(std::span<const std::byte> payload);
 
 }  // namespace mojave::dnode

@@ -1,10 +1,12 @@
 #include "gridapp/heat.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
 
 #include "frontend/compile.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace mojave::gridapp {
@@ -219,22 +221,117 @@ std::vector<double> heat_reference_sums(const HeatConfig& cfg) {
   return sums;
 }
 
-HeatRun run_heat(const HeatConfig& cfg, cluster::ClusterConfig ccfg,
-                 const std::function<void(cluster::Cluster&)>& chaos) {
-  ccfg.num_nodes = cfg.nodes;
-  cluster::Cluster cl(ccfg);
-  cl.launch_spmd(heat_program(cfg));
-  if (chaos) chaos(cl);
-  HeatRun run;
-  run.nodes = cl.wait_all();
-  run.sums.assign(cfg.nodes, std::numeric_limits<double>::quiet_NaN());
-  for (const auto& node : run.nodes) {
-    if (!node.error.empty() ||
-        node.run.kind != vm::RunResult::Kind::kHalted ||
-        node.run.exit_code != 0) {
-      run.all_clean = false;
+LocalCluster::LocalCluster(std::uint32_t ranks,
+                           const std::optional<net::WireFaults>& wire_faults)
+    : root_("mojave_grid_"),
+      store_(ckpt::CheckpointStore::open_shared(root_.path())) {
+  dnode::AgentConfig acfg;
+  acfg.storage_root = root_.path();
+  dnode::CoordinatorConfig ccfg;
+  for (std::uint32_t a = 0; a < ranks; ++a) {
+    agents_.push_back(std::make_unique<dnode::NodeAgent>(acfg));
+    std::uint16_t port = agents_.back()->port();
+    if (wire_faults.has_value()) {
+      net::WireFaults faults = *wire_faults;
+      faults.seed += a;  // one schedule per link, all from the one seed
+      proxies_.push_back(
+          std::make_unique<net::WireChaosProxy>("127.0.0.1", port, faults));
+      port = proxies_.back()->port();
     }
-    if (node.has_reported) run.sums[node.rank] = node.reported;
+    ccfg.agents.push_back({"127.0.0.1", port});
+  }
+  stopped_.assign(ranks, false);
+  ccfg.num_ranks = ranks;
+  coord_ = std::make_unique<dnode::Coordinator>(std::move(ccfg));
+}
+
+LocalCluster::~LocalCluster() {
+  // Stop the agents before the coordinator closes their control
+  // connections, which they would otherwise hold their ranks through.
+  coord_->shutdown_agents();
+  for (auto& agent : agents_) agent->stop();
+  for (auto& proxy : proxies_) proxy->stop();
+}
+
+bool LocalCluster::kill_host_of(std::uint32_t rank) {
+  const std::uint32_t agent = coord_->agent_of(rank);
+  if (agent >= agents_.size() || stopped_[agent]) return false;
+  if (std::count(stopped_.begin(), stopped_.end(), false) == 1) return false;
+  stopped_[agent] = true;
+  agents_[agent]->stop();
+  return true;
+}
+
+bool LocalCluster::has_checkpoint(std::uint32_t rank) const {
+  return store_->has_snapshot(snapshot_name(rank));
+}
+
+std::uint64_t LocalCluster::latest_seq(std::uint32_t rank) const {
+  return store_->latest_seq(snapshot_name(rank));
+}
+
+net::WireStats LocalCluster::wire_stats() const {
+  net::WireStats sum;
+  for (const auto& proxy : proxies_) {
+    const net::WireStats s = proxy->stats();
+    sum.connections += s.connections;
+    sum.bytes_forwarded += s.bytes_forwarded;
+    sum.split_writes += s.split_writes;
+    sum.resets += s.resets;
+    sum.frames_reordered += s.frames_reordered;
+    sum.frames_dropped += s.frames_dropped;
+    sum.throttle_waits += s.throttle_waits;
+  }
+  return sum;
+}
+
+SpmdRun run_spmd(const fir::Program& program, std::uint32_t ranks,
+                 const std::optional<net::WireFaults>& wire_faults,
+                 const std::function<void(LocalCluster&)>& chaos) {
+  auto& reg = obs::MetricsRegistry::instance();
+  obs::Counter& insns = reg.counter("vm.instructions");
+  obs::Counter& packed = reg.counter("migrate.images_packed");
+  obs::Counter& packed_bytes = reg.counter("migrate.image_bytes_packed");
+  obs::Histogram& pack_us = reg.histogram("migrate.pack_us");
+  obs::Counter& written = reg.counter("ckpt.bytes_written");
+  const std::uint64_t insns0 = insns.value();
+  const std::uint64_t packed0 = packed.value();
+  const std::uint64_t packed_bytes0 = packed_bytes.value();
+  const double pack_us0 = pack_us.snapshot().sum_us;
+  const std::uint64_t written0 = written.value();
+
+  SpmdRun run;
+  {
+    LocalCluster cluster(ranks, wire_faults);
+    dnode::Coordinator& coord = cluster.coordinator();
+    coord.launch_spmd(program);
+    if (chaos) chaos(cluster);
+    run.finished = coord.wait_all(120.0);
+    run.ranks = coord.results();
+    run.resurrections = coord.resurrections();
+    run.poisons_issued = coord.tracker().poisons_issued();
+    run.wire = cluster.wire_stats();
+  }
+  run.all_clean = run.finished;
+  for (const dnode::RankOutcome& r : run.ranks) {
+    if (r.result_kind != 0 || r.exit_code != 0) run.all_clean = false;
+  }
+  run.instructions = insns.value() - insns0;
+  run.checkpoints = packed.value() - packed0;
+  run.image_bytes = packed_bytes.value() - packed_bytes0;
+  run.checkpoint_seconds = (pack_us.snapshot().sum_us - pack_us0) * 1e-6;
+  run.bytes_written = written.value() - written0;
+  return run;
+}
+
+HeatRun run_heat(const HeatConfig& cfg,
+                 const std::optional<net::WireFaults>& wire_faults,
+                 const std::function<void(LocalCluster&)>& chaos) {
+  HeatRun run{run_spmd(heat_program(cfg), cfg.nodes, wire_faults, chaos),
+              {}};
+  run.sums.assign(cfg.nodes, std::numeric_limits<double>::quiet_NaN());
+  for (const dnode::RankOutcome& r : run.ranks) {
+    if (r.has_reported) run.sums[r.rank] = r.reported;
   }
   return run;
 }

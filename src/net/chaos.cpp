@@ -1,5 +1,6 @@
 #include "net/chaos.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -188,9 +189,21 @@ void WireChaosProxy::pump(const std::shared_ptr<Pipe>& pipe, bool to_upstream,
   std::vector<std::byte> held;
   std::uint64_t frames_seen = 0;
   constexpr std::uint32_t kSaneFrameBytes = 64u << 20;
+  constexpr int kMaxHoldMs = 5;
 
   std::byte buf[4096];
   while (!stopping_.load()) {
+    if (!held.empty()) {
+      // A held frame waits for its successor only briefly: on a quiet
+      // connection (a lone control frame) it would otherwise wait forever,
+      // a delay no real path imposes.
+      pollfd pfd{from, POLLIN, 0};
+      if (::poll(&pfd, 1, kMaxHoldMs) == 0) {
+        if (!forward(held.data(), held.size())) return;
+        held.clear();
+        continue;
+      }
+    }
     const ssize_t n = ::recv(from, buf, sizeof buf, 0);
     if (n <= 0) break;
     if (faults_.delay_seconds > 0) {

@@ -43,9 +43,9 @@ struct WireFaults {
   /// as a stalled socket — exactly what the coalescing write path and
   /// partial-writev handling must survive.
   double bandwidth_bytes_per_sec = 0;
-  /// Hold every Nth complete frame and emit it after its successor
-  /// (0 = off): deterministic frame reordering, the multipath-WAN
-  /// profile. Requires the u32-length-prefix wire protocol on the link;
+  /// Hold every Nth complete frame and emit it after its successor, or
+  /// alone once 5 ms pass without one (0 = off): deterministic frame
+  /// reordering, the multipath-WAN profile. Requires the u32-length-prefix wire protocol on the link;
   /// tolerated by the dnode runtime because mailboxes key on (src, tag).
   std::uint64_t reorder_every_n = 0;
   /// Swallow each complete frame, in either direction, with this

@@ -25,6 +25,15 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return (end == nullptr || *end != '\0') ? fallback : v;
 }
 
+/// Read a double from the environment; `fallback` when unset/malformed.
+double env_seconds(const char* name, double fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return fallback;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  return (end == nullptr || *end != '\0') ? fallback : v;
+}
+
 std::mutex g_defaults_mu;
 RetryPolicy g_defaults;          // guarded by g_defaults_mu
 bool g_defaults_set = false;     // guarded by g_defaults_mu
@@ -45,14 +54,6 @@ void publish_gauges(const RetryPolicy& p) {
 }
 
 }  // namespace
-
-double env_seconds(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  return (end == nullptr || *end != '\0') ? fallback : v;
-}
 
 RetryPolicy RetryPolicy::from_env() { return from_env(RetryPolicy{}); }
 

@@ -67,7 +67,4 @@ class Backoff {
   std::uint32_t attempts_ = 1;
 };
 
-/// Read a double from the environment; `fallback` when unset/malformed.
-[[nodiscard]] double env_seconds(const char* name, double fallback);
-
 }  // namespace mojave::net

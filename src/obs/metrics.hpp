@@ -15,8 +15,8 @@
 //  * dump_text() / dump_json() render the whole registry; `mojc --stats`
 //    and the BENCH_JSON records are built on these.
 //
-// The legacy per-component stats structs (GcStats, SpecStats, VmStats,
-// SimStats) remain the instance-local views — their increment sites now
+// The legacy per-component stats structs (GcStats, SpecStats, VmStats)
+// remain the instance-local views — their increment sites now
 // dual-write into this registry, which is the process-wide aggregate.
 #pragma once
 

@@ -3,8 +3,8 @@
 // Bundles the pieces the paper's runtime manages together — heap, garbage
 // collector, speculation manager, interpreter, and the (optional) FIR
 // source of the running code — behind a single owner. The migration
-// machinery packs/unpacks Process instances; the cluster layer hosts one
-// Process per simulated node.
+// machinery packs/unpacks Process instances; a node agent hosts one
+// Process per rank.
 //
 // Two construction paths mirror the two migration trust models:
 //  * from FIR — typecheck, lower, keep the FIR for future (untrusted)

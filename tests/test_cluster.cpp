@@ -1,100 +1,23 @@
-// Cluster tests: simulated network semantics, message-passing externals,
-// distributed speculation join (abort propagation), and the full Figure 2
-// scenario — the grid computation surviving node failure via rollback +
-// checkpoint resurrection with an unchanged result.
+// Cluster tests: message-passing externals, the distributed speculation
+// join (abort propagation), and the full Figure 2 scenario — the grid
+// computation surviving node failure via rollback + checkpoint
+// resurrection with an unchanged result. Programs run on in-process dnode
+// agents (gridapp::run_spmd).
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <deque>
-#include <filesystem>
 #include <thread>
 
-#include <unistd.h>
-
-#include "ckpt/store.hpp"
-#include "cluster/cluster.hpp"
 #include "cluster/tracker.hpp"
 #include "frontend/compile.hpp"
 #include "gridapp/heat.hpp"
-#include "net/sim.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace mojave;
-
-cluster::ClusterConfig small_cluster(std::uint32_t n) {
-  cluster::ClusterConfig cfg;
-  cfg.num_nodes = n;
-  cfg.max_instructions = 500'000'000;
-  cfg.recv_timeout_seconds = 20.0;
-  return cfg;
-}
-
-TEST(SimNetwork, SendRecvBasics) {
-  net::SimNetwork net(3);
-  ASSERT_TRUE(net.send(0, 1, 7, {std::byte{0xab}}));
-  std::vector<std::byte> out;
-  EXPECT_EQ(net.recv(1, 0, 7, out), net::RecvStatus::kOk);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], std::byte{0xab});
-  // FIFO per (src, tag); distinct tags are independent.
-  ASSERT_TRUE(net.send(0, 1, 7, {std::byte{1}}));
-  ASSERT_TRUE(net.send(0, 1, 8, {std::byte{2}}));
-  ASSERT_TRUE(net.send(0, 1, 7, {std::byte{3}}));
-  EXPECT_EQ(net.recv(1, 0, 8, out), net::RecvStatus::kOk);
-  EXPECT_EQ(out[0], std::byte{2});
-  EXPECT_EQ(net.recv(1, 0, 7, out), net::RecvStatus::kOk);
-  EXPECT_EQ(out[0], std::byte{1});
-  EXPECT_EQ(net.recv(1, 0, 7, out), net::RecvStatus::kOk);
-  EXPECT_EQ(out[0], std::byte{3});
-}
-
-TEST(SimNetwork, TimeoutAndFailure) {
-  net::SimNetwork net(2);
-  std::vector<std::byte> out;
-  EXPECT_EQ(net.recv(0, 1, 1, out, 0.01), net::RecvStatus::kTimeout);
-
-  // Queued messages are drained before a dead peer is reported.
-  ASSERT_TRUE(net.send(1, 0, 1, {std::byte{9}}));
-  net.kill(1);
-  EXPECT_EQ(net.recv(0, 1, 1, out), net::RecvStatus::kOk);
-  // The consumed tag is replayed from the message log (rollback support)…
-  EXPECT_EQ(net.recv(0, 1, 1, out, 1.0), net::RecvStatus::kOk);
-  EXPECT_EQ(out[0], std::byte{9});
-  // …but a tag that was never delivered reports the dead peer.
-  EXPECT_EQ(net.recv(0, 1, 3, out, 1.0), net::RecvStatus::kPeerFailed);
-  EXPECT_FALSE(net.send(0, 1, 1, {}));  // sends to the dead are dropped
-  EXPECT_FALSE(net.alive(1));
-
-  net.revive(1);
-  EXPECT_TRUE(net.alive(1));
-  EXPECT_TRUE(net.send(0, 1, 2, {std::byte{5}}));
-  EXPECT_EQ(net.recv(1, 0, 2, out), net::RecvStatus::kOk);
-}
-
-TEST(SimNetwork, KillWakesBlockedReceiver) {
-  net::SimNetwork net(2);
-  std::vector<std::byte> out;
-  std::thread killer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    net.kill(1);
-  });
-  // Blocked forever unless the kill wakes us.
-  EXPECT_EQ(net.recv(0, 1, 1, out), net::RecvStatus::kPeerFailed);
-  killer.join();
-}
-
-TEST(SimNetwork, TransferTimeModel) {
-  net::SimConfig cfg;
-  cfg.bandwidth_bytes_per_sec = 100e6 / 8.0;  // 100 Mbps
-  cfg.latency_seconds = 100e-6;
-  net::SimNetwork net(2, cfg);
-  // 1 MB at 100 Mbps ≈ 80 ms + latency.
-  const double t = net.transfer_seconds(1'000'000);
-  EXPECT_NEAR(t, 0.0801, 0.0005);
-}
+using cluster::NodeId;
 
 TEST(Tracker, PoisonPropagationAndVoiding) {
   cluster::DependencyTracker t;
@@ -159,52 +82,13 @@ TEST(Cluster, PingPongMessages) {
       return 0;
     }
   )";
-  cluster::Cluster cl(small_cluster(2));
-  cl.launch_spmd(frontend::compile_source("pingpong", src));
-  const auto results = cl.wait_all();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].run.exit_code, 42);
-  EXPECT_EQ(results[1].run.exit_code, 0);
-  EXPECT_TRUE(results[0].error.empty());
-}
-
-TEST(Cluster, FreshStoreNeverHoldsAnotherRunsCheckpoints) {
-  namespace fs = std::filesystem;
-  fs::path first_root;
-  {
-    cluster::Cluster first(small_cluster(1));
-    first_root = first.ckpt_store()->root();
-  }
-  EXPECT_FALSE(fs::exists(first_root)) << "store root outlived its cluster";
-
-  // Plant a rank-0 snapshot where a pid-and-counter naming would put the
-  // next cluster of this process: a stale store left by an earlier
-  // process whose pid was recycled looks exactly like this.
-  const std::string prefix =
-      "mojave_cluster_" + std::to_string(::getpid()) + "_";
-  const std::string first_name = first_root.filename().string();
-  std::uint64_t next = 0;
-  if (first_name.rfind(prefix, 0) == 0) {
-    next = std::stoull(first_name.substr(prefix.size())) + 1;
-  }
-  const fs::path planted =
-      fs::temp_directory_path() / (prefix + std::to_string(next));
-  {
-    ckpt::CheckpointStore stale(planted);
-    const std::vector<std::byte> image(64, std::byte{0x5a});
-    stale.put("rank_0", image);
-  }
-
-  fs::path second_root;
-  {
-    cluster::Cluster second(small_cluster(1));
-    second_root = second.ckpt_store()->root();
-    EXPECT_FALSE(second.has_checkpoint(0))
-        << "a new cluster sees another run's checkpoint in " << second_root;
-    EXPECT_TRUE(second.ckpt_store()->snapshots().empty());
-  }
-  EXPECT_FALSE(fs::exists(second_root));
-  fs::remove_all(planted);
+  const auto run = gridapp::run_spmd(
+      frontend::compile_source("pingpong", src), 2);
+  ASSERT_TRUE(run.finished);
+  ASSERT_EQ(run.ranks.size(), 2u);
+  EXPECT_EQ(run.ranks[0].exit_code, 42) << run.ranks[0].error;
+  EXPECT_EQ(run.ranks[1].exit_code, 0) << run.ranks[1].error;
+  EXPECT_TRUE(run.ranks[0].error.empty());
 }
 
 TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {
@@ -247,13 +131,13 @@ TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {
       return 99;
     }
   )";
-  cluster::Cluster cl(small_cluster(2));
-  cl.launch_spmd(frontend::compile_source("join", src));
-  const auto results = cl.wait_all();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].run.exit_code, 0) << results[0].error;
-  EXPECT_EQ(results[1].run.exit_code, 99) << results[1].error;
-  EXPECT_GE(cl.tracker().poisons_issued(), 1u);
+  const auto run =
+      gridapp::run_spmd(frontend::compile_source("join", src), 2);
+  ASSERT_TRUE(run.finished);
+  ASSERT_EQ(run.ranks.size(), 2u);
+  EXPECT_EQ(run.ranks[0].exit_code, 0) << run.ranks[0].error;
+  EXPECT_EQ(run.ranks[1].exit_code, 99) << run.ranks[1].error;
+  EXPECT_GE(run.poisons_issued, 1u);
 }
 
 // --- DependencyTracker property tests ---------------------------------
@@ -273,18 +157,18 @@ TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {
 /// possibly poisoning others. Returns how many rollbacks it took; fails
 /// the test if the cascade exceeds `bound` steps.
 std::size_t drain_avalanche(cluster::DependencyTracker& t,
-                            std::vector<net::NodeId> poisoned,
+                            std::vector<NodeId> poisoned,
                             std::size_t bound) {
-  std::deque<net::NodeId> work(poisoned.begin(), poisoned.end());
+  std::deque<NodeId> work(poisoned.begin(), poisoned.end());
   std::size_t steps = 0;
   while (!work.empty()) {
     EXPECT_LT(steps, bound) << "avalanche did not terminate";
     if (steps >= bound) return steps;
-    const net::NodeId n = work.front();
+    const NodeId n = work.front();
     work.pop_front();
     if (!t.consume_poison(n)) continue;  // duplicate hit, already handled
     ++steps;
-    for (const net::NodeId next : t.on_rollback(n, 1)) work.push_back(next);
+    for (const NodeId next : t.on_rollback(n, 1)) work.push_back(next);
   }
   return steps;
 }
@@ -297,8 +181,8 @@ TEST(ClusterTrackerProps, RandomInterleavingsAvalancheAlwaysTerminates) {
     for (int op = 0; op < 400; ++op) {
       const double dice = rng.uniform();
       if (dice < 0.6) {
-        const auto s = static_cast<net::NodeId>(rng.below(nodes));
-        auto r = static_cast<net::NodeId>(rng.below(nodes));
+        const auto s = static_cast<NodeId>(rng.below(nodes));
+        auto r = static_cast<NodeId>(rng.below(nodes));
         if (r == s) r = (r + 1) % nodes;
         t.record(s, static_cast<SpecLevel>(1 + rng.below(3)), r,
                  static_cast<SpecLevel>(rng.below(4)));
@@ -307,21 +191,21 @@ TEST(ClusterTrackerProps, RandomInterleavingsAvalancheAlwaysTerminates) {
         // every cascade step erases records — bound the whole avalanche
         // by the dependency count at its start (plus the initial hit).
         const std::size_t fuel = t.dependency_count();
-        auto hit = t.on_rollback(static_cast<net::NodeId>(rng.below(nodes)),
+        auto hit = t.on_rollback(static_cast<NodeId>(rng.below(nodes)),
                                  static_cast<SpecLevel>(1 + rng.below(3)));
         drain_avalanche(t, std::move(hit), fuel + nodes + 1);
       } else {
-        t.on_commit_to_zero(static_cast<net::NodeId>(rng.below(nodes)));
+        t.on_commit_to_zero(static_cast<NodeId>(rng.below(nodes)));
       }
       if (::testing::Test::HasFailure()) {
         FAIL() << "seed " << seed << ", op " << op;
       }
     }
     // Quiesce: roll everything back; no poison may survive its consumer.
-    for (net::NodeId n = 0; n < nodes; ++n) {
+    for (NodeId n = 0; n < nodes; ++n) {
       drain_avalanche(t, t.on_rollback(n, 1), t.dependency_count() + nodes);
     }
-    for (net::NodeId n = 0; n < nodes; ++n) {
+    for (NodeId n = 0; n < nodes; ++n) {
       EXPECT_FALSE(t.consume_poison(n)) << "stale poison, seed " << seed;
     }
     EXPECT_EQ(t.dependency_count(), 0u) << "seed " << seed;
@@ -337,7 +221,7 @@ TEST(ClusterTrackerProps, CommitToZeroLeavesNoStalePoison) {
     // deeper ones that commit-to-zero must *keep* (shifted down a level).
     int deep = 0;
     for (int i = 0; i < 40; ++i) {
-      const auto r = static_cast<net::NodeId>(1 + rng.below(nodes - 1));
+      const auto r = static_cast<NodeId>(1 + rng.below(nodes - 1));
       if (rng.chance(0.3)) {
         t.record(0, 2, r, static_cast<SpecLevel>(rng.below(3)));
         ++deep;
@@ -355,7 +239,7 @@ TEST(ClusterTrackerProps, CommitToZeroLeavesNoStalePoison) {
     EXPECT_LE(hit.size(), static_cast<std::size_t>(deep)) << "seed " << seed;
     drain_avalanche(t, hit, static_cast<std::size_t>(deep) + nodes);
     EXPECT_TRUE(t.on_rollback(0, 1).empty()) << "seed " << seed;
-    for (net::NodeId n = 0; n < nodes; ++n) {
+    for (NodeId n = 0; n < nodes; ++n) {
       EXPECT_FALSE(t.consume_poison(n)) << "stale poison, seed " << seed;
     }
   }
@@ -373,14 +257,14 @@ TEST(ClusterTrackerProps, ConcurrentRecordRollbackCommitIsRaceFree) {
       Rng rng(0xC0FFEE + ti);
       for (int op = 0; op < 2000; ++op) {
         const double dice = rng.uniform();
-        const auto a = static_cast<net::NodeId>(rng.below(kNodes));
-        auto b = static_cast<net::NodeId>(rng.below(kNodes));
+        const auto a = static_cast<NodeId>(rng.below(kNodes));
+        auto b = static_cast<NodeId>(rng.below(kNodes));
         if (b == a) b = (b + 1) % kNodes;
         if (dice < 0.6) {
           t.record(a, static_cast<SpecLevel>(1 + rng.below(3)), b,
                    static_cast<SpecLevel>(rng.below(4)));
         } else if (dice < 0.85) {
-          for (const net::NodeId p :
+          for (const NodeId p :
                t.on_rollback(a, static_cast<SpecLevel>(1 + rng.below(3)))) {
             t.consume_poison(p);
           }
@@ -391,10 +275,20 @@ TEST(ClusterTrackerProps, ConcurrentRecordRollbackCommitIsRaceFree) {
     });
   }
   for (std::thread& th : threads) th.join();
-  for (net::NodeId n = 0; n < kNodes; ++n) {
+  for (NodeId n = 0; n < kNodes; ++n) {
     drain_avalanche(t, t.on_rollback(n, 1), t.dependency_count() + kNodes);
   }
   EXPECT_EQ(t.dependency_count(), 0u);
+}
+
+/// Bit-exact against the sequential reference: the distributed run does
+/// the same floating-point operations in the same order.
+void expect_reference_sums(const gridapp::HeatRun& run,
+                           const gridapp::HeatConfig& cfg) {
+  const auto ref = gridapp::heat_reference_sums(cfg);
+  for (std::uint32_t r = 0; r < cfg.nodes; ++r) {
+    EXPECT_EQ(run.sums[r], ref[r]) << "rank " << r;
+  }
 }
 
 TEST(Grid, MatchesReferenceWithoutFaults) {
@@ -404,12 +298,9 @@ TEST(Grid, MatchesReferenceWithoutFaults) {
   cfg.cols = 12;
   cfg.steps = 20;
   cfg.checkpoint_interval = 0;
-  const auto run = gridapp::run_heat(cfg, small_cluster(cfg.nodes));
+  const auto run = gridapp::run_heat(cfg);
   ASSERT_TRUE(run.all_clean);
-  const auto ref = gridapp::heat_reference_sums(cfg);
-  for (std::uint32_t r = 0; r < cfg.nodes; ++r) {
-    EXPECT_NEAR(run.sums[r], ref[r], 1e-9) << "rank " << r;
-  }
+  expect_reference_sums(run, cfg);
 }
 
 TEST(Grid, CheckpointingDoesNotChangeResult) {
@@ -419,19 +310,17 @@ TEST(Grid, CheckpointingDoesNotChangeResult) {
   cfg.cols = 8;
   cfg.steps = 24;
   cfg.checkpoint_interval = 6;
-  const auto run = gridapp::run_heat(cfg, small_cluster(cfg.nodes));
+  const auto run = gridapp::run_heat(cfg);
   ASSERT_TRUE(run.all_clean);
-  const auto ref = gridapp::heat_reference_sums(cfg);
-  for (std::uint32_t r = 0; r < cfg.nodes; ++r) {
-    EXPECT_NEAR(run.sums[r], ref[r], 1e-9) << "rank " << r;
-  }
+  expect_reference_sums(run, cfg);
+  EXPECT_EQ(run.checkpoints, 2u * (cfg.steps / cfg.checkpoint_interval));
 }
 
 TEST(Grid, SurvivesNodeFailureWithResurrection) {
   // The headline Figure 2 scenario: kill a node mid-run after it has
-  // checkpointed; peers roll back their speculation; the resurrection
-  // daemon revives the victim from its checkpoint; the final answer is
-  // identical to the failure-free reference.
+  // checkpointed; peers roll back their speculation; the coordinator
+  // revives the victim from its checkpoint on a surviving agent; the
+  // final answer is identical to the failure-free reference.
   gridapp::HeatConfig cfg;
   cfg.nodes = 3;
   cfg.rows = 12;
@@ -439,31 +328,27 @@ TEST(Grid, SurvivesNodeFailureWithResurrection) {
   cfg.steps = 60;
   cfg.checkpoint_interval = 10;
 
-  auto ccfg = small_cluster(cfg.nodes);
   const auto run = gridapp::run_heat(
-      cfg, ccfg, [&](cluster::Cluster& cl) {
-        cl.enable_auto_resurrection(0.02);
+      cfg, {}, [&](gridapp::LocalCluster& cl) {
         // Wait until the victim has written at least one checkpoint, so
         // resurrection has something to restore.
         for (int i = 0; i < 2000 && !cl.has_checkpoint(1); ++i) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
         ASSERT_TRUE(cl.has_checkpoint(1)) << "victim never checkpointed";
-        cl.kill(1);
+        ASSERT_TRUE(cl.kill_host_of(1));
       });
 
   ASSERT_TRUE(run.all_clean);
-  const auto ref = gridapp::heat_reference_sums(cfg);
-  for (std::uint32_t r = 0; r < cfg.nodes; ++r) {
-    EXPECT_NEAR(run.sums[r], ref[r], 1e-9) << "rank " << r;
-  }
+  expect_reference_sums(run, cfg);
   // The victim restarted at least once; someone rolled back.
   std::uint64_t restarts = 0;
   std::uint64_t rollbacks = 0;
-  for (const auto& node : run.nodes) {
-    restarts += node.restarts;
-    rollbacks += node.spec.rollbacks;
+  for (const auto& rank : run.ranks) {
+    restarts += rank.restarts;
+    rollbacks += rank.rollbacks;
   }
+  EXPECT_GE(run.resurrections, 1u);
   EXPECT_GE(restarts, 1u);
   EXPECT_GE(rollbacks, 1u);
 }

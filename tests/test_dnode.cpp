@@ -5,8 +5,8 @@
 // Coordinator, the Figure-2 heat grid split across agents, an agent
 // SIGKILLed mid-run (its ranks resurrect from the shared ckpt:// store on
 // the survivor), a forced cross-agent speculation rollback — and the final
-// sums still bit-match the sequential reference, exactly as the
-// single-process cluster::Cluster tests demand of the simulated cluster.
+// sums still bit-match the sequential reference, exactly as the Grid
+// suites demand of in-process agents.
 //
 // The DnodeCluster suite runs agents in-process (same code, no fork) so
 // the TSan job exercises the agent/coordinator locking.
@@ -25,15 +25,19 @@
 #include <unistd.h>
 
 #include "ckpt/store.hpp"
-#include "cluster/cluster.hpp"
 #include "ctrl/lease.hpp"
 #include "dnode/agent.hpp"
 #include "dnode/coord.hpp"
 #include "dnode/wire.hpp"
+#include "fir/serialize.hpp"
+#include "frontend/compile.hpp"
 #include "gridapp/heat.hpp"
 #include "net/chaos.hpp"
+#include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
+#include "support/tempdir.hpp"
 
 namespace {
 
@@ -153,12 +157,10 @@ TEST(DnodeE2E, HeatAcrossTwoAgentsMatchesSingleProcessCluster) {
   ASSERT_TRUE(coord.wait_all(120.0)) << "distributed run timed out";
   expect_sums_match(coord, hcfg);
 
-  // Same program, single-process simulated cluster: identical answers.
-  // (The reference sums pin both, but this is the equivalence the
-  // distributed runtime promises: same primitives, same results.)
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = hcfg.nodes;
-  const auto local = gridapp::run_heat(hcfg, ccfg);
+  // Same program, every agent in this one process: identical answers.
+  // (The reference sums pin both, but this is the equivalence the runtime
+  // promises: the transport varies, the results do not.)
+  const auto local = gridapp::run_heat(hcfg);
   ASSERT_TRUE(local.all_clean);
   const auto dist = coord.results();
   for (std::uint32_t r = 0; r < hcfg.nodes; ++r) {
@@ -238,6 +240,48 @@ TEST(DnodeWire, OlderWireFormatIsReportedNotCountedAsCorrupt) {
   EXPECT_NE(errors[0].find("DNO1"), std::string::npos) << errors[0];
 }
 
+/// The wire checksum is the only corruption check between agents: a frame
+/// with any one byte changed, in the header or the payload, must not
+/// decode.
+TEST(DnodeWire, AnySingleFlippedByteIsRejected) {
+  dnode::Msg result;
+  result.rank = 3;
+  result.exit_code = 7;
+  result.output = "hello";
+  const std::vector<std::byte> payload(40, std::byte{0x5a});
+  const std::vector<std::vector<std::byte>> frames = {
+      dnode::encode_data(1, 2, 9, payload),
+      dnode::encode_config(1, 4, {{"127.0.0.1", 4000}}, 0, 30.0),
+      dnode::encode_result(result),
+  };
+  for (const auto& frame : frames) {
+    ASSERT_TRUE(dnode::decode(frame).has_value());
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        auto bad = frame;
+        bad[i] ^= std::byte{mask};
+        EXPECT_FALSE(dnode::decode(bad).has_value())
+            << "byte " << i << " of " << frame.size() << " ^ " << int{mask};
+      }
+    }
+  }
+}
+
+/// A DATA body shorter than its header is corrupt even under a valid
+/// checksum: the receiving agent reads that header on its event loop.
+TEST(DnodeWire, DataShorterThanItsHeaderIsRejected) {
+  const std::vector<std::byte> header_only =
+      dnode::encode_data_payload(dnode::DataHeader{}, {});
+  ASSERT_EQ(header_only.size(), dnode::kDataHeaderBytes);
+  EXPECT_TRUE(dnode::decode(dnode::encode_data(1, 2, 9, header_only)));
+  for (std::size_t n = 0; n < dnode::kDataHeaderBytes; ++n) {
+    const std::vector<std::byte> shorter(
+        header_only.begin(), header_only.begin() + static_cast<long>(n));
+    EXPECT_FALSE(dnode::decode(dnode::encode_data(1, 2, 9, shorter)))
+        << n << " bytes";
+  }
+}
+
 /// Acceptance under a hostile wire: every byte into agent 1 crosses a
 /// WireChaosProxy that adds latency, fragments writes, and hard-resets
 /// the first cross-agent data link mid-frame. The coordinator dials
@@ -299,11 +343,12 @@ TEST(DnodeE2E, AgentDeathResurrectsRanksAndPoisonCrossesAgents) {
   dnode::Coordinator coord(coord_config({a0.port, a1.port}, hcfg.nodes));
   coord.launch_spmd(gridapp::heat_program(hcfg));
 
-  // Force one cross-agent rollback early: rank 2 (agent 0) reports
-  // MSG_ROLL at its next receive, rolls back, and its ROLL_POISON must
-  // avalanche over TCP to dependents on the other agent.
-  coord.force_rollback(2);
-
+  // Force cross-agent rollbacks: rank 2 (agent 0) reports MSG_ROLL at its
+  // next receive, rolls back, and its ROLL_POISON must avalanche over TCP
+  // to dependents on the other agent. A rollback poisons only ranks that
+  // already consumed its speculative sends (none have at the first step,
+  // or right after a commit), so force again until one does.
+  //
   // Round-robin placement put ranks 1 and 3 on agent 1. Resurrection can
   // only restore what was checkpointed, so wait for both of the victim's
   // ranks to reach the shared store before pulling the plug.
@@ -312,6 +357,7 @@ TEST(DnodeE2E, AgentDeathResurrectsRanksAndPoisonCrossesAgents) {
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   while ((!store->has_snapshot("rank_1") || !store->has_snapshot("rank_3")) &&
          std::chrono::steady_clock::now() < deadline) {
+    if (coord.tracker().poisons_issued() == 0) coord.force_rollback(2);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_TRUE(store->has_snapshot("rank_1")) << "rank 1 never checkpointed";
@@ -327,8 +373,8 @@ TEST(DnodeE2E, AgentDeathResurrectsRanksAndPoisonCrossesAgents) {
   EXPECT_EQ(coord.agent_of(1), 0u);
   EXPECT_EQ(coord.agent_of(3), 0u);
   EXPECT_FALSE(coord.agent_alive(1));
-  // ...the forced rollback poisoned at least one dependent across the
-  // wire, and the avalanche terminated (wait_all returned).
+  // ...a forced rollback or the kill poisoned at least one dependent
+  // across the wire, and the avalanche terminated (wait_all returned).
   EXPECT_GE(coord.tracker().poisons_issued(), 1u);
   const auto results = coord.results();
   std::uint64_t restarts = 0, rollbacks = 0;
@@ -454,6 +500,209 @@ TEST(DnodeCluster, InProcessAgentsRunHeatGrid) {
   EXPECT_EQ(coord.agent_of(0), 0u);
   EXPECT_EQ(coord.agent_of(1), 1u);
   coord.shutdown_agents();
+}
+
+/// A finished rank whose agent dies must come back: a neighbour that still
+/// sends to it — as one re-executing its last interval after a rollback
+/// does — would otherwise see every msg_send fail, roll back and retry
+/// forever. Rank 0 checkpoints and finishes; its agent is stopped; rank 1
+/// then sends to it.
+TEST(DnodeCluster, FinishedRankOnAStoppedAgentIsResurrectedForLateSenders) {
+  const fs::path storage = fresh_dir("mojave_dnode_finished_rank");
+  const std::string src = R"(
+    extern int node_id();
+    extern int msg_send(int, int, ptr, int);
+    extern int msg_recv(int, int, ptr, int);
+    extern ptr checkpoint_target();
+    extern void sleep_ms(int);
+    int main() {
+      ptr buf = alloc(1);
+      buf[0] = 7;
+      if (node_id() == 0) {
+        migrate(checkpoint_target());
+        return 0;
+      }
+      /* Rank 0 never sends tag 1: this receive ends once rank 0's agent
+         is declared down (MSG_ROLL), or at the receive timeout. */
+      int r = msg_recv(0, 1, buf, 1);
+      int s = msg_send(0, 2, buf, 1);
+      while (s != 0) {
+        sleep_ms(5);
+        s = msg_send(0, 2, buf, 1);
+      }
+      return 0;
+    }
+  )";
+
+  dnode::AgentConfig acfg;
+  acfg.storage_root = storage;
+  dnode::NodeAgent a0(acfg), a1(acfg);
+  auto ccfg = coord_config({a0.port(), a1.port()}, 2);
+  ccfg.recv_timeout_seconds = 5.0;
+  dnode::Coordinator coord(std::move(ccfg));
+  coord.launch_spmd(frontend::compile_source("late_send", src));
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!coord.results()[0].done &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(coord.results()[0].done) << "rank 0 never finished";
+  a0.stop();
+
+  ASSERT_TRUE(coord.wait_all(15.0))
+      << "rank 1 never got a message through to the finished rank";
+  const auto results = coord.results();
+  EXPECT_EQ(results[1].result_kind, 0) << results[1].error;
+  EXPECT_EQ(results[1].exit_code, 0);
+  EXPECT_GE(coord.resurrections(), 1u);
+  EXPECT_EQ(coord.agent_of(0), 1u);
+  coord.shutdown_agents();
+}
+
+/// A finished rank that never checkpointed has nothing to come back
+/// from: after its agent stops, the coordinator asks once and, told
+/// there is no checkpoint, stops asking — instead of re-issuing a
+/// RESURRECT (and a WAL grant) ten times a second until the run ends.
+TEST(DnodeCluster, FinishedRankWithoutACheckpointIsAskedForOnce) {
+  const std::string src = R"(
+    extern int node_id();
+    extern void sleep_ms(int);
+    int main() {
+      if (node_id() == 1) { sleep_ms(800); }
+      return 0;
+    }
+  )";
+  auto& requests =
+      obs::MetricsRegistry::instance().counter("node.resurrect_requests");
+  std::uint64_t before = 0;
+  const auto run = gridapp::run_spmd(
+      frontend::compile_source("no_ckpt", src), 2, std::nullopt,
+      [&](gridapp::LocalCluster& cl) {
+        for (int i = 0; i < 10000 && !cl.coordinator().results()[0].done;
+             ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ASSERT_TRUE(cl.coordinator().results()[0].done);
+        before = requests.value();
+        ASSERT_TRUE(cl.kill_host_of(0));
+      });
+  ASSERT_TRUE(run.all_clean) << run.ranks[1].error;
+  EXPECT_LE(requests.value() - before, 1u);
+  EXPECT_EQ(run.resurrections, 0u);
+}
+
+/// A rollback of a nested speculation does not revert what its sender
+/// sent at the outer level: both sends of one tag reach the receiver, in
+/// order, although the second carries a newer rollback epoch.
+TEST(DnodeCluster, NestedAbortKeepsEarlierSendsOfTheSameTag) {
+  const std::string src = R"(
+    extern int node_id();
+    extern int msg_send(int, int, ptr, int);
+    extern int msg_recv(int, int, ptr, int);
+    extern void sleep_ms(int);
+    int main() {
+      ptr buf = alloc(1);
+      if (node_id() == 0) {
+        int outer = speculate();
+        if (outer > 0) {
+          buf[0] = 11;
+          int s1 = msg_send(1, 5, buf, 1);
+          int inner = speculate();
+          if (inner > 0) { abort(inner); }
+          buf[0] = 22;
+          int s2 = msg_send(1, 5, buf, 1);
+          commit(outer);
+        }
+        return 0;
+      }
+      /* Both copies are queued before the first receive. */
+      sleep_ms(300);
+      ptr v = alloc(1);
+      int r1 = msg_recv(0, 5, v, 1);
+      int a = v[0];
+      int r2 = msg_recv(0, 5, v, 1);
+      int b = v[0];
+      if (r1 != 0 || r2 != 0) { return 1; }
+      return a * 100 + b;
+    }
+  )";
+
+  const auto run =
+      gridapp::run_spmd(frontend::compile_source("nested_abort", src), 2);
+  ASSERT_TRUE(run.finished);
+  EXPECT_EQ(run.ranks[0].exit_code, 0) << run.ranks[0].error;
+  EXPECT_EQ(run.ranks[1].exit_code, 1122)
+      << "the receiver must read 11 then 22; " << run.ranks[1].error;
+}
+
+/// An agent runs at most one incarnation of a rank: a RESURRECT for a
+/// rank it already runs — as a coordinator re-issues one while the first
+/// restore is slow — is ignored, with no second RANK_UP. The test plays
+/// the coordinator over a raw control connection.
+TEST(DnodeCluster, AgentIgnoresResurrectForARankItRuns) {
+  const TempDir storage("mojave_dnode_double_resurrect_");
+  const std::string src = R"(
+    extern int msg_recv(int, int, ptr, int);
+    extern ptr checkpoint_target();
+    int main() {
+      ptr buf = alloc(1);
+      migrate(checkpoint_target());
+      /* Nobody sends tag 9: the rank stays live until shutdown. */
+      int r = msg_recv(0, 9, buf, 1);
+      return 0;
+    }
+  )";
+  dnode::AgentConfig acfg;
+  acfg.storage_root = storage.path();
+  dnode::NodeAgent agent(acfg);
+  auto control = net::TcpStream::connect("127.0.0.1", agent.port());
+  control.send_frame(dnode::encode_hello(dnode::PeerKind::kCoordinator, 0, 1));
+  control.send_frame(
+      dnode::encode_config(0, 1, {{"127.0.0.1", agent.port()}}, 0, 30.0));
+  control.send_frame(dnode::encode_launch(
+      0, fir::encode_program(frontend::compile_source("live", src))));
+
+  ckpt::CheckpointStore store(storage.path());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!store.has_snapshot("rank_0") &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(store.has_snapshot("rank_0")) << "rank 0 never checkpointed";
+
+  auto& resurrections =
+      obs::MetricsRegistry::instance().counter("node.resurrections");
+  const std::uint64_t before = resurrections.value();
+  control.send_frame(dnode::encode_resurrect(0, 0));
+
+  // Everything the agent says for the next 300 ms (heartbeats) must not
+  // include a RANK_UP.
+  control.set_io_deadline(0.05);
+  const auto quiet_until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  int heartbeats = 0;
+  while (std::chrono::steady_clock::now() < quiet_until) {
+    std::optional<std::vector<std::byte>> frame;
+    try {
+      frame = control.recv_frame();
+    } catch (const NetTimeout&) {
+      continue;  // no frame within the deadline
+    }
+    ASSERT_TRUE(frame.has_value()) << "agent closed the control connection";
+    const auto m = dnode::decode(*frame);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_NE(m->type, dnode::MsgType::kRankUp) << "second incarnation";
+    if (m->type == dnode::MsgType::kHeartbeat) ++heartbeats;
+  }
+  EXPECT_GT(heartbeats, 0) << "the agent went silent";
+  EXPECT_EQ(resurrections.value(), before);
+  EXPECT_EQ(agent.hosted_ranks(), std::vector<std::uint32_t>{0});
+  control.set_io_deadline(0);
+  control.send_frame(dnode::encode_shutdown());
+  agent.stop();
 }
 
 TEST(DnodeCluster, EmptyWalRootLogsToATempDirRemovedOnDestruction) {

@@ -1,6 +1,6 @@
 // Transport-layer tests: connect/recv deadlines, error paths that must not
 // leak fds, frame-size hardening, the retry policy's budget accounting,
-// the SimNetwork fault matrix, and the WireChaosProxy fault shim.
+// and the WireChaosProxy fault shim.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -16,7 +16,6 @@
 
 #include "net/chaos.hpp"
 #include "net/retry.hpp"
-#include "net/sim.hpp"
 #include "net/tcp.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -25,11 +24,7 @@ namespace {
 
 using namespace mojave;
 using net::Deadlines;
-using net::FaultPlan;
-using net::RecvStatus;
 using net::RetryPolicy;
-using net::SimConfig;
-using net::SimNetwork;
 using net::TcpListener;
 using net::TcpStream;
 
@@ -240,118 +235,6 @@ TEST(RetryPolicyTest, EnvOverridesApply) {
   ::unsetenv("MOJAVE_NET_CONNECT_TIMEOUT_S");
   const RetryPolicy d = RetryPolicy::from_env();
   EXPECT_EQ(d.max_attempts, RetryPolicy{}.max_attempts);
-}
-
-// --- SimNetwork fault matrix --------------------------------------------
-
-TEST(SimFaults, DropIsSilentToSenderAndCounted) {
-  SimConfig cfg;
-  cfg.replay_logging = false;
-  cfg.faults.all_links.drop = 1.0;
-  SimNetwork nw(2, cfg);
-  EXPECT_TRUE(nw.send(0, 1, 7, bytes_of("x")));  // lossy nets do not confess
-  std::vector<std::byte> out;
-  EXPECT_EQ(nw.recv(1, 0, 7, out, 0.02), RecvStatus::kTimeout);
-  EXPECT_EQ(nw.stats().faults_dropped, 1u);
-}
-
-TEST(SimFaults, DuplicateDeliversTwice) {
-  SimConfig cfg;
-  cfg.replay_logging = false;
-  cfg.faults.all_links.duplicate = 1.0;
-  SimNetwork nw(2, cfg);
-  ASSERT_TRUE(nw.send(0, 1, 7, bytes_of("x")));
-  std::vector<std::byte> a, b;
-  EXPECT_EQ(nw.recv(1, 0, 7, a, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(nw.recv(1, 0, 7, b, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(nw.stats().faults_duplicated, 1u);
-}
-
-TEST(SimFaults, CorruptFlipsExactlyOneByteOfDeliveredCopy) {
-  SimConfig cfg;
-  cfg.replay_logging = false;
-  cfg.faults.all_links.corrupt = 1.0;
-  SimNetwork nw(2, cfg);
-  const auto sent = bytes_of("hello world");
-  ASSERT_TRUE(nw.send(0, 1, 7, sent));
-  std::vector<std::byte> got;
-  ASSERT_EQ(nw.recv(1, 0, 7, got, 0.1), RecvStatus::kOk);
-  ASSERT_EQ(got.size(), sent.size());
-  std::size_t flipped = 0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (got[i] != sent[i]) ++flipped;
-  }
-  EXPECT_EQ(flipped, 1u);
-  EXPECT_EQ(nw.stats().faults_corrupted, 1u);
-}
-
-TEST(SimFaults, CorruptionNeverReachesTheReplayLog) {
-  SimConfig cfg;
-  cfg.replay_logging = true;
-  cfg.faults.all_links.corrupt = 1.0;
-  SimNetwork nw(2, cfg);
-  const auto sent = bytes_of("precious payload");
-  ASSERT_TRUE(nw.send(0, 1, 7, sent));
-  std::vector<std::byte> got;
-  ASSERT_EQ(nw.recv(1, 0, 7, got, 0.1), RecvStatus::kOk);
-  EXPECT_NE(got, sent);  // the in-flight copy was mangled
-  // The queue is drained, so the next recv consults the replay log — which
-  // must hold the clean bytes (a receiver that discards a corrupt frame
-  // recovers the original this way).
-  std::vector<std::byte> replay;
-  ASSERT_EQ(nw.recv(1, 0, 7, replay, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(replay, sent);
-}
-
-TEST(SimFaults, ReorderDefersBehindLaterTraffic) {
-  SimConfig cfg;
-  cfg.replay_logging = false;
-  cfg.faults.links[{0, 1}] = {.reorder = 1.0};
-  SimNetwork nw(2, cfg);
-  ASSERT_TRUE(nw.send(0, 1, 7, bytes_of("first")));   // deferred
-  std::vector<std::byte> out;
-  // The receiver asking for the deferred message forces its late arrival.
-  ASSERT_EQ(nw.recv(1, 0, 7, out, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(out, bytes_of("first"));
-  EXPECT_EQ(nw.stats().faults_reordered, 1u);
-}
-
-TEST(SimFaults, PartitionIsOneWayAndHealable) {
-  SimConfig scfg;
-  scfg.replay_logging = false;
-  SimNetwork nw(2, scfg);
-  nw.partition(0, 1);
-  EXPECT_TRUE(nw.send(0, 1, 7, bytes_of("blocked")));
-  std::vector<std::byte> out;
-  EXPECT_EQ(nw.recv(1, 0, 7, out, 0.02), RecvStatus::kTimeout);
-  // The reverse direction still flows.
-  ASSERT_TRUE(nw.send(1, 0, 9, bytes_of("reverse")));
-  ASSERT_EQ(nw.recv(0, 1, 9, out, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(nw.stats().faults_partitioned, 1u);
-  nw.heal_partition(0, 1);
-  ASSERT_TRUE(nw.send(0, 1, 7, bytes_of("flows")));
-  ASSERT_EQ(nw.recv(1, 0, 7, out, 0.1), RecvStatus::kOk);
-  EXPECT_EQ(out, bytes_of("flows"));
-}
-
-TEST(SimFaults, SameSeedSameSchedule) {
-  const auto run = [](std::uint64_t seed) {
-    SimConfig cfg;
-    cfg.replay_logging = false;
-    cfg.faults.seed = seed;
-    cfg.faults.all_links.drop = 0.5;
-    SimNetwork nw(2, cfg);
-    std::vector<bool> delivered;
-    for (int i = 0; i < 64; ++i) {
-      (void)nw.send(0, 1, 7, bytes_of("m"));
-      std::vector<std::byte> out;
-      delivered.push_back(nw.recv(1, 0, 7, out, 0.001) == RecvStatus::kOk);
-    }
-    return delivered;
-  };
-  EXPECT_EQ(run(11), run(11));
-  EXPECT_NE(run(11), run(12));  // astronomically unlikely to collide
 }
 
 // --- WireChaosProxy -----------------------------------------------------
