@@ -1,7 +1,8 @@
 // E8 — the distributed node runtime on the Figure-2 heat grid: two
 // in-process NodeAgents connected by real sockets with the full wire
-// protocol (framing, checksums, DEP_RECORD round-trips to the
-// coordinator) — the paper's LAN setting, shrunk to loopback.
+// protocol (framing, checksums, numbered channels between the agents, a
+// control connection to the coordinator) — the paper's LAN setting,
+// shrunk to loopback.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -82,11 +83,11 @@ int main(int argc, char** argv) {
   std::printf(
       "BENCH_JSON {\"bench\":\"dnode\","
       "\"launches\":%llu,\"data_frames_out\":%llu,\"data_frames_in\":%llu,"
-      "\"data_forwards\":%llu,\"dep_records\":%llu,\"replay_requests\":%llu,"
+      "\"data_forwards\":%llu,\"replay_requests\":%llu,"
       "\"heartbeats\":%llu,\"corrupt_frames\":%llu,\"link_failures\":%llu}\n",
       counter("node.launches"), counter("node.data_frames_out"),
       counter("node.data_frames_in"), counter("node.data_forwards"),
-      counter("dspec.dep_records"), counter("dspec.replay_requests"),
+      counter("dspec.replay_requests"),
       counter("node.heartbeats"), counter("node.corrupt_frames"),
       counter("node.link_failures"));
   return 0;

@@ -184,7 +184,7 @@ std::shared_ptr<CheckpointStore> CheckpointStore::open_shared(
 }
 
 std::vector<CheckpointStore::ManifestFile>
-CheckpointStore::list_manifests_locked() const {
+CheckpointStore::list_manifests() const {
   std::vector<ManifestFile> files;
   const std::string prefix = std::string(kManifestDir) + "/";
   for (const std::string& name : storage_.list(kManifestDir)) {
@@ -213,8 +213,8 @@ CheckpointStore::list_manifests_locked() const {
 }
 
 std::vector<CheckpointStore::ManifestFile>
-CheckpointStore::list_manifests_locked(const std::string& snapshot) const {
-  auto files = list_manifests_locked();
+CheckpointStore::list_manifests(const std::string& snapshot) const {
+  auto files = list_manifests();
   std::erase_if(files, [&](const ManifestFile& mf) {
     return mf.snapshot != snapshot;
   });
@@ -232,7 +232,7 @@ PutStats CheckpointStore::put(const std::string& snapshot,
 
   PutStats stats;
   GcStats gc;
-  const std::vector<ManifestFile> listing = list_manifests_locked();
+  const std::vector<ManifestFile> listing = list_manifests();
   if (opts_.auto_gc && !own_manifests_.empty()) {
     // Own manifests another writer's retention pruned: their references
     // go now (the listing is the only place that pruning shows up).
@@ -347,16 +347,18 @@ void CheckpointStore::release_own_except_locked(
 }
 
 std::optional<std::vector<std::byte>> CheckpointStore::restore(
-    const std::string& snapshot, RestoreStats* out) const {
+    const std::string& snapshot, RestoreStats* out,
+    std::uint64_t max_seq) const {
   Stopwatch sw;
   obs::ScopedSpan span("ckpt", "restore");
   std::lock_guard<std::mutex> lock(mu_);
   CkptMetrics& m = CkptMetrics::get();
   m.restores.inc();
 
-  const auto files = list_manifests_locked(snapshot);
+  const auto files = list_manifests(snapshot);
   std::size_t skipped = 0;
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
+    if (it->seq > max_seq) continue;
     const auto raw = storage_.read(it->name);
     if (!raw.has_value()) {
       ++skipped;
@@ -403,21 +405,22 @@ std::optional<std::vector<std::byte>> CheckpointStore::restore(
   return std::nullopt;
 }
 
+// The readers below list without mu_: a listing touches only the
+// filesystem, and a reader polling under the put lock would starve the
+// writers.
 bool CheckpointStore::has_snapshot(const std::string& snapshot) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !list_manifests_locked(snapshot).empty();
+  return !list_manifests(snapshot).empty();
 }
 
 std::uint64_t CheckpointStore::latest_seq(const std::string& snapshot) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto files = list_manifests_locked(snapshot);
+  const auto files = list_manifests(snapshot);
   return files.empty() ? 0 : files.back().seq;
 }
 
 std::vector<std::string> CheckpointStore::snapshots() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  for (const ManifestFile& mf : list_manifests_locked()) {
+  for (const ManifestFile& mf : list_manifests()) {
     if (names.empty() || names.back() != mf.snapshot) {
       names.push_back(mf.snapshot);
     }
@@ -429,7 +432,7 @@ std::vector<Manifest> CheckpointStore::manifests(
     const std::string& snapshot) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Manifest> out;
-  for (const ManifestFile& mf : list_manifests_locked(snapshot)) {
+  for (const ManifestFile& mf : list_manifests(snapshot)) {
     const auto raw = storage_.read(mf.name);
     if (!raw.has_value()) continue;
     try {
@@ -448,7 +451,7 @@ GcStats CheckpointStore::collect_garbage() {
 
   // Retention: keep the newest keep_manifests manifests per snapshot.
   std::map<std::string, std::vector<ManifestFile>> by_snapshot;
-  for (ManifestFile& mf : list_manifests_locked()) {
+  for (ManifestFile& mf : list_manifests()) {
     by_snapshot[mf.snapshot].push_back(std::move(mf));
   }
   std::vector<ManifestFile> survivors;
@@ -506,7 +509,7 @@ VerifyReport CheckpointStore::verify() const {
   std::lock_guard<std::mutex> lock(mu_);
   VerifyReport report;
   std::set<ChunkKey> referenced;
-  for (const ManifestFile& mf : list_manifests_locked()) {
+  for (const ManifestFile& mf : list_manifests()) {
     const auto raw = storage_.read(mf.name);
     Manifest man;
     try {
@@ -547,7 +550,7 @@ StoreStats CheckpointStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   StoreStats s;
   std::map<std::string, std::uint64_t> latest;  // ascending seq ⇒ last wins
-  for (const ManifestFile& mf : list_manifests_locked()) {
+  for (const ManifestFile& mf : list_manifests()) {
     const auto raw = storage_.read(mf.name);
     if (!raw.has_value()) continue;
     Manifest man;

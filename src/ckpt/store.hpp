@@ -174,12 +174,14 @@ class CheckpointStore {
   /// references any more.
   PutStats put(const std::string& snapshot, std::span<const std::byte> image);
 
-  /// Reassemble the newest complete checkpoint of `snapshot`, verifying
-  /// every chunk against its content key and the whole image against the
-  /// manifest checksum. Falls back to older manifests on any mismatch;
-  /// nullopt when no restorable checkpoint exists.
+  /// Reassemble the newest complete checkpoint of `snapshot` numbered at
+  /// most `max_seq`, verifying every chunk against its content key and
+  /// the whole image against the manifest checksum. Falls back to older
+  /// manifests on any mismatch; nullopt when no restorable checkpoint
+  /// exists.
   [[nodiscard]] std::optional<std::vector<std::byte>> restore(
-      const std::string& snapshot, RestoreStats* stats = nullptr) const;
+      const std::string& snapshot, RestoreStats* stats = nullptr,
+      std::uint64_t max_seq = ~std::uint64_t{0}) const;
 
   [[nodiscard]] bool has_snapshot(const std::string& snapshot) const;
   /// Newest stored sequence number for `snapshot`; 0 when none exist.
@@ -219,8 +221,10 @@ class CheckpointStore {
     std::uint64_t seq = 0;
   };
 
-  [[nodiscard]] std::vector<ManifestFile> list_manifests_locked() const;
-  [[nodiscard]] std::vector<ManifestFile> list_manifests_locked(
+  /// Manifest files by (snapshot, seq). Reads only the filesystem, so
+  /// callers need not hold mu_.
+  [[nodiscard]] std::vector<ManifestFile> list_manifests() const;
+  [[nodiscard]] std::vector<ManifestFile> list_manifests(
       const std::string& snapshot) const;
   /// Drop one reference per entry; evict the chunks that reach zero.
   void release_locked(const std::vector<ManifestEntry>& entries,

@@ -24,6 +24,7 @@ void record_optimize_stats(const fir::OptimizeStats& s) {
   reg.counter("fir.opt.dead_lets_removed").inc(s.dead_lets_removed);
   reg.counter("fir.opt.reads_reused").inc(s.reads_reused);
   reg.counter("fir.opt.stores_forwarded").inc(s.stores_forwarded);
+  reg.counter("fir.opt.stores_removed").inc(s.stores_removed);
   reg.counter("fir.opt.exprs_shared").inc(s.exprs_shared);
   reg.counter("fir.opt.compares_simplified").inc(s.compares_simplified);
 }

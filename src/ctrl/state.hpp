@@ -1,51 +1,39 @@
 // The coordinator's replicated state machine.
 //
 // Everything the coordinator must not forget across a crash lives here:
-// rank placement, the speculation join's DependencyTracker, per-rank
-// rollback fences and commit counts, and terminal rank outcomes. The
+// rank placement and incarnations, and terminal rank outcomes. (The
+// speculation join is not here: it runs agent to agent over the exact
+// channels, docs/SPECULATION.md.) The
 // live coordinator mutates this state ONLY through apply() — the same
 // function WAL replay calls — so "replay the log" and "run the
 // transitions live" are one code path and the rebuilt state bit-matches
 // the original by construction (snapshot_bytes() is the canonical image
 // the equivalence tests compare).
 //
-// apply() returns the side effects the caller owes the wire: which ranks
-// to poison, whether a dep record was fenced stale. The live coordinator
-// turns those into POISON frames; replay drops them (the frames either
-// reached their agents before the crash or the RE-ADOPT census will
-// reconcile).
+// apply() reports whether a RESULT was a duplicate; every other side
+// effect (PLACEMENT, RESURRECT frames) the coordinator derives from the
+// state itself.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <vector>
 
-#include "cluster/tracker.hpp"
 #include "ctrl/wal.hpp"
 
 namespace mojave::ctrl {
 
 constexpr std::uint32_t kNoAgent = ~std::uint32_t{0};
 
-/// Rollback fence (docs/SPECULATION.md, "epoch fencing"): a DEP_RECORD
-/// whose (epoch, sender_level) predates one of these joins a speculation
-/// that no longer exists. `commits` is the rank's discharge count at the
-/// rollback, so committed data re-consumed late is not poisoned.
-struct RollbackFence {
-  std::uint64_t epoch = 0;
-  std::uint32_t level = 0;
-  std::uint64_t commits = 0;
-};
-
 /// One rank's placement.
 struct RankPlacement {
   std::uint32_t agent = 0;
   bool alive = false;
+  /// 1 at launch; each kResurrectGrant assigns the next, in WAL order.
+  std::uint64_t incarnation = 1;
 };
 
-/// Final state of one rank, aggregated across incarnations (mirrors
-/// dnode::RankOutcome minus the rank number, which is the index).
+/// Final state of one rank, aggregated across incarnations (the body of
+/// dnode::RankOutcome; the rank number is the index).
 struct RankState {
   bool done = false;
   std::uint8_t result_kind = 0;
@@ -62,10 +50,6 @@ struct RankState {
 class CoordState {
  public:
   struct ApplyResult {
-    /// Ranks the transition poisoned (live coordinator: send POISON).
-    std::vector<std::uint32_t> poisoned;
-    /// kDepRecord only: the record was fenced stale (receiver poisoned).
-    bool stale_dep = false;
     /// kRankResult only: the rank was already done (duplicate RESULT
     /// re-sent across a failover; the transition was a no-op).
     bool duplicate_result = false;
@@ -90,21 +74,15 @@ class CoordState {
     return placement_;
   }
   [[nodiscard]] const std::vector<RankState>& ranks() const { return ranks_; }
-  [[nodiscard]] std::uint64_t commit_count(std::uint32_t rank) const;
   [[nodiscard]] bool run_complete() const { return run_complete_; }
   [[nodiscard]] bool all_done() const;
-  [[nodiscard]] cluster::DependencyTracker& tracker() { return tracker_; }
 
-  /// Canonical byte image of the whole state (placement, fences, commit
-  /// counts, outcomes, tracker). Two CoordStates that applied equivalent
-  /// transition streams produce identical bytes.
+  /// Canonical byte image of the whole state (placement, outcomes). Two
+  /// CoordStates that applied equivalent transition streams produce
+  /// identical bytes.
   [[nodiscard]] std::vector<std::byte> snapshot_bytes() const;
 
  private:
-  static constexpr std::size_t kRollbackRingCap = 64;
-
-  void push_fence(std::uint32_t rank, RollbackFence f);
-
   std::uint32_t num_ranks_ = 0;
   std::vector<AgentEndpoint> agents_;
   std::uint64_t max_instructions_ = 0;
@@ -112,9 +90,6 @@ class CoordState {
 
   std::vector<RankPlacement> placement_;
   std::vector<RankState> ranks_;
-  std::map<std::uint32_t, std::uint64_t> commit_counts_;
-  std::map<std::uint32_t, std::deque<RollbackFence>> rollback_ring_;
-  cluster::DependencyTracker tracker_;
   bool run_complete_ = false;
 };
 

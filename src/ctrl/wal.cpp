@@ -20,6 +20,10 @@ namespace mojave::ctrl {
 namespace {
 
 constexpr std::size_t kFrameHeader = 4 + 8;  // body_len + fnv1a(body)
+constexpr std::uint32_t kSegmentMagic = 0x4c41574d;  // "MWAL"
+/// Version 1 segments had no header and logged the speculation join.
+constexpr std::uint32_t kSegmentVersion = 2;
+constexpr std::size_t kSegmentHeader = 4 + 4;
 
 struct WalMetrics {
   obs::Counter& appends;
@@ -75,6 +79,18 @@ struct ParsedSegment {
   bool torn = false;
 };
 
+void write_all(int fd, std::span<const std::byte> bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw Error(std::string("wal: append failed: ") + std::strerror(errno));
+    }
+    off += static_cast<std::size_t>(n);
+  }
+}
+
 ParsedSegment parse_segment(const std::filesystem::path& path,
                             std::uint64_t epoch) {
   ParsedSegment seg;
@@ -84,7 +100,23 @@ ParsedSegment parse_segment(const std::filesystem::path& path,
   std::vector<char> raw((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
   const auto data = std::as_bytes(std::span(raw.data(), raw.size()));
-  std::size_t pos = 0;
+  if (data.size() < kSegmentHeader) {
+    seg.torn = !data.empty();
+    return seg;
+  }
+  Reader head(data.first(kSegmentHeader));
+  const std::uint32_t version =
+      head.u32() == kSegmentMagic ? head.u32() : 1;
+  if (version != kSegmentVersion) {
+    MOJAVE_LOG(kError, "ctrl")
+        << "skipping WAL segment " << path.filename().string()
+        << ": format version " << version
+        << " is not readable by this build (it reads version "
+        << kSegmentVersion << ")";
+    return seg;
+  }
+  std::size_t pos = kSegmentHeader;
+  seg.consumed = pos;
   while (pos + kFrameHeader <= data.size()) {
     Reader hdr(data.subspan(pos, kFrameHeader));
     const std::uint32_t body_len = hdr.u32();
@@ -122,16 +154,40 @@ const char* wal_op_name(WalOp op) {
     case WalOp::kTakeover: return "takeover";
     case WalOp::kPlacement: return "placement";
     case WalOp::kAgentDown: return "agent-down";
-    case WalOp::kDepRecord: return "dep-record";
-    case WalOp::kRollback: return "rollback";
-    case WalOp::kCommit: return "commit";
     case WalOp::kResurrectGrant: return "resurrect-grant";
     case WalOp::kRankUp: return "rank-up";
-    case WalOp::kCommitSeqSet: return "commit-seq-set";
     case WalOp::kRankResult: return "rank-result";
     case WalOp::kRunComplete: return "run-complete";
   }
   return "?";
+}
+
+void RankResult::encode(Writer& w) const {
+  w.u8(result_kind);
+  w.i64(exit_code);
+  w.u8(has_reported ? 1 : 0);
+  w.f64(reported);
+  w.str(error);
+  w.str(output);
+  w.u64(instructions);
+  w.u64(speculates);
+  w.u64(commits);
+  w.u64(rollbacks);
+}
+
+RankResult RankResult::decode(Reader& r) {
+  RankResult res;
+  res.result_kind = r.u8();
+  res.exit_code = r.i64();
+  res.has_reported = r.u8() != 0;
+  res.reported = r.f64();
+  res.error = r.str();
+  res.output = r.str();
+  res.instructions = r.u64();
+  res.speculates = r.u64();
+  res.commits = r.u64();
+  res.rollbacks = r.u64();
+  return res;
 }
 
 std::vector<std::byte> WalRecord::encode_body() const {
@@ -164,20 +220,6 @@ std::vector<std::byte> WalRecord::encode_body() const {
     case WalOp::kAgentDown:
       w.u32(agent);
       break;
-    case WalOp::kDepRecord:
-      w.u32(sender);
-      w.u32(sender_level);
-      w.u32(receiver);
-      w.u32(receiver_level);
-      w.u64(epoch);
-      w.u64(commit_seq);
-      break;
-    case WalOp::kRollback:
-      w.u32(rank);
-      w.u32(level);
-      w.u64(epoch);
-      break;
-    case WalOp::kCommit:
     case WalOp::kRankUp:
     case WalOp::kRunComplete:
       w.u32(rank);
@@ -185,24 +227,10 @@ std::vector<std::byte> WalRecord::encode_body() const {
     case WalOp::kResurrectGrant:
       w.u32(rank);
       w.u32(agent);
-      w.u64(commit_seq);
-      break;
-    case WalOp::kCommitSeqSet:
-      w.u32(rank);
-      w.u64(commit_seq);
       break;
     case WalOp::kRankResult:
       w.u32(rank);
-      w.u8(result_kind);
-      w.i64(exit_code);
-      w.u8(has_reported ? 1 : 0);
-      w.f64(reported);
-      w.str(error);
-      w.str(output);
-      w.u64(instructions);
-      w.u64(speculates);
-      w.u64(commits);
-      w.u64(rollbacks);
+      result.encode(w);
       break;
   }
   return w.take();
@@ -245,20 +273,6 @@ WalRecord WalRecord::decode_body(std::span<const std::byte> body) {
     case WalOp::kAgentDown:
       rec.agent = r.u32();
       break;
-    case WalOp::kDepRecord:
-      rec.sender = r.u32();
-      rec.sender_level = r.u32();
-      rec.receiver = r.u32();
-      rec.receiver_level = r.u32();
-      rec.epoch = r.u64();
-      rec.commit_seq = r.u64();
-      break;
-    case WalOp::kRollback:
-      rec.rank = r.u32();
-      rec.level = r.u32();
-      rec.epoch = r.u64();
-      break;
-    case WalOp::kCommit:
     case WalOp::kRankUp:
     case WalOp::kRunComplete:
       rec.rank = r.u32();
@@ -266,24 +280,10 @@ WalRecord WalRecord::decode_body(std::span<const std::byte> body) {
     case WalOp::kResurrectGrant:
       rec.rank = r.u32();
       rec.agent = r.u32();
-      rec.commit_seq = r.u64();
-      break;
-    case WalOp::kCommitSeqSet:
-      rec.rank = r.u32();
-      rec.commit_seq = r.u64();
       break;
     case WalOp::kRankResult:
       rec.rank = r.u32();
-      rec.result_kind = r.u8();
-      rec.exit_code = r.i64();
-      rec.has_reported = r.u8() != 0;
-      rec.reported = r.f64();
-      rec.error = r.str();
-      rec.output = r.str();
-      rec.instructions = r.u64();
-      rec.speculates = r.u64();
-      rec.commits = r.u64();
-      rec.rollbacks = r.u64();
+      rec.result = RankResult::decode(r);
       break;
     default:
       throw ImageError("wal: unknown record op");
@@ -304,6 +304,12 @@ WalWriter::WalWriter(std::filesystem::path dir, std::uint64_t epoch)
     throw Error("wal: cannot open segment " + path_.string() + ": " +
                 std::strerror(errno));
   }
+  if (::lseek(fd_, 0, SEEK_END) == 0) {
+    Writer head;
+    head.u32(kSegmentMagic);
+    head.u32(kSegmentVersion);
+    write_all(fd_, head.view());
+  }
 }
 
 WalWriter::~WalWriter() { close(); }
@@ -317,15 +323,7 @@ void WalWriter::append(WalRecord rec) {
   frame.u64(fnv1a(body));
   frame.bytes(body);
   const std::vector<std::byte> bytes = frame.take();
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw Error(std::string("wal: append failed: ") + std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  write_all(fd_, bytes);
   dirty_ = true;
   ++appended_;
   WalMetrics::get().appends.inc();

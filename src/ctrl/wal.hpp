@@ -1,8 +1,8 @@
 // Control-plane write-ahead log.
 //
-// The coordinator is the cluster's brain: placement, the speculation
-// join's dependency state, rollback fences, commit counts, resurrection
-// grants. All of it used to live only in that one process's memory — a
+// The coordinator is the cluster's brain: placement, incarnations,
+// resurrection grants, rank outcomes. All of it used to live only in
+// that one process's memory — a
 // `kill -9` of `mojc cluster` lost the run. The WAL makes every
 // coordinator state transition durable *before* its side effects go out
 // on the wire, so a restarted (or standby) coordinator can replay the log
@@ -12,8 +12,10 @@
 //
 // On-disk format (docs/CONTROL_PLANE.md): one segment file per
 // coordinator incarnation, named `wal-<epoch16>.log` where `epoch` is the
-// writer's lease epoch — lexicographic file order is epoch order. Each
-// record is length-framed and checksummed:
+// writer's lease epoch — lexicographic file order is epoch order. A
+// segment opens with `u32 magic 'MWAL' | u32 format version`; a segment
+// of another version (version 1 had no header) is reported by its
+// version and not replayed. Each record is length-framed and checksummed:
 //
 //   u32 body_len | u64 fnv1a(body) | body
 //   body := u8 op | u64 wal_epoch | op-specific fields
@@ -51,12 +53,8 @@ enum class WalOp : std::uint8_t {
   kTakeover,        ///< new epoch's seal over prior segments (fencing)
   kPlacement,       ///< rank placed on agent (or marked not-alive)
   kAgentDown,       ///< failure detector verdict: agent is dead
-  kDepRecord,       ///< speculation join: receiver consumed sender's data
-  kRollback,        ///< ROLL_POISON: rank rolled back `level`
-  kCommit,          ///< COMMIT_DISCHARGE: rank committed to zero
-  kResurrectGrant,  ///< resurrection issued: rank -> target agent
+  kResurrectGrant,  ///< resurrection issued: rank -> target agent, next incarnation
   kRankUp,          ///< RANK_UP ok: incarnation is live
-  kCommitSeqSet,    ///< census reconciliation raised a rank's commit count
   kRankResult,      ///< terminal RESULT for a rank
   kRunComplete,     ///< every rank reported; the run is over
 };
@@ -70,6 +68,22 @@ struct AgentEndpoint {
   std::uint16_t port = 0;
 };
 
+/// A rank's terminal report: the RESULT frame's body and the kRankResult
+/// record's, one encoding for both.
+struct RankResult {
+  std::uint8_t result_kind = 0;  ///< 0 halted, 1 migrated away, 2 error
+  std::int64_t exit_code = 0;
+  bool has_reported = false;
+  double reported = 0;
+  std::string error;
+  std::string output;
+  std::uint64_t instructions = 0;
+  std::uint64_t speculates = 0, commits = 0, rollbacks = 0;
+
+  void encode(Writer& w) const;
+  [[nodiscard]] static RankResult decode(Reader& r);
+};
+
 /// How much of segment `epoch` the sealing coordinator consumed; bytes
 /// beyond this are a fenced zombie's and must never replay.
 struct SegmentSeal {
@@ -77,8 +91,8 @@ struct SegmentSeal {
   std::uint64_t bytes = 0;
 };
 
-/// Flat superset of every op's fields (same shape as dnode::Msg: a
-/// 12-way variant would cost more than it buys on an internal format).
+/// Flat superset of every op's fields (same shape as dnode::Msg: an
+/// 8-way variant would cost more than it buys on an internal format).
 struct WalRecord {
   WalOp op = WalOp::kMeta;
   std::uint64_t wal_epoch = 0;  ///< writer's lease epoch
@@ -97,27 +111,8 @@ struct WalRecord {
   std::uint32_t agent = 0;
   bool alive = false;
 
-  // kDepRecord
-  std::uint32_t sender = 0, sender_level = 0;
-  std::uint32_t receiver = 0, receiver_level = 0;
-
-  // kDepRecord / kRollback (rollback epoch, not the lease epoch)
-  std::uint64_t epoch = 0;
-  // kDepRecord / kResurrectGrant / kCommitSeqSet
-  std::uint64_t commit_seq = 0;
-
-  // kRollback
-  std::uint32_t level = 0;
-
   // kRankResult
-  std::uint8_t result_kind = 0;
-  std::int64_t exit_code = 0;
-  bool has_reported = false;
-  double reported = 0;
-  std::string error;
-  std::string output;
-  std::uint64_t instructions = 0;
-  std::uint64_t speculates = 0, commits = 0, rollbacks = 0;
+  RankResult result;
 
   [[nodiscard]] std::vector<std::byte> encode_body() const;
   /// Throws ImageError on a malformed body (callers treat that the same

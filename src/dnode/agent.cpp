@@ -46,8 +46,8 @@ struct AgentMetrics {
   obs::Counter& forwards;
   obs::Counter& replay_requests;
   obs::Counter& replays_served;
+  obs::Counter& consumed;
   obs::Counter& poisons;
-  obs::Counter& dep_records;
   obs::Counter& corrupt_frames;
   obs::Counter& heartbeats;
   obs::Counter& link_failures;
@@ -59,24 +59,31 @@ struct AgentMetrics {
         r.counter("node.yields"),         r.counter("node.data_frames_in"),
         r.counter("node.data_frames_out"), r.counter("node.data_forwards"),
         r.counter("dspec.replay_requests"), r.counter("dspec.replays_served"),
-        r.counter("dspec.poisons_received"), r.counter("dspec.dep_records"),
-        r.counter("node.corrupt_frames"), r.counter("node.heartbeats"),
-        r.counter("node.link_failures"),
+        r.counter("dspec.payloads_consumed"),
+        r.counter("dspec.poisons_received"), r.counter("node.corrupt_frames"),
+        r.counter("node.heartbeats"),     r.counter("node.link_failures"),
     };
     return m;
   }
 };
 
-/// Wraps the per-rank Migrator so the coordinator can turn the rank's
-/// *next successful checkpoint* into a yield: the process exits here with
+/// Wraps the per-rank Migrator. The agent persists the rank's channels
+/// just before each checkpoint image and tells their senders once the
+/// image landed. The coordinator can also turn the rank's *next
+/// successful checkpoint* into a yield: the process exits here with
 /// kMigratedAway and is resurrected from that checkpoint on the target
 /// agent. Checkpoints happen at commit points (Figure 2's loop), so a
 /// yield never strands an active speculation.
 class YieldHook final : public vm::MigrationHook {
  public:
   YieldHook(vm::Process& proc, migrate::Migrator& inner,
-            std::atomic<bool>& yield_requested)
-      : proc_(proc), inner_(inner), yield_(yield_requested) {
+            std::atomic<bool>& yield_requested, std::function<void()> before,
+            std::function<void()> landed)
+      : proc_(proc),
+        inner_(inner),
+        yield_(yield_requested),
+        before_(std::move(before)),
+        landed_(std::move(landed)) {
     proc_.vm().set_migration_hook(this);
   }
   ~YieldHook() override { proc_.vm().set_migration_hook(&inner_); }
@@ -84,13 +91,17 @@ class YieldHook final : public vm::MigrationHook {
   Action on_migrate(vm::Interpreter& vm, MigrateLabel label,
                     const std::string& target, FunIndex resume_fun,
                     std::span<const Value> resume_args) override {
+    before_();
+    const std::size_t events = inner_.events().size();
     const Action a = inner_.on_migrate(vm, label, target, resume_fun,
                                        resume_args);
     if (a == Action::kExit) return a;
-    if (yield_.load() && !inner_.events().empty() &&
-        inner_.events().back().success) {
-      yielded_ = true;
-      return Action::kExit;
+    if (inner_.events().size() > events && inner_.events().back().success) {
+      landed_();
+      if (yield_.load()) {
+        yielded_ = true;
+        return Action::kExit;
+      }
     }
     return a;
   }
@@ -101,8 +112,40 @@ class YieldHook final : public vm::MigrationHook {
   vm::Process& proc_;
   migrate::Migrator& inner_;
   std::atomic<bool>& yield_;
+  std::function<void()> before_;
+  std::function<void()> landed_;
   bool yielded_ = false;
 };
+
+/// The innermost active speculation's id; 0 outside any speculation.
+std::uint64_t innermost_spec(vm::Process& proc) {
+  const SpecLevel level = proc.spec().current_level();
+  return level == 0 ? 0 : proc.spec().level_id(level);
+}
+
+/// A channel entry as its wire frame.
+std::vector<std::byte> encode_entry(std::uint32_t src, std::uint32_t dst,
+                                    const Entry& e) {
+  return e.op == ChannelOp::kData
+             ? encode_data(src, dst, e.tag, e.payload)
+             : encode_spec_outcome(src, dst, e.op, e.h.incarnation, e.h.seq,
+                                   e.h.spec_id);
+}
+
+std::string image_snapshot(std::uint32_t rank) {
+  return "rank_" + std::to_string(rank);
+}
+
+/// Store name of a rank's persisted channels: the Outbox log the
+/// receivers have not checkpointed past, and the Inbox positions to
+/// resume from. Written right before each checkpoint image.
+std::string send_log_snapshot(std::uint32_t rank) {
+  return image_snapshot(rank) + "_sendlog";
+}
+
+constexpr std::uint32_t kSendLogMagic = 0x474c534d;  // "MSLG"
+/// Version 1 was the unversioned whole-history (dst, tag) log.
+constexpr std::uint32_t kSendLogVersion = 2;
 
 }  // namespace
 
@@ -111,6 +154,7 @@ struct NodeAgent::Conn {
   net::FramedSocket sock;
   std::uint64_t token = 0;
   PeerKind kind = PeerKind::kAgent;
+  std::uint32_t agent = ~std::uint32_t{0};  ///< a peer agent's id, from HELLO
   bool write_armed = false;
 };
 
@@ -130,27 +174,11 @@ struct NodeAgent::RankSlot {
   std::unique_ptr<migrate::Migrator> migrator;
   std::unique_ptr<YieldHook> yield_hook;
 
-  /// The distributed poison flag: set by POISON/FORCE_ROLL frames, drained
-  /// by msg_recv as MSG_ROLL (the agent-side half of consume_poison()).
+  /// The distributed poison flag: set by a reverted join, a lost sender
+  /// or FORCE_ROLL, drained by msg_recv as MSG_ROLL.
   std::atomic<bool> poisoned{false};
   std::atomic<bool> yield_requested{false};
   std::atomic<bool> done{false};
-  /// Rollback epoch: bumped on every rollback and stamped into outgoing
-  /// DATA, so the coordinator can fence dependency records that raced a
-  /// ROLL_POISON (see docs/SPECULATION.md).
-  std::atomic<std::uint64_t> epoch{0};
-  /// Commit count, also stamped into outgoing DATA. Replay logs and the
-  /// receiver-side delivered cache keep a payload long after its
-  /// speculation was discharged; without this stamp the epoch fence would
-  /// poison every late re-consume of committed data — and a resurrected
-  /// rank re-reading its border messages would be poisoned, roll back,
-  /// re-read the same cached payload, and livelock. Seeded from the
-  /// coordinator's RESURRECT so incarnations agree on the count.
-  std::atomic<std::uint64_t> commit_seq{0};
-  /// Level-1 rollbacks of this incarnation, stamped into outgoing DATA
-  /// (DataHeader::outer_rollbacks) so receivers can tell reverted data
-  /// from data a nested rollback left standing. Loop thread only.
-  std::uint64_t outer_rollbacks = 0;
   std::atomic<bool> has_reported{false};
   std::atomic<double> reported{0};
 
@@ -158,43 +186,28 @@ struct NodeAgent::RankSlot {
   // BEFORE the external's side effects, so re-executing the instruction
   // after a WouldBlock park is idempotent — the same contract that makes
   // native-tier deoptimization safe. ------------------------------------
-  double next_send_at = 0;   ///< throttle + failed-send backoff
+  double next_send_at = 0;   ///< throttle gate
   double sleep_until = -1;   ///< armed sleep_ms gate; -1 = none
-  bool roll_pace_armed = false;  ///< pacing a peer-down MSG_ROLL report
-  double roll_pace_until = 0;
   struct RecvWait {
     bool active = false;
     std::uint64_t key = 0;
-    double start = 0;        ///< first wait on this key (timeout base)
-    double next_replay = 0;  ///< when to re-request from the replay log
+    std::uint32_t src = 0;
+    double start = 0;  ///< first wait on this key (timeout base)
   } recv;
   /// Set by an external just before it throws WouldBlock; the fiber parks
   /// on this key.
   std::uint64_t pending_wait_key = 0;
 
-  /// Per sender, the newest speculative payload this rank consumed and
-  /// its own level then: the receiver half of a DEP_RECORD. Once a later
-  /// delivery from that sender proves the payload reverted, a POISON is
-  /// on its way through the coordinator, while the sender's later data
-  /// comes straight here and can overtake it. Receives wait for that
-  /// POISON rather than consume on top of an aborted speculation.
-  /// A rollback voids the entries at its level and deeper.
-  struct Joined {
-    SendStamp stamp;
-    std::uint32_t level = 0;
-  };
-  std::map<std::uint32_t, Joined> joined;
-  bool doom_armed = false;  ///< waiting for the POISON of a reverted join
-  double doom_until = 0;
-
   /// Lazy cancellation (TimeWarp): hash of the last payload per (dst,
-  /// tag); a byte-identical re-send after a rollback goes out at level 0.
+  /// tag) since the last commit to zero; a byte-identical re-send after a
+  /// rollback goes out durable (spec id 0).
   std::map<std::pair<std::uint32_t, std::int32_t>, std::uint64_t> sent_hashes;
-  /// Sender-side replay log answering REPLAY_REQ: a receiver resurrected
-  /// on another agent re-requests border messages already sent (the
-  /// paper's Figure 2 "re-request border information" arrow).
-  std::map<std::pair<std::uint32_t, std::int32_t>, std::vector<std::byte>>
-      sent_log;
+  /// The sending half of this rank's channels.
+  Outbox out;
+  /// Per sender, where each of this rank's last checkpoints left its
+  /// inbound channel (Inbox::watermarks()), oldest first; the senders
+  /// are told the oldest.
+  std::deque<std::vector<std::pair<std::uint32_t, std::uint64_t>>> covered;
 
   // --- HA takeover bookkeeping (loop thread only) -----------------------
   /// True once this slot yielded (checkpointed and parked): reported as
@@ -206,69 +219,6 @@ struct NodeAgent::RankSlot {
   /// RE_ADOPT (its duplicate guard absorbs the common already-seen case).
   std::vector<std::byte> last_result;
 };
-
-namespace {
-
-/// Store name for a rank's persisted sender replay log. The in-memory
-/// log dies with the agent, but a message that was in flight (or in the
-/// coalescing queue) when the agent was killed is gone with it too — and
-/// the sender's next incarnation resumes from its checkpoint, past the
-/// point where it would regenerate pre-checkpoint sends. A receiver still
-/// waiting on one of those messages would deadlock the cluster. So the
-/// log is persisted into the shared checkpoint store at every commit
-/// (the instant before the checkpoint itself) and restored at
-/// resurrection, making pre-checkpoint border sends replayable across
-/// incarnations.
-std::string send_log_snapshot(std::uint32_t rank) {
-  return "rank_" + std::to_string(rank) + "_sendlog";
-}
-
-std::vector<std::byte> encode_send_log(
-    const std::map<std::pair<std::uint32_t, std::int32_t>,
-                   std::vector<std::byte>>& sent_log,
-    const std::map<std::pair<std::uint32_t, std::int32_t>, std::uint64_t>&
-        sent_hashes) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(sent_log.size()));
-  for (const auto& [key, payload] : sent_log) {
-    w.u32(key.first);
-    w.i32(key.second);
-    w.u32(static_cast<std::uint32_t>(payload.size()));
-    w.bytes(payload);
-  }
-  w.u32(static_cast<std::uint32_t>(sent_hashes.size()));
-  for (const auto& [key, hash] : sent_hashes) {
-    w.u32(key.first);
-    w.i32(key.second);
-    w.u64(hash);
-  }
-  return w.take();
-}
-
-void decode_send_log(
-    std::span<const std::byte> blob,
-    std::map<std::pair<std::uint32_t, std::int32_t>, std::vector<std::byte>>&
-        sent_log,
-    std::map<std::pair<std::uint32_t, std::int32_t>, std::uint64_t>&
-        sent_hashes) {
-  Reader r(blob);
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t dst = r.u32();
-    const std::int32_t tag = r.i32();
-    const std::uint32_t len = r.u32();
-    const auto span = r.bytes(len);
-    sent_log[{dst, tag}] = {span.begin(), span.end()};
-  }
-  const std::uint32_t m = r.u32();
-  for (std::uint32_t i = 0; i < m; ++i) {
-    const std::uint32_t dst = r.u32();
-    const std::int32_t tag = r.i32();
-    sent_hashes[{dst, tag}] = r.u64();
-  }
-}
-
-}  // namespace
 
 NodeAgent::NodeAgent(AgentConfig cfg)
     : cfg_(std::move(cfg)),
@@ -419,7 +369,7 @@ void NodeAgent::on_conn_event(std::uint64_t token,
         AgentMetrics::get().corrupt_frames.inc();
         continue;
       }
-      handle_frame(*m, conn);
+      handle_frame(*m, frame, conn);
     }
   }
   if (!dead && ev.writable) {
@@ -434,6 +384,10 @@ void NodeAgent::drop_conn(std::uint64_t token) {
   std::shared_ptr<Conn> conn = it->second;
   poller_.remove(conn->sock.fd());
   conns_.erase(it);
+  // A peer's link into us died: whatever it had in flight is lost.
+  if (conn->kind == PeerKind::kAgent && conn->agent < agents_.size()) {
+    resend_from_agent(conn->agent);
+  }
   if (conn == coordinator_) {
     coordinator_.reset();
     if (!stopping_.load()) {
@@ -483,12 +437,36 @@ void NodeAgent::on_link_event(std::uint32_t agent,
 void NodeAgent::fail_link(std::uint32_t agent) {
   auto it = links_.find(agent);
   if (it == links_.end()) return;
-  // Queued frames die with the link = dropped messages; the rollback-
-  // retry loop and the replay log recover, exactly as for a mid-flight
-  // TCP reset.
+  // Queued frames die with the link. A link that had connected is
+  // re-dialled at once while the peer hosts a live rank: the peer's
+  // receivers ask for what they lost when they see the new connection,
+  // and ours ask again in case our own requests died too. One that never
+  // connected leads to no live agent.
   AgentMetrics::get().link_failures.inc();
+  const bool was_ready = it->second->state == Link::State::kReady;
   poller_.remove(it->second->sock.fd());
   links_.erase(it);
+  if (!was_ready || stopping_.load()) return;
+  const bool live = std::any_of(
+      placement_.begin(), placement_.end(),
+      [&](const Placement& p) { return p.agent == agent && p.alive; });
+  if (live && send_to_agent(agent, {})) resend_from_agent(agent);
+}
+
+void NodeAgent::resend_from_agent(std::uint32_t agent) {
+  if (stopping_.load()) return;
+  ++links_lost_;
+  // Every rank here asks every live rank there: what was lost may have
+  // been its first entry.
+  for (const auto& [rank, slot] : slots_) {
+    if (slot->done.load()) continue;
+    for (std::uint32_t src = 0; src < placement_.size(); ++src) {
+      if (src != rank && placement_[src].agent == agent &&
+          placement_[src].alive) {
+        request_resend(src, rank);
+      }
+    }
+  }
 }
 
 void NodeAgent::flush_io() {
@@ -526,7 +504,8 @@ void NodeAgent::flush_io() {
 
 // --- Frame handling --------------------------------------------------------
 
-void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
+void NodeAgent::handle_frame(const Msg& m, std::span<const std::byte> raw,
+                             const std::shared_ptr<Conn>& conn) {
   // Fencing, part two: commands are only honored from the adopted control
   // connection. A deposed primary's established conn keeps delivering
   // frames after the standby takes over (the HELLO epoch check only fires
@@ -535,7 +514,6 @@ void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
     case MsgType::kConfig:
     case MsgType::kPlacement:
     case MsgType::kLaunch:
-    case MsgType::kPoison:
     case MsgType::kForceRoll:
     case MsgType::kResurrect:
     case MsgType::kYieldRank:
@@ -549,32 +527,37 @@ void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
   switch (m.type) {
     case MsgType::kHello: {
       conn->kind = m.peer_kind;
-      if (m.peer_kind == PeerKind::kCoordinator) {
-        // Lease fencing (docs/CONTROL_PLANE.md): a deposed primary that
-        // is still alive carries a lower lease epoch than the standby
-        // that replaced it — its writes must not reach the cluster.
-        if (m.coord_epoch < coord_epoch_) {
-          MOJAVE_LOG(kWarn, "dnode")
-              << "rejecting coordinator with stale lease epoch "
-              << m.coord_epoch << " < " << coord_epoch_;
-          drop_conn(conn->token);
-          break;
-        }
-        coord_epoch_ = m.coord_epoch;
-        if (coordinator_ && coordinator_ != conn) {
-          // Adopt the new primary before dropping the old control
-          // connection so the drop does not look like a coordinator loss.
-          const std::uint64_t old_token = coordinator_->token;
-          coordinator_ = conn;
-          drop_conn(old_token);
-        } else {
-          coordinator_ = conn;
-        }
-        coord_lost_at_ = -1;
-        while (!coord_backlog_.empty()) {
-          coordinator_->sock.queue_frame(std::move(coord_backlog_.front()));
-          coord_backlog_.pop_front();
-        }
+      if (m.peer_kind == PeerKind::kAgent) {
+        conn->agent = m.agent;
+        // A peer that dialled in before re-dialled: what it had queued on
+        // the old link may be lost.
+        if (!dialled_in_.insert(m.agent).second) resend_from_agent(m.agent);
+        break;
+      }
+      // Lease fencing (docs/CONTROL_PLANE.md): a deposed primary that
+      // is still alive carries a lower lease epoch than the standby
+      // that replaced it — its writes must not reach the cluster.
+      if (m.coord_epoch < coord_epoch_) {
+        MOJAVE_LOG(kWarn, "dnode")
+            << "rejecting coordinator with stale lease epoch "
+            << m.coord_epoch << " < " << coord_epoch_;
+        drop_conn(conn->token);
+        break;
+      }
+      coord_epoch_ = m.coord_epoch;
+      if (coordinator_ && coordinator_ != conn) {
+        // Adopt the new primary before dropping the old control
+        // connection so the drop does not look like a coordinator loss.
+        const std::uint64_t old_token = coordinator_->token;
+        coordinator_ = conn;
+        drop_conn(old_token);
+      } else {
+        coordinator_ = conn;
+      }
+      coord_lost_at_ = -1;
+      while (!coord_backlog_.empty()) {
+        coordinator_->sock.queue_frame(std::move(coord_backlog_.front()));
+        coord_backlog_.pop_front();
       }
       break;
     }
@@ -588,7 +571,6 @@ void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
       for (const auto& [rank, slot] : slots_) {
         CensusEntry e;
         e.rank = rank;
-        e.commit_seq = slot->commit_seq.load();
         if (slot->yielded) {
           e.state = 2;
         } else if (slot->done.load()) {
@@ -613,46 +595,48 @@ void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
       if (m.recv_timeout_seconds > 0) {
         recv_timeout_seconds_ = m.recv_timeout_seconds;
       }
-      placement_.assign(num_ranks_, Placement{});
-      break;
-    }
-    case MsgType::kPlacement: {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const PlacementEntry& e : m.placement) {
-          if (e.rank >= placement_.size()) continue;
-          if (e.alive && !placement_[e.rank].alive) {
-            // A new incarnation numbers its rollbacks from zero again.
-            for (auto& [rank, mb] : mail_) mb.newest.erase(e.rank);
-            for (auto& [rank, slot] : slots_) slot->joined.erase(e.rank);
-          }
-          placement_[e.rank] = Placement{e.agent, e.alive};
-        }
+      // A takeover's CONFIG keeps what this agent knows of the ranks; its
+      // PLACEMENT follows.
+      if (placement_.size() != num_ranks_) {
+        placement_.assign(num_ranks_, Placement{});
       }
-      // Receives parked on a now-dead peer must wake to report MSG_ROLL.
-      sched_.wake_all();
       break;
     }
+    case MsgType::kPlacement:
+      handle_placement(m);
+      break;
     case MsgType::kLaunch:
       launch_rank(m.rank, m.payload);
       break;
     case MsgType::kData:
-      handle_data(m);
-      break;
-    case MsgType::kReplayReq:
-      handle_replay_req(m);
-      break;
-    case MsgType::kPoison:
-    case MsgType::kForceRoll: {
-      AgentMetrics::get().poisons.inc();
-      if (RankSlot* slot = find_slot(m.rank)) {
-        slot->poisoned.store(true);
-        sched_.wake(m.rank);
+    case MsgType::kSpecOutcome: {
+      AgentMetrics::get().data_in.inc();
+      if (forward(m.dst, raw)) break;
+      Entry e;
+      e.op = m.op;
+      if (m.type == MsgType::kData) {
+        e.tag = m.tag;
+        e.h = decode_data_header(m.payload);
+        e.payload = m.payload;
+      } else {
+        e.h = DataHeader{m.incarnation, m.seq, m.spec_id, 0};
       }
+      receive_entry(m.src, m.dst, std::move(e));
       break;
     }
+    case MsgType::kResend:
+      if (forward(m.src, raw)) break;
+      handle_resend(m.src, m.dst, m.seq, m.agent);
+      break;
+    case MsgType::kWatermark:
+      if (forward(m.src, raw)) break;
+      if (RankSlot* slot = find_slot(m.src)) slot->out.truncate(m.dst, m.seq);
+      break;
+    case MsgType::kForceRoll:
+      poison(m.rank);
+      break;
     case MsgType::kResurrect:
-      resurrect_rank(m.rank, m.commit_seq);
+      resurrect_rank(m.rank, m.incarnation);
       break;
     case MsgType::kYieldRank: {
       if (RankSlot* slot = find_slot(m.rank)) {
@@ -668,76 +652,94 @@ void NodeAgent::handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn) {
   }
 }
 
+void NodeAgent::handle_placement(const Msg& m) {
+  std::vector<std::uint32_t> lost, back;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const PlacementEntry& e : m.placement) {
+      if (e.rank >= placement_.size()) continue;
+      Placement& p = placement_[e.rank];
+      if (p.alive && !e.alive) lost.push_back(e.rank);
+      if (e.alive && !p.alive) back.push_back(e.rank);
+      p = Placement{e.agent, e.alive, e.incarnation};
+    }
+  }
+  for (const std::uint32_t r : lost) rank_lost(r);
+  // A rank comes back alive as a new incarnation. Entries logged here
+  // while it was down go to it now, and each receiver here that hears
+  // from it asks it once for what it lacks (and so learns where the new
+  // numbering begins).
+  for (const std::uint32_t r : back) {
+    for (const auto& [rank, slot] : slots_) {
+      transmit(*slot, slot->out.take_deferred(r));
+      if (rank != r && !slot->done.load() && mail_[rank].knows(r)) {
+        request_resend(r, rank);
+      }
+    }
+  }
+}
+
 NodeAgent::RankSlot* NodeAgent::find_slot(std::uint32_t rank) {
   const auto it = slots_.find(rank);
   return it == slots_.end() ? nullptr : it->second.get();
 }
 
-void NodeAgent::handle_data(const Msg& m) {
-  AgentMetrics::get().data_in.inc();
+bool NodeAgent::forward(std::uint32_t rank, std::span<const std::byte> raw) {
+  // A rank running here is here, whatever the placement map says yet: a
+  // resurrected one hears from its senders before its RANK_UP returns as
+  // a PLACEMENT.
+  if (const RankSlot* slot = find_slot(rank); slot && !slot->done.load()) {
+    return false;
+  }
   std::uint32_t agent = 0;
-  bool known = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (m.dst < placement_.size()) {
-      agent = placement_[m.dst].agent;
-      known = true;
+    if (rank >= placement_.size()) return false;
+    agent = placement_[rank].agent;
+  }
+  if (agent == my_agent_) return false;
+  AgentMetrics::get().forwards.inc();
+  send_to_agent(agent, {raw.begin(), raw.end()});
+  return true;
+}
+
+// --- Channels --------------------------------------------------------------
+
+void NodeAgent::transmit(RankSlot& slot, const Outbox::Sent& sent) {
+  for (const auto& [dst, e] : sent) {
+    Placement p{0, false};
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (dst < placement_.size()) p = placement_[dst];
+    }
+    // Logged either way: what cannot go now goes when the rank is back.
+    if (!p.alive || !deliver(p.agent, slot.rank, dst, *e)) {
+      slot.out.defer(dst, e->h.seq);
     }
   }
-  if (known && agent != my_agent_) {
-    // The sender routed on a stale placement; forward once on ours.
-    AgentMetrics::get().forwards.inc();
-    send_to_agent(agent, encode_data(m.src, m.dst, m.tag, m.payload));
-    return;
-  }
-  deliver_local(m.src, m.dst, m.tag, m.payload);
 }
 
-void NodeAgent::handle_replay_req(const Msg& m) {
-  std::vector<std::byte> payload;
-  {
-    RankSlot* slot = find_slot(m.owner);
-    if (slot == nullptr) return;  // owner moved on; its new host will serve
-    const auto it = slot->sent_log.find({m.requester, m.tag});
-    if (it == slot->sent_log.end()) return;  // never sent: requester waits
-    payload = it->second;
-  }
-  AgentMetrics::get().replays_served.inc();
-  route_payload(m.owner, m.requester, m.tag, std::move(payload));
-}
-
-void NodeAgent::deliver_local(std::uint32_t src, std::uint32_t dst,
-                              std::int32_t tag,
-                              std::vector<std::byte> payload) {
-  Mailbox& mb = mail_[dst];
-  const DataHeader h = decode_data_header(payload);
-  SendStamp& newest = mb.newest[src];
-  newest = std::max(newest, SendStamp{h.commit_seq, h.outer_rollbacks});
-  mb.q[{src, tag}].push_back(std::move(payload));
-  sched_.wake_key(recv_wait_key(src, static_cast<std::uint64_t>(
-                                         static_cast<std::uint32_t>(tag))));
-}
-
-bool NodeAgent::route_payload(std::uint32_t src, std::uint32_t dst,
-                              std::int32_t tag,
-                              std::vector<std::byte> payload) {
-  std::uint32_t agent = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dst >= placement_.size()) return false;
-    if (!placement_[dst].alive) return false;
-    agent = placement_[dst].agent;
-  }
+bool NodeAgent::deliver(std::uint32_t agent, std::uint32_t src,
+                        std::uint32_t dst, const Entry& e) {
   if (agent == my_agent_) {
-    deliver_local(src, dst, tag, std::move(payload));
+    receive_entry(src, dst, e);
     return true;
   }
-  AgentMetrics::get().data_out.inc();
-  return send_to_agent(agent, encode_data(src, dst, tag, payload));
+  if (e.op == ChannelOp::kData) AgentMetrics::get().data_out.inc();
+  return send_to_agent(agent, encode_entry(src, dst, e));
 }
 
-void NodeAgent::request_replay(std::uint32_t src, std::uint32_t requester,
-                               std::int32_t tag) {
+void NodeAgent::receive_entry(std::uint32_t src, std::uint32_t dst, Entry e) {
+  const Inbox::Applied a = mail_[dst].receive(src, std::move(e));
+  for (const std::int32_t tag : a.arrived) {
+    sched_.wake_key(recv_wait_key(
+        src, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag))));
+  }
+  if (a.poison) poison(dst);
+  if (a.gap) request_resend(src, dst);
+}
+
+void NodeAgent::request_resend(std::uint32_t src, std::uint32_t dst) {
   std::uint32_t agent = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -745,12 +747,113 @@ void NodeAgent::request_replay(std::uint32_t src, std::uint32_t requester,
     agent = placement_[src].agent;
   }
   AgentMetrics::get().replay_requests.inc();
-  auto frame = encode_replay_req(src, requester, tag);
+  const std::uint64_t from = mail_[dst].resend_from(src);
   if (agent == my_agent_) {
-    if (auto m = decode(frame)) handle_replay_req(*m);
+    handle_resend(src, dst, from, my_agent_);
   } else {
-    send_to_agent(agent, std::move(frame));
+    send_to_agent(agent, encode_resend(src, dst, from, my_agent_));
   }
+}
+
+void NodeAgent::handle_resend(std::uint32_t src, std::uint32_t dst,
+                              std::uint64_t seq, std::uint32_t reply_agent) {
+  RankSlot* slot = find_slot(src);
+  if (slot == nullptr) return;  // not here yet: asked again when it is up
+  AgentMetrics::get().replays_served.inc();
+  // Straight back to the asking agent: its rank may be newer than this
+  // agent's placement map.
+  for (const auto& [to, e] : slot->out.resend(dst, seq)) {
+    deliver(reply_agent, src, to, *e);
+  }
+}
+
+void NodeAgent::poison(std::uint32_t rank) {
+  RankSlot* slot = find_slot(rank);
+  if (slot == nullptr || slot->done.load()) return;
+  if (!slot->poisoned.exchange(true)) AgentMetrics::get().poisons.inc();
+  sched_.wake(rank);
+}
+
+void NodeAgent::restore_channels(RankSlot& slot, std::uint64_t image_seq) {
+  // The channels resume from the checkpoint too: what arrived here for an
+  // earlier incarnation is asked for again once the rank is up.
+  Inbox& inbox = mail_[slot.rank] = Inbox{};
+  std::uint64_t bound = ~std::uint64_t{0};
+  try {
+    while (true) {
+      ckpt::RestoreStats rs;
+      const auto log =
+          store_->restore(send_log_snapshot(slot.rank), &rs, bound);
+      if (!log.has_value()) return;
+      Reader r(*log);
+      const std::uint32_t version = r.u32() == kSendLogMagic ? r.u32() : 1;
+      if (version != kSendLogVersion) {
+        throw ImageError("channel log format version " +
+                         std::to_string(version) +
+                         " is not readable by this build (it reads version " +
+                         std::to_string(kSendLogVersion) + ")");
+      }
+      const std::uint64_t for_image = r.u64();
+      if (for_image > image_seq && rs.seq > 1) {
+        bound = rs.seq - 1;  // written after a newer image: look further back
+        continue;
+      }
+      if (for_image != image_seq) {
+        MOJAVE_LOG(kWarn, "dnode")
+            << "rank " << slot.rank << " restores checkpoint " << image_seq
+            << " with the channels of checkpoint " << for_image
+            << ": some of its messages may be lost or repeated";
+      }
+      slot.out.decode(r);
+      inbox.decode(r);
+      return;
+    }
+  } catch (const std::exception& e) {
+    MOJAVE_LOG(kWarn, "dnode")
+        << "rank " << slot.rank << " channel restore failed: " << e.what();
+  }
+}
+
+void NodeAgent::rank_lost(std::uint32_t rank) {
+  for (auto& [dst, inbox] : mail_) {
+    if (dst != rank && inbox.kill(rank)) poison(dst);
+  }
+  for (const auto& [r, slot] : slots_) {
+    if (slot->recv.active && slot->recv.src == rank) poison(r);
+  }
+}
+
+void NodeAgent::persist_channels(RankSlot& slot) {
+  Writer w;
+  w.u32(kSendLogMagic);
+  w.u32(kSendLogVersion);
+  // The image this state goes with, the one about to be put (its writer
+  // numbers it after the newest): a restore takes the channels of the
+  // image it restores, also when it falls back to an older one.
+  w.u64(store_->latest_seq(image_snapshot(slot.rank)) + 1);
+  slot.out.encode(w);
+  mail_[slot.rank].encode(w);
+  try {
+    store_->put(send_log_snapshot(slot.rank), w.take());
+  } catch (const std::exception& e) {
+    MOJAVE_LOG(kWarn, "dnode")
+        << "rank " << slot.rank << " channel persist failed: " << e.what();
+  }
+}
+
+void NodeAgent::checkpoint_landed(RankSlot& slot) {
+  // Senders learn the marks of the checkpoint before the previous one: a
+  // restore that finds the newest checkpoints torn (a crash mid-put, and
+  // one more while the agent went down) falls back past them, and must
+  // still find its entries logged.
+  constexpr std::size_t kFallbacks = 2;
+  slot.covered.push_back(mail_[slot.rank].watermarks());
+  if (slot.covered.size() <= kFallbacks) return;
+  for (const auto& [src, seq] : slot.covered.front()) {
+    if (forward(src, encode_watermark(src, slot.rank, seq))) continue;
+    if (RankSlot* sender = find_slot(src)) sender->out.truncate(slot.rank, seq);
+  }
+  slot.covered.pop_front();
 }
 
 bool NodeAgent::send_to_agent(std::uint32_t agent,
@@ -781,9 +884,9 @@ bool NodeAgent::send_to_agent(std::uint32_t agent,
   }
   // Queued, not yet on the wire: the frame rides the next flush tick,
   // coalesced with everything else bound for this peer. A link that later
-  // fails drops its queue — the same "message lost" the replay protocol
-  // already recovers from.
-  lp->sock.queue_frame(std::move(frame));
+  // fails drops its queue; the receivers ask for a resend when they see
+  // it drop or re-dialled. An empty frame only dials.
+  if (!frame.empty()) lp->sock.queue_frame(std::move(frame));
   return true;
 }
 
@@ -818,8 +921,8 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
 
   vm.register_external(
       "msg_send",
-      [this, rank, &proc, &slot](vm::Interpreter& it,
-                                 std::span<const Value> args) -> Value {
+      [this, &proc, &slot](vm::Interpreter& it,
+                           std::span<const Value> args) -> Value {
         if (args.size() != 4) throw SafetyError("msg_send arity");
         if (stopping_.load()) throw AgentStopping{};
         const auto dst = static_cast<std::uint32_t>(args[0].as_int());
@@ -827,11 +930,12 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         const runtime::PtrValue buf = args[2].as_ptr();
         const std::int64_t count = args[3].as_int();
         if (count < 0) throw SafetyError("msg_send negative count");
-        // Pacing gate (deliberate throttle + failed-send backoff), checked
-        // before any side effect so a parked send re-executes cleanly.
+        if (dst >= num_ranks_) return Value::from_int(1);
+        // Throttle gate, checked before any side effect so a parked send
+        // re-executes cleanly.
         const double now = now_seconds();
         if (now < slot.next_send_at) {
-          slot.pending_wait_key = rank_wait_key(rank);
+          slot.pending_wait_key = rank_wait_key(slot.rank);
           throw vm::WouldBlock{slot.next_send_at};
         }
         Writer vw;
@@ -848,24 +952,16 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         auto& prev = slot.sent_hashes[{dst, tag}];
         const bool duplicate = prev == h;
         prev = h;
-        const std::uint32_t level =
-            duplicate ? 0 : proc.spec().current_level();
-        std::vector<std::byte> payload = encode_data_payload(
-            DataHeader{level, slot.epoch.load(), slot.commit_seq.load(),
-                       slot.outer_rollbacks,
-                       static_cast<std::uint32_t>(count)},
-            values);
-        slot.sent_log[{dst, tag}] = payload;
         if (cfg_.throttle_ms > 0) {
           slot.next_send_at = now + cfg_.throttle_ms * 1e-3;
         }
-        const bool ok = route_payload(rank, dst, tag, std::move(payload));
-        if (!ok) {
-          // Dead destination or no link: back off so the rollback-retry
-          // loop does not spin while the peer is resurrected.
-          slot.next_send_at = std::max(slot.next_send_at, now + 500e-6);
-        }
-        return Value::from_int(ok ? 0 : 1);
+        // Logged, then sent: a receiver that is down or behind a failed
+        // link gets it by resend, so a send never fails.
+        transmit(slot, slot.out.put(dst, ChannelOp::kData, tag,
+                                    duplicate ? 0 : innermost_spec(proc),
+                                    static_cast<std::uint32_t>(count),
+                                    values));
+        return Value::from_int(0);
       });
 
   vm.register_external(
@@ -879,168 +975,43 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         const runtime::PtrValue buf = args[2].as_ptr();
         const std::int64_t count = args[3].as_int();
         if (count < 0) throw SafetyError("msg_recv negative count");
-        const double now = now_seconds();
-        Mailbox& mb = mail_[rank];
-        const auto join_reverted = [&](const auto& entry) {
-          const auto it = mb.newest.find(entry.first);
-          return it != mb.newest.end() &&
-                 reverted(entry.second.stamp, it->second);
-        };
-        if (slot.poisoned.load()) {
-          // Pace the poison-driven MSG_ROLL exactly like the peer-down
-          // one: the report triggers a rollback whose re-execution lands
-          // right back here, and an unpaced cycle spins the whole agent
-          // at slice speed if the coordinator keeps poisoning.
-          if (!slot.roll_pace_armed) {
-            slot.roll_pace_armed = true;
-            slot.roll_pace_until = now + 500e-6;
-          }
-          if (now < slot.roll_pace_until) {
-            slot.pending_wait_key = rank_wait_key(rank);
-            throw vm::WouldBlock{slot.roll_pace_until};
-          }
-          slot.roll_pace_armed = false;
-          slot.poisoned.store(false);
-          slot.recv.active = false;
-          // This is the POISON a reverted join was waiting for.
-          std::erase_if(slot.joined, join_reverted);
-          slot.doom_armed = false;
-          return Value::from_int(1);  // MSG_ROLL
-        }
-        if (std::any_of(slot.joined.begin(), slot.joined.end(),
-                        join_reverted)) {
-          // A speculation this rank joined is gone; its POISON comes
-          // through the coordinator. Wait for it; should it not come by
-          // the first replay-request interval (a lagging coordinator, or
-          // a DEP_RECORD it judged after the sender's next commit), report
-          // MSG_ROLL here. A POISON arriving after that costs one spare
-          // rollback; consuming on would build on reverted data.
-          if (!slot.doom_armed) {
-            slot.doom_armed = true;
-            slot.doom_until = now + cfg_.replay_request_seconds;
-          }
-          if (now < slot.doom_until) {
-            slot.pending_wait_key = rank_wait_key(rank);
-            throw vm::WouldBlock{slot.doom_until};
-          }
-          slot.doom_armed = false;
-          std::erase_if(slot.joined, join_reverted);
+        if (slot.poisoned.exchange(false)) {
           slot.recv.active = false;
           return Value::from_int(1);  // MSG_ROLL
         }
-        const auto key = std::make_pair(src, tag);
-        std::vector<std::byte> payload;
-        bool got = false;
-        // A copy its sender reverted would join a speculation that no
-        // longer exists and come back as a poison, whose rollback leaves
-        // this rank's own in-flight sends stale in turn — a wave of
-        // rollbacks that outlives any failure. So reverted copies ahead of
-        // a live one are dropped (the sender never sent them, as far as
-        // its re-execution is concerned), and a lone reverted copy waits
-        // for the re-send until the first replay request is due; after
-        // that it is read, and the coordinator's fence poisons this rank,
-        // so a sender that does not re-send costs a delay, never a stall.
-        const std::uint64_t wkey = recv_wait_key(
-            src, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
-        const bool hold_stale =
-            !slot.recv.active || slot.recv.key != wkey ||
-            now < slot.recv.start + cfg_.replay_request_seconds;
-        const auto stale = [&](std::span<const std::byte> p) {
-          const DataHeader h = decode_data_header(p);
-          const auto it = mb.newest.find(src);
-          return h.spec_level > 0 && it != mb.newest.end() &&
-                 reverted(SendStamp{h.commit_seq, h.outer_rollbacks},
-                          it->second);
-        };
-        auto qi = mb.q.find(key);
-        if (qi != mb.q.end()) {
-          auto& dq = qi->second;
-          const auto fresh = std::find_if_not(
-              dq.begin(), dq.end(),
-              [&](const std::vector<std::byte>& p) { return stale(p); });
-          if (fresh != dq.end()) dq.erase(dq.begin(), fresh);
-          if (!dq.empty() && (fresh != dq.end() || !hold_stale)) {
-            payload = std::move(dq.front());
-            dq.pop_front();
-            mb.delivered[key] = payload;
-            got = true;
-          }
-        }
-        if (!got) {
-          if (auto di = mb.delivered.find(key);
-              di != mb.delivered.end() &&
-              (!hold_stale || !stale(di->second))) {
-            // Receiver-side replay: a re-execution after rollback reads
-            // the message it already consumed.
-            payload = di->second;
-            got = true;
-          }
-        }
-        if (!got) {
-          bool peer_down = false;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            peer_down = src < placement_.size() && !placement_[src].alive;
-          }
-          if (peer_down) {
-            // Pace MSG_ROLL reports so the rollback-retry loop does not
-            // spin while the peer is resurrected.
-            if (!slot.roll_pace_armed) {
-              slot.roll_pace_armed = true;
-              slot.roll_pace_until = now + 500e-6;
-            }
-            if (now < slot.roll_pace_until) {
-              slot.pending_wait_key = rank_wait_key(rank);
-              throw vm::WouldBlock{slot.roll_pace_until};
-            }
-            slot.roll_pace_armed = false;
-            slot.recv.active = false;
-            return Value::from_int(1);  // MSG_ROLL
-          }
+        Inbox& inbox = mail_[rank];
+        const auto payload = inbox.consume(src, tag, innermost_spec(proc));
+        if (!payload.has_value()) {
+          const double now = now_seconds();
+          const std::uint64_t wkey = recv_wait_key(
+              src,
+              static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
           if (!slot.recv.active || slot.recv.key != wkey) {
-            slot.recv = RankSlot::RecvWait{
-                true, wkey, now, now + cfg_.replay_request_seconds};
+            slot.recv = RankSlot::RecvWait{true, wkey, src, now};
           }
           if (now - slot.recv.start >= recv_timeout_seconds_) {
             slot.recv.active = false;
-            MOJAVE_LOG(kDebug, "dnode") << "rank " << rank
-                                        << " recv timeout from " << src
-                                        << " tag " << tag;
+            Placement p;
+            {
+              std::lock_guard<std::mutex> lock(mu_);
+              if (src < placement_.size()) p = placement_[src];
+            }
+            MOJAVE_LOG(kWarn, "dnode")
+                << "rank " << rank << " recv from rank " << src << " tag "
+                << tag << " timed out after " << recv_timeout_seconds_
+                << "s: channel expects seq " << inbox.next_seq(src)
+                << "; rank " << src << " is on agent " << p.agent
+                << (p.alive ? "" : " (down)") << ", incarnation "
+                << p.incarnation;
             return Value::from_int(2);
           }
-          if (now >= slot.recv.next_replay) {
-            // The message may have been lost with a dead agent or our own
-            // previous incarnation's mailbox — re-request it from the
-            // sender's replay log.
-            slot.recv.next_replay = now + cfg_.replay_request_seconds;
-            request_replay(src, rank, tag);
-          }
-          const double deadline =
-              std::min(slot.recv.next_replay,
-                       slot.recv.start + recv_timeout_seconds_);
           slot.pending_wait_key = wkey;
-          throw vm::WouldBlock{deadline};
+          throw vm::WouldBlock{slot.recv.start + recv_timeout_seconds_};
         }
         slot.recv.active = false;
-        slot.roll_pace_armed = false;
-        // A POISON that arrived since the checks above still wins over the
-        // payload in hand. (Data that overtook the POISON of a level-1
-        // rollback is held back above; the stamp cannot show a deeper
-        // rollback, so after one of those the race remains.)
-        if (slot.poisoned.exchange(false)) return Value::from_int(1);
-        const DataHeader h = decode_data_header(payload);
-        Reader r(std::span<const std::byte>(payload).subspan(kDataHeaderBytes));
-        if (h.spec_level > 0) {
-          // Speculative data: join the sender's speculation (the
-          // distributed record() of the join protocol).
-          AgentMetrics::get().dep_records.inc();
-          const std::uint32_t level = proc.spec().current_level();
-          send_to_coordinator(encode_dep_record(
-              src, h.spec_level, rank, level, h.epoch, h.commit_seq));
-          RankSlot::Joined& j = slot.joined[src];
-          j.stamp = std::max(j.stamp, SendStamp{h.commit_seq, h.outer_rollbacks});
-          j.level = level;
-        }
+        AgentMetrics::get().consumed.inc();
+        const DataHeader h = decode_data_header(*payload);
+        Reader r(std::span<const std::byte>(*payload).subspan(kDataHeaderBytes));
         const std::uint32_t to_copy =
             std::min(h.count, static_cast<std::uint32_t>(count));
         for (std::uint32_t i = 0; i < to_copy; ++i) {
@@ -1054,7 +1025,7 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
       "checkpoint_target",
       [this, rank](vm::Interpreter& it, std::span<const Value>) -> Value {
         const std::string target = "ckpt://" + cfg_.storage_root.string() +
-                                   "/rank_" + std::to_string(rank);
+                                   "/" + image_snapshot(rank);
         return Value::from_ptr(it.heap().alloc_string(target), 0);
       });
 
@@ -1083,30 +1054,22 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         return Value::unit();
       });
 
-  // Join protocol, reported over the wire: this rank's rollbacks bump its
-  // epoch and emit ROLL_POISON; its durable commits emit COMMIT_DISCHARGE.
-  proc.spec().set_rollback_observer([this, rank, &slot](SpecLevel level,
-                                                        bool) {
-    const std::uint64_t e = slot.epoch.fetch_add(1) + 1;
-    if (level <= 1) ++slot.outer_rollbacks;
-    std::erase_if(slot.joined,
-                  [&](const auto& entry) { return entry.second.level >= level; });
-    slot.doom_armed = false;
-    send_to_coordinator(encode_roll_poison(rank, level, e));
+  // The join protocol rides the channels: a rollback goes out behind the
+  // payloads it reverts and re-queues what this rank consumed under it;
+  // a commit to zero makes both durable.
+  proc.spec().set_rollback_observer([this, &proc, &slot](SpecLevel level,
+                                                         bool) {
+    const std::uint64_t id = proc.spec().level_id(level);
+    transmit(slot, slot.out.rollback(id));
+    mail_[slot.rank].rollback(id);
   });
-  proc.spec().set_commit_observer([this, rank, &slot] {
-    slot.commit_seq.fetch_add(1);
-    // Persist the replay log with the commit (see send_log_snapshot):
-    // the checkpoint taken at this commit point must be able to re-serve
-    // pre-checkpoint border sends even after this process dies.
-    try {
-      store_->put(send_log_snapshot(rank),
-                  encode_send_log(slot.sent_log, slot.sent_hashes));
-    } catch (const std::exception& e) {
-      MOJAVE_LOG(kWarn, "dnode")
-          << "rank " << rank << " send-log persist failed: " << e.what();
-    }
-    send_to_coordinator(encode_commit_discharge(rank));
+  proc.spec().set_commit_observer([this, &proc, &slot] {
+    const bool level_zero = proc.spec().current_level() == 0;
+    const std::uint64_t durable_below =
+        level_zero ? ~std::uint64_t{0} : proc.spec().level_id(1);
+    transmit(slot, slot.out.commit(durable_below, level_zero));
+    mail_[slot.rank].commit(durable_below);
+    if (level_zero) slot.sent_hashes.clear();
   });
 }
 
@@ -1147,9 +1110,7 @@ RankScheduler::Step NodeAgent::step_rank(RankSlot& slot) {
 
 void NodeAgent::finish_rank(RankSlot& slot, int result_kind,
                             std::int64_t exit_code, const std::string& error) {
-  Msg res;
-  res.type = MsgType::kResult;
-  res.rank = slot.rank;
+  ctrl::RankResult res;
   res.result_kind = static_cast<std::uint8_t>(result_kind);
   res.exit_code = exit_code;
   res.error = error;
@@ -1163,7 +1124,7 @@ void NodeAgent::finish_rank(RankSlot& slot, int result_kind,
   }
   res.has_reported = slot.has_reported.load();
   res.reported = slot.reported.load();
-  slot.last_result = encode_result(res);
+  slot.last_result = encode_result(slot.rank, res);
   if (!stopping_.load()) send_to_coordinator(slot.last_result);
   slot.done.store(true);
 }
@@ -1196,7 +1157,9 @@ void NodeAgent::launch_rank(std::uint32_t rank, std::vector<std::byte> image) {
     register_externals(*sp->process, *sp);
     sp->migrator = std::make_unique<migrate::Migrator>(*sp->process);
     sp->yield_hook = std::make_unique<YieldHook>(
-        *sp->process, *sp->migrator, sp->yield_requested);
+        *sp->process, *sp->migrator, sp->yield_requested,
+        [this, sp] { persist_channels(*sp); },
+        [this, sp] { checkpoint_landed(*sp); });
     sp->process->vm().start(sp->process->vm().compiled().entry, {});
   } catch (const std::exception& e) {
     finish_rank(*sp, 2, 0, e.what());
@@ -1204,12 +1167,19 @@ void NodeAgent::launch_rank(std::uint32_t rank, std::vector<std::byte> image) {
     return;
   }
   adopt_slot(rank, std::move(slot));
+  // Entries can arrive before LAUNCH, and be lost with a link before
+  // anything here could ask for them: then this rank asks every sender.
+  if (links_lost_ > 0) {
+    for (std::uint32_t src = 0; src < num_ranks_; ++src) {
+      if (src != rank) request_resend(src, rank);
+    }
+  }
   sched_.spawn(rank, [this, sp](RankScheduler::FiberId) {
     return step_rank(*sp);
   });
 }
 
-void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t commit_seq) {
+void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t incarnation) {
   if (RankSlot* existing = find_slot(rank)) {
     if (!existing->done.load()) return;  // at-most-one incarnation here
     sched_.remove(rank);
@@ -1220,10 +1190,11 @@ void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t commit_seq) {
   span.set_arg("rank", rank);
   auto slot = std::make_unique<RankSlot>();
   slot->rank = rank;
-  slot->commit_seq.store(commit_seq);
+  slot->out.start(incarnation, true);
   RankSlot* sp = slot.get();
   try {
-    const auto image = store_->restore("rank_" + std::to_string(rank));
+    ckpt::RestoreStats image_seq;
+    const auto image = store_->restore(image_snapshot(rank), &image_seq);
     if (!image.has_value()) {
       send_to_coordinator(encode_rank_up(rank, false));
       sp->done.store(true);
@@ -1234,32 +1205,20 @@ void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t commit_seq) {
     pcfg.heap = cfg_.heap;
     pcfg.max_instructions = max_instructions_;
     migrate::UnpackResult unpacked = migrate::unpack_process(*image, pcfg);
-    // The previous incarnation's sender replay log, persisted at its last
-    // commit. Without it this incarnation could not answer REPLAY_REQs
-    // for border messages sent before the checkpoint — messages a peer
-    // may have lost with the dead agent and still be parked on. The
-    // restored sent_hashes keep lazy cancellation across incarnations:
-    // deterministic re-sends of the same windows go out at level 0.
-    if (const auto log = store_->restore(send_log_snapshot(rank))) {
-      try {
-        decode_send_log(*log, sp->sent_log, sp->sent_hashes);
-      } catch (const std::exception& e) {
-        MOJAVE_LOG(kWarn, "dnode")
-            << "rank " << rank << " send-log restore failed: " << e.what();
-        sp->sent_log.clear();
-        sp->sent_hashes.clear();
-      }
-    }
+    restore_channels(*sp, image_seq.seq);
     sp->process = std::move(unpacked.process);
     register_externals(*sp->process, *sp);
     sp->migrator = std::make_unique<migrate::Migrator>(*sp->process);
     sp->yield_hook = std::make_unique<YieldHook>(
-        *sp->process, *sp->migrator, sp->yield_requested);
+        *sp->process, *sp->migrator, sp->yield_requested,
+        [this, sp] { persist_channels(*sp); },
+        [this, sp] { checkpoint_landed(*sp); });
     sp->process->vm().start(unpacked.resume_fun,
                             std::move(unpacked.resume_args));
     AgentMetrics::get().resurrections.inc();
-    MOJAVE_LOG(kInfo, "dnode")
-        << "resurrecting rank " << rank << " from checkpoint";
+    MOJAVE_LOG(kInfo, "dnode") << "resurrecting rank " << rank
+                               << " (incarnation " << incarnation
+                               << ") from checkpoint";
     send_to_coordinator(encode_rank_up(rank, true));
   } catch (const std::exception& e) {
     MOJAVE_LOG(kWarn, "dnode")
@@ -1270,6 +1229,11 @@ void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t commit_seq) {
     return;
   }
   adopt_slot(rank, std::move(slot));
+  // Ask every sender once for what this incarnation lacks, from where
+  // its checkpoint left each channel.
+  for (std::uint32_t src = 0; src < num_ranks_; ++src) {
+    if (src != rank) request_resend(src, rank);
+  }
   sched_.spawn(rank, [this, sp](RankScheduler::FiberId) {
     return step_rank(*sp);
   });

@@ -22,18 +22,20 @@
 //    link to the peer's agent otherwise. Outbound links dial without
 //    blocking the loop; small DATA frames coalesce per (peer, tick) into
 //    one writev, large payloads go out zero-copy.
-//  * Sender-based replay logs (the MPICH-V companion of rollback
-//    recovery) answer REPLAY_REQ frames so a rolled-back or resurrected
-//    receiver can re-request border messages its peers will never send
-//    again.
+//  * Every (src rank, dst rank) pair is an exact channel (channel.hpp):
+//    numbered entries, applied in order, logged by the sender until the
+//    receiver checkpoints past them. A receiver that misses entries (a
+//    sequence gap, a re-dialled link, its own restore, a new sender
+//    incarnation) asks once to "resend from n" — the paper's Figure 2
+//    "re-request border information" arrow.
 //  * Ranks checkpoint into the content-addressed chunk store under
 //    --storage ROOT (shared across agents, the role NFS played in the
 //    paper); RESURRECT restores any rank from that store, which is how
 //    both failure recovery and load-aware migration move ranks here.
-//  * The speculation join is a protocol: sends carry the sender's level
-//    and rollback epoch, speculative receives emit DEP_RECORD to the
-//    coordinator, rollbacks report ROLL_POISON, and inbound POISON frames
-//    make the rank's next receive report MSG_ROLL.
+//  * The speculation join runs agent to agent over the channels: a
+//    rollback or a commit to zero travels behind the payloads it covers,
+//    and a receiver that consumed a reverted payload reports MSG_ROLL at
+//    its next receive. The coordinator is not on this path.
 //
 // A deliberately `throttle_ms`-slowed agent both runs slower (a pacing
 // gate between sends) and reports an inflated load in its heartbeats —
@@ -49,11 +51,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ckpt/store.hpp"
+#include "dnode/channel.hpp"
 #include "dnode/sched.hpp"
 #include "dnode/wire.hpp"
 #include "net/poller.hpp"
@@ -74,9 +79,6 @@ struct AgentConfig {
   /// Deliberate slowdown per send (ms) + load inflation in heartbeats.
   double throttle_ms = 0;
   double heartbeat_seconds = 0.05;
-  /// How long a receive waits before re-requesting a missing message from
-  /// the sender's replay log (and between repeat requests).
-  double replay_request_seconds = 0.1;
   /// Instructions a rank may run per scheduler slice before it is
   /// preempted back to the event loop.
   std::uint64_t slice_instructions = 20000;
@@ -111,40 +113,7 @@ class NodeAgent {
   struct Placement {
     std::uint32_t agent = 0;
     bool alive = true;
-  };
-  /// Where a sender stood when it sent a payload (wire.hpp, DataHeader):
-  /// its commit count and its level-1 rollbacks so far. Both only grow
-  /// within an incarnation.
-  struct SendStamp {
-    std::uint64_t commit_seq = 0;
-    std::uint64_t outer_rollbacks = 0;
-    auto operator<=>(const SendStamp&) const = default;
-  };
-  /// True when a speculative payload stamped `sent` was reverted by its
-  /// sender, as a later stamp `seen` of the same sender proves: a level-1
-  /// rollback came after it and no level-1 commit did. A rollback at a
-  /// deeper level, or one after a commit, proves nothing (the payload may
-  /// lie outside it), so this never guesses.
-  [[nodiscard]] static bool reverted(const SendStamp& sent,
-                                     const SendStamp& seen) {
-    return seen.commit_seq == sent.commit_seq &&
-           seen.outer_rollbacks > sent.outer_rollbacks;
-  }
-
-  /// One rank's inbox. Keyed by the rank, not the slot, so frames that
-  /// arrive before LAUNCH/RESURRECT (or between incarnations on this
-  /// agent) are not lost. `delivered` is the receiver-side replay log: a
-  /// rank re-executing after a rollback re-reads the message it already
-  /// consumed.
-  struct Mailbox {
-    std::map<std::pair<std::uint32_t, std::int32_t>,
-             std::deque<std::vector<std::byte>>>
-        q;
-    std::map<std::pair<std::uint32_t, std::int32_t>, std::vector<std::byte>>
-        delivered;
-    /// Per sender, the newest stamp delivered here: the evidence
-    /// reverted() judges queued and consumed payloads against.
-    std::map<std::uint32_t, SendStamp> newest;
+    std::uint64_t incarnation = 0;  ///< for diagnostics
   };
 
   // --- Event loop (all private state below is loop-thread-owned unless
@@ -157,16 +126,23 @@ class NodeAgent {
 
   [[nodiscard]] double now_seconds() const { return clock_.seconds(); }
 
-  void handle_frame(const Msg& m, const std::shared_ptr<Conn>& conn);
-  void handle_data(const Msg& m);
-  void handle_replay_req(const Msg& m);
+  void handle_frame(const Msg& m, std::span<const std::byte> raw,
+                    const std::shared_ptr<Conn>& conn);
+  void handle_placement(const Msg& m);
+  /// Send `raw` on to the agent hosting `rank` when the rank does not
+  /// run here (the sender routed on a stale placement). True when
+  /// forwarded.
+  bool forward(std::uint32_t rank, std::span<const std::byte> raw);
   void drop_conn(std::uint64_t token);
   void fail_link(std::uint32_t agent);
+  /// A link to or from `agent` died or was re-dialled: every rank here
+  /// asks each live rank there once for what it may have lost.
+  void resend_from_agent(std::uint32_t agent);
   void request_shutdown();
 
   // --- Ranks as fibers --------------------------------------------------
   void launch_rank(std::uint32_t rank, std::vector<std::byte> image);
-  void resurrect_rank(std::uint32_t rank, std::uint64_t commit_seq);
+  void resurrect_rank(std::uint32_t rank, std::uint64_t incarnation);
   void adopt_slot(std::uint32_t rank, std::unique_ptr<RankSlot> slot);
   RankScheduler::Step step_rank(RankSlot& slot);
   void finish_rank(RankSlot& slot, int result_kind, std::int64_t exit_code,
@@ -174,17 +150,35 @@ class NodeAgent {
   void register_externals(vm::Process& proc, RankSlot& slot);
   RankSlot* find_slot(std::uint32_t rank);
 
-  /// Enqueue a payload into rank `dst`'s local mailbox.
-  void deliver_local(std::uint32_t src, std::uint32_t dst, std::int32_t tag,
-                     std::vector<std::byte> payload);
-  /// Deliver locally or frame-and-forward to the agent hosting `dst`.
-  /// False when the rank is marked down or the link could not be dialed
-  /// (= dropped; the sender's rollback-retry loop and replay log recover).
-  bool route_payload(std::uint32_t src, std::uint32_t dst, std::int32_t tag,
-                     std::vector<std::byte> payload);
-  /// Ask the agent hosting `src` to replay its last (requester, tag) send.
-  void request_replay(std::uint32_t src, std::uint32_t requester,
-                      std::int32_t tag);
+  // --- Channels (channel.hpp) ------------------------------------------
+  /// Transmit the entries an Outbox call returned; what cannot go now
+  /// (receiver not alive, no link) is deferred until it comes back.
+  void transmit(RankSlot& slot, const Outbox::Sent& sent);
+  /// Hand one entry to `agent` (this one: straight into the inbox).
+  /// False when no link could be dialled.
+  bool deliver(std::uint32_t agent, std::uint32_t src, std::uint32_t dst,
+               const Entry& e);
+  /// Apply one entry to rank `dst`'s inbox: wake receivers, poison, ask
+  /// for a resend on a gap.
+  void receive_entry(std::uint32_t src, std::uint32_t dst, Entry e);
+  /// Rank `dst` asks rank `src` once to resend their channel from where
+  /// `dst`'s inbox stands.
+  void request_resend(std::uint32_t src, std::uint32_t dst);
+  void handle_resend(std::uint32_t src, std::uint32_t dst, std::uint64_t seq,
+                     std::uint32_t reply_agent);
+  /// Make rank's next msg_recv report MSG_ROLL (one poison per event).
+  void poison(std::uint32_t rank);
+  /// Persist the rank's channels for the checkpoint image about to be
+  /// put; once it landed, tell its senders how far its previous one
+  /// covers (WATERMARK).
+  void persist_channels(RankSlot& slot);
+  void checkpoint_landed(RankSlot& slot);
+  /// Restore the channels persisted for checkpoint `image_seq` of the
+  /// rank.
+  void restore_channels(RankSlot& slot, std::uint64_t image_seq);
+  /// Placement marked `rank` not alive: void its non-durable entries at
+  /// every receiver here and poison the ones that joined or wait on it.
+  void rank_lost(std::uint32_t rank);
   bool send_to_agent(std::uint32_t agent, std::vector<std::byte> frame);
   void send_to_coordinator(std::vector<std::byte> frame);
 
@@ -211,6 +205,10 @@ class NodeAgent {
   /// adopting coordinator (bounded; oldest dropped first).
   std::deque<std::vector<std::byte>> coord_backlog_;
   std::map<std::uint32_t, std::unique_ptr<Link>> links_;  // agent → link
+  /// Peer agents that have dialled in: a second HELLO means a re-dial.
+  std::set<std::uint32_t> dialled_in_;
+  /// Agent links that died or were re-dialled so far.
+  std::uint64_t links_lost_ = 0;
   double next_heartbeat_ = 0;
 
   // Session state installed by CONFIG/PLACEMENT. mu_ lets tests read the
@@ -224,7 +222,9 @@ class NodeAgent {
   std::vector<Placement> placement_;
   std::map<std::uint32_t, std::unique_ptr<RankSlot>> slots_;
 
-  std::map<std::uint32_t, Mailbox> mail_;
+  /// Each rank's receiving half, keyed by the rank rather than the slot
+  /// so entries that arrive before LAUNCH/RESURRECT are not lost.
+  std::map<std::uint32_t, Inbox> mail_;
 
   std::atomic<bool> stopping_{false};
   std::mutex wait_mu_;

@@ -18,11 +18,6 @@ double now_seconds() {
 }
 
 struct CoordMetrics {
-  obs::Counter& dep_records;
-  obs::Counter& stale_deps;
-  obs::Counter& roll_poisons;
-  obs::Counter& poisons_sent;
-  obs::Counter& discharges;
   obs::Counter& agent_failures;
   obs::Counter& resurrect_requests;
   obs::Counter& yield_requests;
@@ -33,11 +28,6 @@ struct CoordMetrics {
   static CoordMetrics& get() {
     auto& r = obs::MetricsRegistry::instance();
     static CoordMetrics m{
-        r.counter("dspec.coord_dep_records"),
-        r.counter("dspec.stale_deps"),
-        r.counter("dspec.roll_poisons"),
-        r.counter("dspec.poisons_sent"),
-        r.counter("dspec.commit_discharges"),
         r.counter("node.agent_failures"),
         r.counter("node.resurrect_requests"),
         r.counter("node.yield_requests"),
@@ -191,11 +181,9 @@ Coordinator::~Coordinator() {
   if (loop_thread_.joinable()) loop_thread_.join();
 }
 
-ctrl::CoordState::ApplyResult Coordinator::apply_locked(ctrl::WalRecord rec) {
+void Coordinator::apply_locked(ctrl::WalRecord rec) {
   if (wal_->is_open() && !fenced_.load()) wal_->append(rec);
-  ctrl::CoordState::ApplyResult res = state_.apply(rec);
-  for (const std::uint32_t p : res.poisoned) poison_rank_locked(p);
-  return res;
+  (void)state_.apply(rec);
 }
 
 std::vector<std::byte> Coordinator::state_snapshot() const {
@@ -215,29 +203,22 @@ void Coordinator::launch_spmd(const fir::Program& program) {
 
 bool Coordinator::wait_all(double timeout_seconds) {
   std::unique_lock<std::mutex> lock(mu_);
+  // A resurrection still in flight (a finished rank coming back for its
+  // late senders) is part of the run.
   return done_cv_.wait_for(lock,
                            std::chrono::duration<double>(timeout_seconds),
-                           [this] { return state_.all_done(); });
+                           [this] {
+                             return state_.all_done() &&
+                                    pending_resurrect_.empty();
+                           });
 }
 
 std::vector<RankOutcome> Coordinator::results() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<RankOutcome> out(state_.ranks().size());
   for (std::uint32_t r = 0; r < out.size(); ++r) {
-    const ctrl::RankState& s = state_.ranks()[r];
+    static_cast<ctrl::RankState&>(out[r]) = state_.ranks()[r];
     out[r].rank = r;
-    out[r].done = s.done;
-    out[r].result_kind = s.result_kind;
-    out[r].exit_code = s.exit_code;
-    out[r].error = s.error;
-    out[r].output = s.output;
-    out[r].has_reported = s.has_reported;
-    out[r].reported = s.reported;
-    out[r].instructions = s.instructions;
-    out[r].speculates = s.speculates;
-    out[r].commits = s.commits;
-    out[r].rollbacks = s.rollbacks;
-    out[r].restarts = s.restarts;
   }
   return out;
 }
@@ -390,21 +371,6 @@ void Coordinator::handle_frame(std::uint32_t agent, const Msg& m) {
       conns_[agent]->load = m.load;
       break;
     }
-    case MsgType::kDepRecord:
-      handle_dep_record(m);
-      break;
-    case MsgType::kRollPoison:
-      handle_roll_poison(m);
-      break;
-    case MsgType::kCommitDischarge: {
-      CoordMetrics::get().discharges.inc();
-      std::lock_guard<std::mutex> lock(mu_);
-      ctrl::WalRecord rec;
-      rec.op = ctrl::WalOp::kCommit;
-      rec.rank = m.rank;
-      apply_locked(std::move(rec));
-      break;
-    }
     case MsgType::kRankYielded:
       handle_rank_yielded(m.rank);
       break;
@@ -422,16 +388,7 @@ void Coordinator::handle_frame(std::uint32_t agent, const Msg& m) {
         ctrl::WalRecord rec;
         rec.op = ctrl::WalOp::kRankResult;
         rec.rank = m.rank;
-        rec.result_kind = m.result_kind;
-        rec.exit_code = m.exit_code;
-        rec.has_reported = m.has_reported;
-        rec.reported = m.reported;
-        rec.error = m.error;
-        rec.output = m.output;
-        rec.instructions = m.instructions;
-        rec.speculates = m.speculates;
-        rec.commits = m.commits;
-        rec.rollbacks = m.rollbacks;
+        rec.result = m.result;
         apply_locked(std::move(rec));
         migrating_.erase(m.rank);
         pending_resurrect_.erase(m.rank);
@@ -445,48 +402,16 @@ void Coordinator::handle_frame(std::uint32_t agent, const Msg& m) {
   }
 }
 
-void Coordinator::handle_dep_record(const Msg& m) {
-  CoordMetrics::get().dep_records.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ctrl::WalRecord rec;
-  rec.op = ctrl::WalOp::kDepRecord;
-  rec.sender = m.sender;
-  rec.sender_level = m.sender_level;
-  rec.receiver = m.receiver;
-  rec.receiver_level = m.receiver_level;
-  rec.epoch = m.epoch;
-  rec.commit_seq = m.commit_seq;
-  const auto res = apply_locked(std::move(rec));
-  if (res.stale_dep) CoordMetrics::get().stale_deps.inc();
-}
-
-void Coordinator::handle_roll_poison(const Msg& m) {
-  CoordMetrics::get().roll_poisons.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ctrl::WalRecord rec;
-  rec.op = ctrl::WalOp::kRollback;
-  rec.rank = m.rank;
-  rec.level = m.level;
-  rec.epoch = m.epoch;
-  apply_locked(std::move(rec));
-}
-
-void Coordinator::poison_rank_locked(std::uint32_t rank) {
-  if (rank >= state_.placement().size()) return;
-  CoordMetrics::get().poisons_sent.inc();
-  send_to_agent(state_.placement()[rank].agent, encode_poison(rank));
-}
-
 void Coordinator::issue_resurrect_locked(std::uint32_t rank,
                                          std::uint32_t target) {
   ctrl::WalRecord g;
   g.op = ctrl::WalOp::kResurrectGrant;
   g.rank = rank;
   g.agent = target;
-  g.commit_seq = state_.commit_count(rank);
   apply_locked(std::move(g));
   CoordMetrics::get().resurrect_requests.inc();
-  send_to_agent(target, encode_resurrect(rank, state_.commit_count(rank)));
+  send_to_agent(target,
+                encode_resurrect(rank, state_.placement()[rank].incarnation));
 }
 
 void Coordinator::handle_rank_yielded(std::uint32_t rank) {
@@ -519,6 +444,7 @@ void Coordinator::handle_rank_up(const Msg& m) {
       // A finished rank that never checkpointed has nothing to come back
       // from, and its result is already in: stop asking.
       pending_resurrect_.erase(m.rank);
+      done_cv_.notify_all();
       return;
     }
     // Usually "no checkpoint yet" — retry after a beat, anywhere live.
@@ -534,6 +460,7 @@ void Coordinator::handle_rank_up(const Msg& m) {
   pending_resurrect_.erase(m.rank);
   migrating_.erase(m.rank);
   broadcast_placement_locked();
+  done_cv_.notify_all();
 }
 
 void Coordinator::handle_re_adopt_ack_locked(std::uint32_t agent,
@@ -547,16 +474,6 @@ void Coordinator::handle_re_adopt_ack_locked(std::uint32_t agent,
     if (e.state != 0 && censused_.count(e.rank) != 0) continue;
     censused_.insert(e.rank);
     CoordMetrics::get().readopted_ranks.inc();
-    // Census commit counts can be ahead of the replayed WAL (the commit
-    // raced the primary's death); raise ours so RESURRECT seeds and the
-    // epoch fence stay consistent with what the agents stamped.
-    if (e.commit_seq > state_.commit_count(e.rank)) {
-      ctrl::WalRecord cs;
-      cs.op = ctrl::WalOp::kCommitSeqSet;
-      cs.rank = e.rank;
-      cs.commit_seq = e.commit_seq;
-      apply_locked(std::move(cs));
-    }
     switch (e.state) {
       case 0: {  // running right where the agent says
         if (placement[e.rank].agent != agent || !placement[e.rank].alive) {
@@ -600,24 +517,18 @@ void Coordinator::finish_readopt_locked() {
   for (std::uint32_t r = 0; r < placement.size(); ++r) {
     if (state_.ranks()[r].done || censused_.count(r) != 0) continue;
     // No agent accounts for this rank: it died with the old primary's
-    // view of the world. Same treatment as a rank lost with its agent —
-    // dependents poisoned, fence at every epoch, resurrect from the last
-    // checkpoint.
-    const std::uint32_t was_on = placement[r].agent;
+    // view of the world. Same treatment as a rank lost with its agent:
+    // the PLACEMENT below marks it not alive, which voids its
+    // non-durable entries at every receiver, and it resurrects from its
+    // last checkpoint.
     if (placement[r].alive) {
       ctrl::WalRecord p;
       p.op = ctrl::WalOp::kPlacement;
       p.rank = r;
-      p.agent = was_on;
+      p.agent = placement[r].agent;
       p.alive = false;
       apply_locked(std::move(p));
     }
-    ctrl::WalRecord rb;
-    rb.op = ctrl::WalOp::kRollback;
-    rb.rank = r;
-    rb.level = 1;
-    rb.epoch = ~std::uint64_t{0};
-    apply_locked(std::move(rb));
     pending_resurrect_[r] = PendingResurrect{};
   }
   broadcast_placement_locked();
@@ -647,12 +558,12 @@ void Coordinator::agent_down_locked(std::uint32_t agent) {
   rec.agent = agent;
   apply_locked(std::move(rec));
   // Finished ranks come back too. The verdict marks them not-alive, and a
-  // neighbour re-executing its last interval after a rollback must still
-  // be able to send to them: msg_send to a not-alive rank fails, so that
-  // neighbour would roll back and retry forever. The resurrected
-  // incarnation re-runs from its last checkpoint; its second RESULT is a
-  // duplicate the state machine ignores. One without a checkpoint answers
-  // RANK_UP(false) and is dropped (handle_rank_up).
+  // neighbour re-executing its last interval after a rollback may still
+  // send to them: those entries wait in its log for an incarnation to
+  // deliver them to. The resurrected incarnation re-runs from its last
+  // checkpoint; its second RESULT is a duplicate the state machine
+  // ignores. One without a checkpoint answers RANK_UP(false) and is
+  // dropped (handle_rank_up).
   for (const std::uint32_t r : hit) pending_resurrect_[r] = PendingResurrect{};
   broadcast_placement_locked();
 }
@@ -679,8 +590,8 @@ void Coordinator::broadcast_placement_locked() {
   const auto& placement = state_.placement();
   entries.reserve(placement.size());
   for (std::uint32_t r = 0; r < placement.size(); ++r) {
-    entries.push_back(
-        PlacementEntry{r, placement[r].agent, placement[r].alive});
+    entries.push_back(PlacementEntry{r, placement[r].agent, placement[r].alive,
+                                     placement[r].incarnation});
   }
   const auto frame = encode_placement(entries);
   for (std::uint32_t a = 0; a < conns_.size(); ++a) {

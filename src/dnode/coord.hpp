@@ -8,15 +8,10 @@
 //    resurrection of a dead agent's ranks, finished ones included, from
 //    the shared `ckpt://` store onto surviving agents — the paper's
 //    "resurrected on a remote node from the last checkpoint";
-//  * the speculation join, as the server side of a protocol: DEP_RECORD
-//    frames feed the `cluster::DependencyTracker` state machine (its unit
-//    tests pin the semantics),
-//    ROLL_POISON triggers the avalanche, poisoned ranks get POISON frames,
-//    COMMIT_DISCHARGE discharges. An epoch fence closes the race the wire
-//    adds: a DEP_RECORD describing data sent *before* a rollback the
-//    coordinator has already processed is stale — the speculation it
-//    would join no longer exists — so the receiver is poisoned instead
-//    (docs/SPECULATION.md, "epoch fencing");
+//  * rank incarnations: each RESURRECT grant assigns the next one, in
+//    WAL order. The speculation join itself runs agent to agent over the
+//    exact channels (docs/SPECULATION.md); a PLACEMENT that marks a rank
+//    not alive is all the coordinator contributes to it;
 //  * the load-aware migration policy (the paper's loaded-node
 //    experiment): when heartbeat loads diverge past a threshold, a rank
 //    on the most-loaded agent is told to YIELD_RANK at its next
@@ -50,7 +45,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/tracker.hpp"
 #include "ctrl/lease.hpp"
 #include "ctrl/state.hpp"
 #include "ctrl/wal.hpp"
@@ -88,19 +82,10 @@ struct CoordinatorConfig {
   net::RetryPolicy retry = net::RetryPolicy::process_defaults();
 };
 
-/// Final state of one rank, aggregated across incarnations.
-struct RankOutcome {
+/// Final state of one rank, aggregated across incarnations (restarts =
+/// resurrections, failure or migration; result_kind 0 halted, 2 error).
+struct RankOutcome : ctrl::RankState {
   std::uint32_t rank = 0;
-  bool done = false;
-  std::uint8_t result_kind = 0;  ///< 0 halted, 2 error
-  std::int64_t exit_code = 0;
-  std::string error;
-  std::string output;
-  bool has_reported = false;
-  double reported = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t speculates = 0, commits = 0, rollbacks = 0;
-  std::uint64_t restarts = 0;  ///< resurrections (failure or migration)
 };
 
 class Coordinator {
@@ -119,8 +104,9 @@ class Coordinator {
   /// (SPMD, as in Figure 2).
   void launch_spmd(const fir::Program& program);
 
-  /// Block until every rank reports a terminal RESULT or `timeout_seconds`
-  /// elapses. Returns true when all ranks finished.
+  /// Block until every rank reports a terminal RESULT and no resurrection
+  /// is pending, or `timeout_seconds` elapses. Returns true when all ranks
+  /// finished.
   bool wait_all(double timeout_seconds);
 
   [[nodiscard]] std::vector<RankOutcome> results() const;
@@ -140,11 +126,6 @@ class Coordinator {
   [[nodiscard]] std::uint64_t resurrections() const {
     return resurrections_.load();
   }
-  /// The join-protocol state machine.
-  [[nodiscard]] cluster::DependencyTracker& tracker() {
-    return state_.tracker();
-  }
-
   /// Lease epoch this coordinator writes under.
   [[nodiscard]] std::uint64_t lease_epoch() const { return lease_->epoch(); }
   /// The WAL + lease directory in use (a temporary one when
@@ -186,27 +167,24 @@ class Coordinator {
   void final_flush();  ///< push SHUTDOWN frames out before the loop exits
 
   void handle_frame(std::uint32_t agent, const Msg& m);
-  void handle_dep_record(const Msg& m);
-  void handle_roll_poison(const Msg& m);
   void handle_rank_yielded(std::uint32_t rank);
   void handle_rank_up(const Msg& m);
   void handle_re_adopt_ack_locked(std::uint32_t agent, const Msg& m);
   /// End of the takeover census (all acks in or deadline hit): ranks no
-  /// agent claimed are treated as lost — poisoned and resurrected.
+  /// agent claimed are treated as lost — marked not alive and resurrected.
   void finish_readopt_locked();
 
-  /// Log-then-apply: append the transition to the WAL (unless fenced),
-  /// apply it to the state machine, send the owed POISON frames. The
-  /// single mutation path for all replicated state. Requires mu_.
-  ctrl::CoordState::ApplyResult apply_locked(ctrl::WalRecord rec);
+  /// Log-then-apply: append the transition to the WAL (unless fenced)
+  /// and apply it to the state machine. The single mutation path for all
+  /// replicated state. Requires mu_.
+  void apply_locked(ctrl::WalRecord rec);
 
-  /// Mark the agent dead, poison dependents of its ranks, and schedule
+  /// Mark the agent dead, broadcast its ranks as not alive, and schedule
   /// their resurrection on surviving agents. Requires mu_.
   void agent_down_locked(std::uint32_t agent);
   void broadcast_placement_locked();
   /// Thread-safe: enqueue a frame for the loop thread to transmit.
   void send_to_agent(std::uint32_t agent, std::vector<std::byte> frame);
-  void poison_rank_locked(std::uint32_t rank);
   /// Log a kResurrectGrant for rank → target and send the RESURRECT.
   void issue_resurrect_locked(std::uint32_t rank, std::uint32_t target);
   /// Least-loaded live agent (excluding `except`; kNoAgent = none).
@@ -232,8 +210,8 @@ class Coordinator {
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
-  /// The replicated state machine: placement, tracker, fences, commit
-  /// counts, outcomes. Mutated only via apply_locked.
+  /// The replicated state machine: placement, incarnations, outcomes.
+  /// Mutated only via apply_locked.
   ctrl::CoordState state_;
   std::unique_ptr<ctrl::WalWriter> wal_;
   std::unique_ptr<ctrl::Lease> lease_;

@@ -36,11 +36,9 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kLaunch: return "launch";
     case MsgType::kPlacement: return "placement";
     case MsgType::kData: return "data";
-    case MsgType::kReplayReq: return "replay-req";
-    case MsgType::kDepRecord: return "dep-record";
-    case MsgType::kRollPoison: return "roll-poison";
-    case MsgType::kPoison: return "poison";
-    case MsgType::kCommitDischarge: return "commit-discharge";
+    case MsgType::kSpecOutcome: return "spec-outcome";
+    case MsgType::kResend: return "resend";
+    case MsgType::kWatermark: return "watermark";
     case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kResurrect: return "resurrect";
     case MsgType::kYieldRank: return "yield-rank";
@@ -99,6 +97,7 @@ std::vector<std::byte> encode_placement(
     w.u32(e.rank);
     w.u32(e.agent);
     w.u8(e.alive ? 1 : 0);
+    w.u64(e.incarnation);
   }
   return finish(w);
 }
@@ -115,51 +114,38 @@ std::vector<std::byte> encode_data(std::uint32_t src, std::uint32_t dst,
   return finish(w);
 }
 
-std::vector<std::byte> encode_replay_req(std::uint32_t owner,
-                                         std::uint32_t requester,
-                                         std::int32_t tag) {
-  Writer w = begin(MsgType::kReplayReq);
-  w.u32(owner);
-  w.u32(requester);
-  w.i32(tag);
+std::vector<std::byte> encode_spec_outcome(std::uint32_t src,
+                                           std::uint32_t dst, ChannelOp op,
+                                           std::uint64_t incarnation,
+                                           std::uint64_t seq,
+                                           std::uint64_t spec_id) {
+  Writer w = begin(MsgType::kSpecOutcome);
+  w.u32(src);
+  w.u32(dst);
+  w.u8(static_cast<std::uint8_t>(op));
+  w.u64(incarnation);
+  w.u64(seq);
+  w.u64(spec_id);
   return finish(w);
 }
 
-std::vector<std::byte> encode_dep_record(std::uint32_t sender,
-                                         std::uint32_t sender_level,
-                                         std::uint32_t receiver,
-                                         std::uint32_t receiver_level,
-                                         std::uint64_t epoch,
-                                         std::uint64_t commit_seq) {
-  Writer w = begin(MsgType::kDepRecord);
-  w.u32(sender);
-  w.u32(sender_level);
-  w.u32(receiver);
-  w.u32(receiver_level);
-  w.u64(epoch);
-  w.u64(commit_seq);
+std::vector<std::byte> encode_resend(std::uint32_t src, std::uint32_t dst,
+                                     std::uint64_t seq,
+                                     std::uint32_t reply_agent) {
+  Writer w = begin(MsgType::kResend);
+  w.u32(src);
+  w.u32(dst);
+  w.u64(seq);
+  w.u32(reply_agent);
   return finish(w);
 }
 
-std::vector<std::byte> encode_roll_poison(std::uint32_t rank,
-                                          std::uint32_t level,
-                                          std::uint64_t epoch) {
-  Writer w = begin(MsgType::kRollPoison);
-  w.u32(rank);
-  w.u32(level);
-  w.u64(epoch);
-  return finish(w);
-}
-
-std::vector<std::byte> encode_poison(std::uint32_t rank) {
-  Writer w = begin(MsgType::kPoison);
-  w.u32(rank);
-  return finish(w);
-}
-
-std::vector<std::byte> encode_commit_discharge(std::uint32_t rank) {
-  Writer w = begin(MsgType::kCommitDischarge);
-  w.u32(rank);
+std::vector<std::byte> encode_watermark(std::uint32_t src, std::uint32_t dst,
+                                        std::uint64_t seq) {
+  Writer w = begin(MsgType::kWatermark);
+  w.u32(src);
+  w.u32(dst);
+  w.u64(seq);
   return finish(w);
 }
 
@@ -173,10 +159,10 @@ std::vector<std::byte> encode_heartbeat(std::uint32_t agent, double load,
 }
 
 std::vector<std::byte> encode_resurrect(std::uint32_t rank,
-                                        std::uint64_t commit_seq) {
+                                        std::uint64_t incarnation) {
   Writer w = begin(MsgType::kResurrect);
   w.u32(rank);
-  w.u64(commit_seq);
+  w.u64(incarnation);
   return finish(w);
 }
 
@@ -200,19 +186,11 @@ std::vector<std::byte> encode_rank_up(std::uint32_t rank, bool ok) {
   return finish(w);
 }
 
-std::vector<std::byte> encode_result(const Msg& r) {
+std::vector<std::byte> encode_result(std::uint32_t rank,
+                                     const ctrl::RankResult& result) {
   Writer w = begin(MsgType::kResult);
-  w.u32(r.rank);
-  w.u8(r.result_kind);
-  w.i64(r.exit_code);
-  w.u8(r.has_reported ? 1 : 0);
-  w.f64(r.reported);
-  w.str(r.error);
-  w.str(r.output);
-  w.u64(r.instructions);
-  w.u64(r.speculates);
-  w.u64(r.commits);
-  w.u64(r.rollbacks);
+  w.u32(rank);
+  result.encode(w);
   return finish(w);
 }
 
@@ -241,7 +219,6 @@ std::vector<std::byte> encode_re_adopt_ack(
   for (const CensusEntry& e : census) {
     w.u32(e.rank);
     w.u8(e.state);
-    w.u64(e.commit_seq);
   }
   return finish(w);
 }
@@ -249,10 +226,9 @@ std::vector<std::byte> encode_re_adopt_ack(
 std::vector<std::byte> encode_data_payload(const DataHeader& header,
                                            std::span<const std::byte> values) {
   Writer w;
-  w.u32(header.spec_level);
-  w.u64(header.epoch);
-  w.u64(header.commit_seq);
-  w.u64(header.outer_rollbacks);
+  w.u64(header.incarnation);
+  w.u64(header.seq);
+  w.u64(header.spec_id);
   w.u32(header.count);
   w.bytes(values);
   return w.take();
@@ -261,10 +237,9 @@ std::vector<std::byte> encode_data_payload(const DataHeader& header,
 DataHeader decode_data_header(std::span<const std::byte> payload) {
   Reader r(payload);
   DataHeader h;
-  h.spec_level = r.u32();
-  h.epoch = r.u64();
-  h.commit_seq = r.u64();
-  h.outer_rollbacks = r.u64();
+  h.incarnation = r.u64();
+  h.seq = r.u64();
+  h.spec_id = r.u64();
   h.count = r.u32();
   return h;
 }
@@ -329,6 +304,7 @@ std::optional<Msg> decode(std::span<const std::byte> frame) {
           e.rank = r.u32();
           e.agent = r.u32();
           e.alive = r.u8() != 0;
+          e.incarnation = r.u64();
           m.placement.push_back(e);
         }
         break;
@@ -345,30 +321,32 @@ std::optional<Msg> decode(std::span<const std::byte> frame) {
         m.payload.assign(span.begin(), span.end());
         break;
       }
-      case MsgType::kReplayReq:
-        m.owner = r.u32();
-        m.requester = r.u32();
-        m.tag = r.i32();
+      case MsgType::kSpecOutcome:
+        m.src = r.u32();
+        m.dst = r.u32();
+        m.op = static_cast<ChannelOp>(r.u8());
+        if (m.op == ChannelOp::kData || m.op > ChannelOp::kRestart) {
+          return std::nullopt;
+        }
+        m.incarnation = r.u64();
+        m.seq = r.u64();
+        m.spec_id = r.u64();
         break;
-      case MsgType::kDepRecord:
-        m.sender = r.u32();
-        m.sender_level = r.u32();
-        m.receiver = r.u32();
-        m.receiver_level = r.u32();
-        m.epoch = r.u64();
-        m.commit_seq = r.u64();
+      case MsgType::kResend:
+        m.src = r.u32();
+        m.dst = r.u32();
+        m.seq = r.u64();
+        m.agent = r.u32();
         break;
-      case MsgType::kRollPoison:
-        m.rank = r.u32();
-        m.level = r.u32();
-        m.epoch = r.u64();
+      case MsgType::kWatermark:
+        m.src = r.u32();
+        m.dst = r.u32();
+        m.seq = r.u64();
         break;
       case MsgType::kResurrect:
         m.rank = r.u32();
-        m.commit_seq = r.u64();
+        m.incarnation = r.u64();
         break;
-      case MsgType::kPoison:
-      case MsgType::kCommitDischarge:
       case MsgType::kYieldRank:
       case MsgType::kForceRoll:
         m.rank = r.u32();
@@ -385,16 +363,7 @@ std::optional<Msg> decode(std::span<const std::byte> frame) {
         break;
       case MsgType::kResult:
         m.rank = r.u32();
-        m.result_kind = r.u8();
-        m.exit_code = r.i64();
-        m.has_reported = r.u8() != 0;
-        m.reported = r.f64();
-        m.error = r.str();
-        m.output = r.str();
-        m.instructions = r.u64();
-        m.speculates = r.u64();
-        m.commits = r.u64();
-        m.rollbacks = r.u64();
+        m.result = ctrl::RankResult::decode(r);
         break;
       case MsgType::kShutdown:
         break;
@@ -408,7 +377,6 @@ std::optional<Msg> decode(std::span<const std::byte> frame) {
           CensusEntry e;
           e.rank = r.u32();
           e.state = r.u8();
-          e.commit_seq = r.u64();
           m.census.push_back(e);
         }
         break;

@@ -4,34 +4,31 @@
 // two node agents, is one TcpStream frame (u32 length prefix) whose body
 // is:
 //
-//   u32 magic 'DNO3' | u8 type | type-specific fields | u64 xxh64
+//   u32 magic 'DNO4' | u8 type | type-specific fields | u64 xxh64
 //
 // The trailing xxh64 covers everything before it, so a frame mangled in
 // transit is rejected (node.corrupt_frames) instead of decoded into
 // garbage.
 // Frames with another 'DNOn' magic ('DNO1' had an FNV-1a trailer, 'DNO2'
-// a shorter DATA header) come from a build of another wire version:
-// decode logs that once per process and drops them.
+// a shorter DATA header, 'DNO3' stamped DATA instead of numbering it)
+// come from a build of another wire version: decode logs that once per
+// process and drops them.
 //
 // Control plane (agent <-> coordinator, one long-lived connection):
 //   HELLO/CONFIG/LAUNCH/PLACEMENT       session setup and rank placement
 //   HEARTBEAT                           liveness + load report
-//   DEP_RECORD/ROLL_POISON/POISON/
-//   COMMIT_DISCHARGE/FORCE_ROLL         the distributed speculation join
+//   FORCE_ROLL                          injected rollback (tests)
 //   RESURRECT/YIELD_RANK/RANK_YIELDED/
 //   RANK_UP                             failure recovery and migration
 //   RESULT/SHUTDOWN                     completion
 //
-// Data plane (agent -> agent, dialed lazily):
+// Data plane (agent -> agent, dialed lazily): every (src rank, dst rank)
+// pair is one exactly-once, in-order channel of numbered entries
+// (docs/SPECULATION.md, "Channels"):
 //   DATA                                one msg_send payload
-//   REPLAY_REQ                          re-request from the sender's log
-//
-// DATA payloads carry {spec_level, rollback_epoch, commit_seq,
-// outer_rollbacks, count, values}: the sender's speculation level joins
-// the receiver to its speculation (DEP_RECORD at consume time), and the
-// epoch lets the coordinator fence dependency records that arrive after
-// the speculation they depend on has already rolled back (see
-// docs/SPECULATION.md, "epoch fencing").
+//   SPEC_OUTCOME                        a rollback, commit or restart
+//   RESEND                              "resend from seq n", receiver -> sender
+//   WATERMARK                           "checkpointed below n", receiver -> sender
 #pragma once
 
 #include <cstdint>
@@ -40,11 +37,12 @@
 #include <string>
 #include <vector>
 
+#include "ctrl/wal.hpp"
 #include "support/serialize.hpp"
 
 namespace mojave::dnode {
 
-inline constexpr std::uint32_t kWireMagic = 0x334f4e44;  // "DNO3"
+inline constexpr std::uint32_t kWireMagic = 0x344f4e44;  // "DNO4"
 inline constexpr std::uint32_t kWireMagicV1 = 0x314f4e44;  // "DNO1"
 
 enum class MsgType : std::uint8_t {
@@ -53,11 +51,9 @@ enum class MsgType : std::uint8_t {
   kLaunch,
   kPlacement,
   kData,
-  kReplayReq,
-  kDepRecord,
-  kRollPoison,
-  kPoison,
-  kCommitDischarge,
+  kSpecOutcome,
+  kResend,
+  kWatermark,
   kHeartbeat,
   kResurrect,
   kYieldRank,
@@ -87,6 +83,17 @@ struct PlacementEntry {
   std::uint32_t rank = 0;
   std::uint32_t agent = 0;
   bool alive = true;
+  /// The rank's incarnation: 1 at launch, then one more per RESURRECT
+  /// grant, in WAL order.
+  std::uint64_t incarnation = 1;
+};
+
+/// What a non-DATA channel entry announces (SPEC_OUTCOME).
+enum class ChannelOp : std::uint8_t {
+  kData = 0,  ///< a DATA frame, never sent as SPEC_OUTCOME
+  kRollback,  ///< payloads with spec id >= DataHeader::spec_id are void
+  kCommit,    ///< payloads with spec id < DataHeader::spec_id are durable
+  kRestart,   ///< a new incarnation continues the channel at this seq
 };
 
 /// One rank's answer to RE_ADOPT: what the agent is actually running.
@@ -95,7 +102,6 @@ struct CensusEntry {
   /// 0 = running, 1 = done (RESULT already produced), 2 = yielded
   /// (checkpointed and parked, waiting for a resurrect grant).
   std::uint8_t state = 0;
-  std::uint64_t commit_seq = 0;  ///< the rank's committed count
 };
 
 /// Decoded frame: a tagged superset of every message's fields (internal
@@ -105,7 +111,7 @@ struct Msg {
   PeerKind peer_kind = PeerKind::kAgent;  // HELLO
   std::uint64_t coord_epoch = 0;          // HELLO/RE_ADOPT (lease epoch)
   std::vector<CensusEntry> census;        // RE_ADOPT_ACK
-  std::uint32_t agent = 0;                // HELLO/CONFIG/HEARTBEAT
+  std::uint32_t agent = 0;  // HELLO/CONFIG/HEARTBEAT/RESEND (reply-to)
   std::uint32_t rank = 0;       // LAUNCH/POISON/RESURRECT/YIELD/RESULT/...
   std::uint32_t num_ranks = 0;  // CONFIG
   std::vector<AgentAddr> agents;           // CONFIG
@@ -113,26 +119,16 @@ struct Msg {
   double recv_timeout_seconds = 0;         // CONFIG
   std::vector<PlacementEntry> placement;   // PLACEMENT
   std::vector<std::byte> payload;          // LAUNCH (image) / DATA (message)
-  std::uint32_t src = 0, dst = 0;          // DATA
-  std::int32_t tag = 0;                    // DATA/REPLAY_REQ
-  std::uint32_t owner = 0, requester = 0;  // REPLAY_REQ
-  std::uint32_t sender = 0, receiver = 0;            // DEP_RECORD
-  std::uint32_t sender_level = 0, receiver_level = 0;  // DEP_RECORD
-  std::uint64_t epoch = 0;                 // DEP_RECORD/ROLL_POISON
-  std::uint64_t commit_seq = 0;            // DEP_RECORD/RESURRECT
-  std::uint32_t level = 0;                 // ROLL_POISON
+  std::uint32_t src = 0, dst = 0;          // channel frames
+  std::int32_t tag = 0;                    // DATA
+  ChannelOp op = ChannelOp::kData;         // SPEC_OUTCOME
+  std::uint64_t incarnation = 0;           // SPEC_OUTCOME/RESURRECT
+  std::uint64_t seq = 0;                   // SPEC_OUTCOME/RESEND/WATERMARK
+  std::uint64_t spec_id = 0;               // SPEC_OUTCOME
   double load = 0;                         // HEARTBEAT
   std::uint32_t live_ranks = 0;            // HEARTBEAT
   bool ok = false;                         // RANK_YIELDED/RANK_UP
-  // RESULT
-  std::uint8_t result_kind = 0;  ///< 0 halted, 1 migrated away, 2 error
-  std::int64_t exit_code = 0;
-  bool has_reported = false;
-  double reported = 0;
-  std::string error;
-  std::string output;
-  std::uint64_t instructions = 0;
-  std::uint64_t speculates = 0, commits = 0, rollbacks = 0;
+  ctrl::RankResult result;                 // RESULT
 };
 
 // --- Encoders (one per message type) ---------------------------------
@@ -151,30 +147,32 @@ struct Msg {
 [[nodiscard]] std::vector<std::byte> encode_data(
     std::uint32_t src, std::uint32_t dst, std::int32_t tag,
     std::span<const std::byte> payload);
-[[nodiscard]] std::vector<std::byte> encode_replay_req(std::uint32_t owner,
-                                                       std::uint32_t requester,
-                                                       std::int32_t tag);
-[[nodiscard]] std::vector<std::byte> encode_dep_record(
-    std::uint32_t sender, std::uint32_t sender_level, std::uint32_t receiver,
-    std::uint32_t receiver_level, std::uint64_t epoch,
-    std::uint64_t commit_seq);
-[[nodiscard]] std::vector<std::byte> encode_roll_poison(std::uint32_t rank,
-                                                        std::uint32_t level,
-                                                        std::uint64_t epoch);
-[[nodiscard]] std::vector<std::byte> encode_poison(std::uint32_t rank);
-[[nodiscard]] std::vector<std::byte> encode_commit_discharge(
-    std::uint32_t rank);
+/// A rollback, commit or restart entry on the src -> dst channel.
+[[nodiscard]] std::vector<std::byte> encode_spec_outcome(
+    std::uint32_t src, std::uint32_t dst, ChannelOp op,
+    std::uint64_t incarnation, std::uint64_t seq, std::uint64_t spec_id);
+/// Receiver `dst` (hosted on `reply_agent`) asks sender `src` for every
+/// entry of their channel from `seq` on.
+[[nodiscard]] std::vector<std::byte> encode_resend(std::uint32_t src,
+                                                   std::uint32_t dst,
+                                                   std::uint64_t seq,
+                                                   std::uint32_t reply_agent);
+/// Receiver `dst` checkpointed its channel from `src` below `seq`.
+[[nodiscard]] std::vector<std::byte> encode_watermark(std::uint32_t src,
+                                                      std::uint32_t dst,
+                                                      std::uint64_t seq);
 [[nodiscard]] std::vector<std::byte> encode_heartbeat(std::uint32_t agent,
                                                       double load,
                                                       std::uint32_t live_ranks);
 [[nodiscard]] std::vector<std::byte> encode_resurrect(
-    std::uint32_t rank, std::uint64_t commit_seq);
+    std::uint32_t rank, std::uint64_t incarnation);
 [[nodiscard]] std::vector<std::byte> encode_yield_rank(std::uint32_t rank);
 [[nodiscard]] std::vector<std::byte> encode_rank_yielded(std::uint32_t rank,
                                                          bool ok);
 [[nodiscard]] std::vector<std::byte> encode_rank_up(std::uint32_t rank,
                                                     bool ok);
-[[nodiscard]] std::vector<std::byte> encode_result(const Msg& result);
+[[nodiscard]] std::vector<std::byte> encode_result(
+    std::uint32_t rank, const ctrl::RankResult& result);
 [[nodiscard]] std::vector<std::byte> encode_force_roll(std::uint32_t rank);
 [[nodiscard]] std::vector<std::byte> encode_shutdown();
 [[nodiscard]] std::vector<std::byte> encode_re_adopt(std::uint64_t coord_epoch);
@@ -189,26 +187,21 @@ struct Msg {
 
 // --- DATA payload (the body routed between ranks) --------------------
 //
-// {u32 spec_level, u64 rollback_epoch, u64 commit_seq, u64
-// outer_rollbacks, u32 count, values...} — values are runtime::write_value
-// encodings, exactly count of them. commit_seq is the sender's commit
-// count at send time: replay logs and receiver-side caches keep payloads
-// long after the speculation that stamped them was discharged, and only
-// this stamp lets the coordinator's epoch fence tell committed data from
-// reverted data. outer_rollbacks counts the sender's level-1 rollbacks in
-// its current incarnation (the epoch counts rollbacks at every level): a
-// later payload with the same commit_seq and a larger count proves that
-// an earlier speculative one was reverted, so a receiver can act on it
-// without asking the coordinator.
+// {u64 incarnation, u64 seq, u64 spec_id, u32 count, values...} — values
+// are runtime::write_value encodings, exactly count of them. incarnation
+// is the sender's (RESURRECT assigns it), seq the entry's number on its
+// channel, spec_id the innermost speculation the payload was sent under
+// (0 = durable, lazy-cancelled re-sends included). Speculation ids only
+// grow within an incarnation, so a rollback of id x reverts exactly the
+// payloads with id >= x sent before it.
 
 struct DataHeader {
-  std::uint32_t spec_level = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t commit_seq = 0;
-  std::uint64_t outer_rollbacks = 0;
+  std::uint64_t incarnation = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t spec_id = 0;
   std::uint32_t count = 0;
 };
-inline constexpr std::size_t kDataHeaderBytes = 4 + 8 + 8 + 8 + 4;
+inline constexpr std::size_t kDataHeaderBytes = 8 + 8 + 8 + 4;
 
 [[nodiscard]] std::vector<std::byte> encode_data_payload(
     const DataHeader& header, std::span<const std::byte> values);

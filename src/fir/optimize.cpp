@@ -215,6 +215,17 @@ class FunctionOptimizer {
     });
   }
 
+  /// True when heap slot (base, off) is known to hold `value` already.
+  static bool holds(const Facts& facts, const Atom& base, const Atom& off,
+                    const Atom& value) {
+    if (base.kind != Atom::Kind::kVar) return false;
+    return std::any_of(
+        facts.slots.begin(), facts.slots.end(), [&](const SlotFact& f) {
+          return f.base == base.var && f.off == atom_key(off) &&
+                 atom_key(f.value) == atom_key(value);
+        });
+  }
+
   /// `let x : T = read(b, o)` — reuse a dominating read of or write to the
   /// same (base variable, offset atom) at type T. The earlier access
   /// succeeded, so the removed read could not have trapped.
@@ -298,6 +309,13 @@ class FunctionOptimizer {
           }
           break;
         case ExprKind::kWrite: {
+          if (holds(facts, e.a, e.b, e.c_atom)) {
+            // The slot already holds this value (read back from it, as a
+            // MojC part does with the locals waiting out a user call).
+            *slot = std::move(e.next);
+            ++stats_.stores_removed;
+            continue;
+          }
           kill_for_write(facts, e.a, e.b);
           const std::optional<Type> ty = forwardable_type(e.c_atom);
           if (e.a.kind == Atom::Kind::kVar && ty.has_value()) {

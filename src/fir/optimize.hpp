@@ -73,13 +73,14 @@ struct OptimizeStats {
   std::uint64_t dead_lets_removed = 0;
   std::uint64_t reads_reused = 0;         ///< read replaced by an earlier read
   std::uint64_t stores_forwarded = 0;     ///< read replaced by a stored value
+  std::uint64_t stores_removed = 0;  ///< write of what the slot already held
   std::uint64_t exprs_shared = 0;         ///< unop/binop replaced by CSE
   std::uint64_t compares_simplified = 0;  ///< `t != 0` replaced by t
 
   [[nodiscard]] std::uint64_t total() const {
     return constants_folded + copies_propagated + branches_folded +
            dead_lets_removed + reads_reused + stores_forwarded +
-           exprs_shared + compares_simplified;
+           stores_removed + exprs_shared + compares_simplified;
   }
 };
 

@@ -84,6 +84,9 @@ struct Ctx {
   /// The current value of each local, by home slot: a read is this atom,
   /// a write rebinds it, and a transfer passes it to the next part.
   std::map<std::int64_t, Atom> vals;
+  /// Per home slot, the variable this part read back from it: while
+  /// `vals` still holds that variable, the slot already holds the value.
+  std::map<std::int64_t, Atom> home;
 };
 
 constexpr std::int64_t kSlotK = 0;
@@ -194,7 +197,7 @@ class Compiler {
     names.push_back("k");
     names.push_back("kenv");
     builders_.push_back(pb_.define(sigs_.at(fn.name).fir_id, std::move(names)));
-    Ctx ctx{&builders_.back(), Atom::unit(), {}, {}};
+    Ctx ctx{&builders_.back(), Atom::unit(), {}, {}, {}};
     const fir::VarId frame_var = ctx.fb->let_alloc(
         "frame", Atom::integer(frame_slots), Atom::integer(0));
     ctx.frame = Atom::variable(frame_var);
@@ -251,7 +254,7 @@ class Compiler {
     for (const InScope& l : part.locals) names.push_back(l.name);
     names.push_back("frame");
     builders_.push_back(pb_.define(part.id, std::move(names)));
-    Ctx ctx{&builders_.back(), Atom::unit(), at.scopes, {}};
+    Ctx ctx{&builders_.back(), Atom::unit(), at.scopes, {}, {}};
     std::uint32_t i = nleading;
     for (const InScope& l : part.locals) {
       ctx.vals[l.local.slot] = ctx.fb->arg(i++);
@@ -729,8 +732,13 @@ class Compiler {
     }
     const std::vector<InScope> live = in_scope(ctx);
     for (const InScope& l : live) {
-      ctx.fb->write(ctx.frame, Atom::integer(l.local.slot),
-                    ctx.vals.at(l.local.slot));
+      const Atom& v = ctx.vals.at(l.local.slot);
+      const auto h = ctx.home.find(l.local.slot);
+      if (h != ctx.home.end() && v.kind == Atom::Kind::kVar &&
+          h->second.var == v.var) {
+        continue;  // read back from this slot and not reassigned since
+      }
+      ctx.fb->write(ctx.frame, Atom::integer(l.local.slot), v);
     }
     const MojTy rty = sig.ret == MojTy::kVoid ? MojTy::kInt : sig.ret;
     const Part part = declare_part("ret", {fir_ty(rty)}, {});
@@ -741,7 +749,7 @@ class Compiler {
     Ctx pctx = open_part(part, {"ret"}, ctx);
     if (reload) {
       for (const InScope& l : live) {
-        pctx.vals[l.local.slot] = Atom::variable(
+        pctx.vals[l.local.slot] = pctx.home[l.local.slot] = Atom::variable(
             pctx.fb->let_read(l.name, fir_ty(l.local.ty), pctx.frame,
                               Atom::integer(l.local.slot)));
       }

@@ -294,7 +294,9 @@ SpmdRun run_spmd(const fir::Program& program, std::uint32_t ranks,
   obs::Counter& packed_bytes = reg.counter("migrate.image_bytes_packed");
   obs::Histogram& pack_us = reg.histogram("migrate.pack_us");
   obs::Counter& written = reg.counter("ckpt.bytes_written");
+  obs::Counter& poisons = reg.counter("dspec.poisons_received");
   const std::uint64_t insns0 = insns.value();
+  const std::uint64_t poisons0 = poisons.value();
   const std::uint64_t packed0 = packed.value();
   const std::uint64_t packed_bytes0 = packed_bytes.value();
   const double pack_us0 = pack_us.snapshot().sum_us;
@@ -309,7 +311,6 @@ SpmdRun run_spmd(const fir::Program& program, std::uint32_t ranks,
     run.finished = coord.wait_all(120.0);
     run.ranks = coord.results();
     run.resurrections = coord.resurrections();
-    run.poisons_issued = coord.tracker().poisons_issued();
     run.wire = cluster.wire_stats();
   }
   run.all_clean = run.finished;
@@ -321,6 +322,7 @@ SpmdRun run_spmd(const fir::Program& program, std::uint32_t ranks,
   run.image_bytes = packed_bytes.value() - packed_bytes0;
   run.checkpoint_seconds = (pack_us.snapshot().sum_us - pack_us0) * 1e-6;
   run.bytes_written = written.value() - written0;
+  run.poisons_issued = poisons.value() - poisons0;
   return run;
 }
 

@@ -116,7 +116,7 @@ struct SpmdRun {
   std::uint64_t checkpoints = 0;        ///< images packed
   double checkpoint_seconds = 0;        ///< their total pack time
   std::uint64_t image_bytes = 0;        ///< their total size
-  /// Bytes the store wrote after dedup: images plus replay logs.
+  /// Bytes the store wrote after dedup: images plus channel logs.
   std::uint64_t bytes_written = 0;
   net::WireStats wire;  ///< LocalCluster::wire_stats() at the end
 };

@@ -83,6 +83,14 @@ class SpeculationManager final : public runtime::WriteHook,
     return static_cast<SpecLevel>(levels_.size());
   }
 
+  /// Id of active level `level` (1..N): its entry epoch. Ids never repeat
+  /// within a manager, and a nested level's id exceeds its parents', so
+  /// "this speculation or one nested in it" is "id >= level_id(level)".
+  [[nodiscard]] std::uint64_t level_id(SpecLevel level) const {
+    check_level(level);
+    return levels_[level - 1].epoch;
+  }
+
   /// Stable-address mirror of the active level count, read by the native
   /// tier's inlined store fast path: with no active level before_write is
   /// a no-op, so the store may skip the copy-on-write hook.

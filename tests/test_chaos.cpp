@@ -162,13 +162,18 @@ std::uint64_t restore_fallbacks() {
 /// its sequence number (0 = none found).
 std::uint64_t tear_newest_manifest(ckpt::CheckpointStore& store,
                                    const std::string& snapshot) {
+  // Listing order is the directory's, not seq order: pick the name that
+  // carries the newest seq.
+  const std::uint64_t seq = store.latest_seq(snapshot);
   std::string newest;
   for (const auto& name :
        store.storage().list(ckpt::CheckpointStore::kManifestDir)) {
-    if (name.find("/" + snapshot + "@") != std::string::npos) newest = name;
+    if (name.find("/" + snapshot + "@") != std::string::npos &&
+        std::stoull(name.substr(name.rfind('@') + 1)) == seq) {
+      newest = name;
+    }
   }
   if (newest.empty()) return 0;
-  const std::uint64_t seq = store.latest_seq(snapshot);
   const char garbage[] = "not a manifest";
   store.storage().write(
       newest, std::as_bytes(std::span(garbage, std::strlen(garbage))));
@@ -205,8 +210,6 @@ TEST(GridChaos, KillMidCheckpointResurrectsFromLastCompleteManifest) {
         std::chrono::steady_clock::now() + std::chrono::seconds(2);
     while (cl.latest_seq(1) == seen &&
            std::chrono::steady_clock::now() < until) {
-      // Poll gently: the listing shares the store's lock with the puts.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     const std::uint64_t torn = tear_newest_manifest(store, victim);
     ASSERT_GE(torn, 2u);

@@ -7,10 +7,13 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <thread>
 
 #include "ckpt/chunker.hpp"
 #include "ckpt/store.hpp"
@@ -267,6 +270,28 @@ TEST(CheckpointStore, PutRestoreRoundTrip) {
   EXPECT_TRUE(store.has_snapshot("rank_0"));
   EXPECT_FALSE(store.has_snapshot("rank_9"));
   EXPECT_EQ(store.latest_seq("rank_0"), 1u);
+}
+
+/// A reader polling the newest seq in a tight loop, as a resurrection
+/// watchdog or a test harness does, must not starve the writer: the
+/// listing reads only the filesystem, so it takes no lock a put needs.
+TEST(CheckpointStore, PollingReaderDoesNotStarveWriters) {
+  ckpt::CheckpointStore store(fresh_dir("mj_ckpt_polling_reader"));
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) (void)store.latest_seq("rank_0");
+  });
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    store.put("rank_0", random_bytes(16 * 1024, 100 + i));
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(store.latest_seq("rank_0"), 10u);
+  EXPECT_LT(seconds, 2.0) << "10 puts beside a polling reader";
 }
 
 TEST(CheckpointStore, IdenticalPutWritesNothing) {

@@ -1,15 +1,16 @@
 // Cluster tests: message-passing externals, the distributed speculation
-// join (abort propagation), and the full Figure 2 scenario — the grid
-// computation surviving node failure via rollback + checkpoint
-// resurrection with an unchanged result. Programs run on in-process dnode
-// agents (gridapp::run_spmd).
+// join (abort propagation over exact channels), and the full Figure 2
+// scenario — the grid computation surviving node failure via rollback +
+// checkpoint resurrection with an unchanged result. Programs run on
+// in-process dnode agents (gridapp::run_spmd).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
-#include <deque>
 #include <thread>
+#include <utility>
 
-#include "cluster/tracker.hpp"
+#include "dnode/channel.hpp"
 #include "frontend/compile.hpp"
 #include "gridapp/heat.hpp"
 #include "support/rng.hpp"
@@ -17,45 +18,104 @@
 namespace {
 
 using namespace mojave;
-using cluster::NodeId;
+using dnode::ChannelOp;
+
+/// Ranks joined by exact channels, without agents or sockets: each rank
+/// has an Outbox, an Inbox and a stack of active speculation ids, and
+/// every entry is delivered at once and in order — what an agent does
+/// for two ranks it hosts. `poisoned` is what msg_recv would report.
+struct Ranks {
+  struct Rank {
+    dnode::Outbox out;
+    dnode::Inbox in;
+    std::vector<std::uint64_t> levels;  ///< active spec ids, outermost first
+    std::uint64_t next_id = 1;
+    bool poisoned = false;
+  };
+  std::vector<Rank> r;
+  explicit Ranks(std::uint32_t n) : r(n) {}
+
+  void deliver(std::uint32_t src, const dnode::Outbox::Sent& sent) {
+    for (const auto& [dst, e] : sent) {
+      if (r[dst].in.receive(src, *e).poison) r[dst].poisoned = true;
+    }
+  }
+  std::uint64_t innermost(std::uint32_t n) const {
+    return r[n].levels.empty() ? 0 : r[n].levels.back();
+  }
+  void speculate(std::uint32_t n) { r[n].levels.push_back(r[n].next_id++); }
+  void send(std::uint32_t src, std::uint32_t dst) {
+    deliver(src, r[src].out.put(dst, ChannelOp::kData, 0, innermost(src), 0,
+                                {}));
+  }
+  bool consume(std::uint32_t dst, std::uint32_t src) {
+    return r[dst].in.consume(src, 0, innermost(dst)).has_value();
+  }
+  /// Roll back level `level` (1-based) and re-enter it (retry).
+  void rollback(std::uint32_t n, std::size_t level) {
+    const std::uint64_t id = r[n].levels[level - 1];
+    deliver(n, r[n].out.rollback(id));
+    r[n].in.rollback(id);
+    r[n].levels.resize(level - 1);
+    speculate(n);
+  }
+  /// Commit level 1 (the oldest); deeper levels shift down.
+  void commit_oldest(std::uint32_t n) {
+    r[n].levels.erase(r[n].levels.begin());
+    const bool zero = r[n].levels.empty();
+    const std::uint64_t durable = zero ? ~std::uint64_t{0} : r[n].levels[0];
+    deliver(n, r[n].out.commit(durable, zero));
+    r[n].in.commit(durable);
+  }
+  bool take_poison(std::uint32_t n) {
+    return std::exchange(r[n].poisoned, false);
+  }
+};
 
 TEST(Tracker, PoisonPropagationAndVoiding) {
-  cluster::DependencyTracker t;
-  // Node 1 (at level 1) sends to node 2 (at level 1).
-  t.record(1, 1, 2, 1);
-  EXPECT_EQ(t.dependency_count(), 1u);
-  // Node 1 rolls back level 1: node 2 is poisoned.
-  const auto hit = t.on_rollback(1, 1);
-  ASSERT_EQ(hit.size(), 1u);
-  EXPECT_EQ(hit[0], 2u);
-  EXPECT_TRUE(t.consume_poison(2));
-  EXPECT_FALSE(t.consume_poison(2));  // one-shot
-  EXPECT_EQ(t.dependency_count(), 0u);
+  Ranks t(3);
+  t.speculate(1);
+  t.speculate(2);
+  // Rank 1 sends from its speculation; rank 2 consumes it inside its own.
+  t.send(1, 2);
+  ASSERT_TRUE(t.consume(2, 1));
+  // Rank 1 rolls back: the ROLLBACK behind the payload poisons rank 2.
+  t.rollback(1, 1);
+  EXPECT_TRUE(t.take_poison(2));
+  // The reverted payload is gone: another rollback poisons nobody.
+  t.rollback(1, 1);
+  EXPECT_FALSE(t.take_poison(2));
 }
 
 TEST(Tracker, ReceiverRollbackVoidsItsConsumptions) {
-  cluster::DependencyTracker t;
-  // 2 consumed 1's speculative message while itself at level 1.
-  t.record(1, 1, 2, 1);
-  // 2 rolls back level 1 (for its own reasons): its consumption is undone,
-  // so 1's later rollback must NOT poison it — this breaks abort ping-pong.
-  (void)t.on_rollback(2, 1);
-  EXPECT_EQ(t.dependency_count(), 0u);
-  const auto hit = t.on_rollback(1, 1);
-  EXPECT_TRUE(hit.empty());
-  EXPECT_FALSE(t.consume_poison(2));
+  Ranks t(3);
+  t.speculate(1);
+  t.speculate(2);
+  t.send(1, 2);
+  ASSERT_TRUE(t.consume(2, 1));
+  // Rank 2 rolls back for its own reasons: its consumption is undone, so
+  // rank 1's later rollback must NOT poison it — this breaks abort
+  // ping-pong. The payload just leaves its queue.
+  t.rollback(2, 1);
+  t.rollback(1, 1);
+  EXPECT_FALSE(t.take_poison(2));
+  EXPECT_FALSE(t.consume(2, 1));
 }
 
 TEST(Tracker, CommitToZeroMakesDependenciesDurable) {
-  cluster::DependencyTracker t;
-  t.record(1, 1, 2, 1);  // sent at level 1
-  t.record(1, 2, 3, 1);  // sent at level 2
-  t.on_commit_to_zero(1);
-  // Level-1 send is durable; the level-2 send became level-1.
-  EXPECT_EQ(t.dependency_count(), 1u);
-  const auto hit = t.on_rollback(1, 1);
-  ASSERT_EQ(hit.size(), 1u);
-  EXPECT_EQ(hit[0], 3u);
+  Ranks t(4);
+  t.speculate(1);
+  t.send(1, 2);  // sent at level 1
+  t.speculate(1);
+  t.send(1, 3);  // sent at level 2
+  ASSERT_TRUE(t.consume(2, 1));
+  ASSERT_TRUE(t.consume(3, 1));
+  // Level 1 commits out of order: the level-1 send is durable, the
+  // level-2 one now belongs to the new level 1.
+  t.commit_oldest(1);
+  t.rollback(1, 1);
+  EXPECT_FALSE(t.take_poison(2));
+  EXPECT_TRUE(t.take_poison(3));
 }
 
 TEST(Cluster, PingPongMessages) {
@@ -140,35 +200,35 @@ TEST(Cluster, SpeculativeSenderAbortPoisonsReceiver) {
   EXPECT_GE(run.poisons_issued, 1u);
 }
 
-// --- DependencyTracker property tests ---------------------------------
+// --- Channel join property tests --------------------------------------
 //
-// Seeded random interleavings of record / rollback / commit across 4+
-// nodes. Two properties the wire protocol leans on:
+// Seeded random interleavings of speculate / send / consume / rollback /
+// commit across 4+ ranks. Two properties the join leans on:
 //
-//  * every abort avalanche terminates — each poison consumes a recorded
-//    dependency and rollbacks only erase records, so the cascade runs out
-//    of fuel instead of ping-ponging between neighbours forever;
-//  * commit-to-zero discharges level-1 dependencies — a later rollback of
-//    the (new) speculation must not poison consumers of data that was
-//    already durable ("no stale poison after commit").
+//  * every abort avalanche terminates — each poison consumes a reverted
+//    payload and rollbacks only re-queue or drop them, so the cascade
+//    runs out of fuel instead of ping-ponging between neighbours forever;
+//  * commit to zero makes payloads durable — a later rollback of the
+//    (new) speculation must not poison consumers of data that was
+//    already committed ("no stale poison after commit").
 
-/// Drive one poison avalanche to completion: every poisoned node consumes
-/// its poison and rolls back at level 1 (what a real poisoned rank does),
-/// possibly poisoning others. Returns how many rollbacks it took; fails
-/// the test if the cascade exceeds `bound` steps.
-std::size_t drain_avalanche(cluster::DependencyTracker& t,
-                            std::vector<NodeId> poisoned,
-                            std::size_t bound) {
-  std::deque<NodeId> work(poisoned.begin(), poisoned.end());
+/// Drive one poison avalanche to completion: every poisoned rank rolls
+/// back its level 1 (what a real poisoned rank does), possibly poisoning
+/// others. Returns how many rollbacks it took; fails the test if the
+/// cascade exceeds `bound` steps.
+std::size_t drain_avalanche(Ranks& t, std::size_t bound) {
   std::size_t steps = 0;
-  while (!work.empty()) {
-    EXPECT_LT(steps, bound) << "avalanche did not terminate";
-    if (steps >= bound) return steps;
-    const NodeId n = work.front();
-    work.pop_front();
-    if (!t.consume_poison(n)) continue;  // duplicate hit, already handled
-    ++steps;
-    for (const NodeId next : t.on_rollback(n, 1)) work.push_back(next);
+  for (bool any = true; any;) {
+    any = false;
+    for (std::uint32_t n = 0; n < t.r.size(); ++n) {
+      if (!t.take_poison(n)) continue;
+      any = true;
+      EXPECT_LT(steps, bound) << "avalanche did not terminate";
+      if (steps >= bound) return steps;
+      ++steps;
+      if (t.r[n].levels.empty()) t.speculate(n);
+      t.rollback(n, 1);
+    }
   }
   return steps;
 }
@@ -176,109 +236,82 @@ std::size_t drain_avalanche(cluster::DependencyTracker& t,
 TEST(ClusterTrackerProps, RandomInterleavingsAvalancheAlwaysTerminates) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
-    cluster::DependencyTracker t;
     const std::uint32_t nodes = 4 + static_cast<std::uint32_t>(rng.below(3));
+    Ranks t(nodes);
+    std::size_t consumed = 0;
     for (int op = 0; op < 400; ++op) {
       const double dice = rng.uniform();
-      if (dice < 0.6) {
-        const auto s = static_cast<NodeId>(rng.below(nodes));
-        auto r = static_cast<NodeId>(rng.below(nodes));
-        if (r == s) r = (r + 1) % nodes;
-        t.record(s, static_cast<SpecLevel>(1 + rng.below(3)), r,
-                 static_cast<SpecLevel>(rng.below(4)));
-      } else if (dice < 0.85) {
-        // A rollback can poison at most the recorded dependencies, and
-        // every cascade step erases records — bound the whole avalanche
-        // by the dependency count at its start (plus the initial hit).
-        const std::size_t fuel = t.dependency_count();
-        auto hit = t.on_rollback(static_cast<NodeId>(rng.below(nodes)),
-                                 static_cast<SpecLevel>(1 + rng.below(3)));
-        drain_avalanche(t, std::move(hit), fuel + nodes + 1);
-      } else {
-        t.on_commit_to_zero(static_cast<NodeId>(rng.below(nodes)));
+      const auto a = static_cast<std::uint32_t>(rng.below(nodes));
+      auto b = static_cast<std::uint32_t>(rng.below(nodes));
+      if (b == a) b = (b + 1) % nodes;
+      if (dice < 0.15) {
+        if (t.r[a].levels.size() < 3) t.speculate(a);
+      } else if (dice < 0.45) {
+        t.send(a, b);
+      } else if (dice < 0.75) {
+        if (t.consume(b, a)) ++consumed;
+      } else if (dice < 0.9) {
+        if (!t.r[a].levels.empty()) {
+          t.rollback(a, 1 + rng.below(t.r[a].levels.size()));
+        }
+      } else if (!t.r[a].levels.empty()) {
+        t.commit_oldest(a);
       }
+      // A rollback can poison at most the payloads consumed so far, and
+      // every cascade step drops one of them.
+      drain_avalanche(t, consumed + nodes + 1);
       if (::testing::Test::HasFailure()) {
         FAIL() << "seed " << seed << ", op " << op;
       }
     }
     // Quiesce: roll everything back; no poison may survive its consumer.
-    for (NodeId n = 0; n < nodes; ++n) {
-      drain_avalanche(t, t.on_rollback(n, 1), t.dependency_count() + nodes);
+    for (std::uint32_t n = 0; n < nodes; ++n) {
+      if (!t.r[n].levels.empty()) t.rollback(n, 1);
+      drain_avalanche(t, consumed + nodes + 1);
     }
-    for (NodeId n = 0; n < nodes; ++n) {
-      EXPECT_FALSE(t.consume_poison(n)) << "stale poison, seed " << seed;
+    for (std::uint32_t n = 0; n < nodes; ++n) {
+      EXPECT_FALSE(t.take_poison(n)) << "stale poison, seed " << seed;
     }
-    EXPECT_EQ(t.dependency_count(), 0u) << "seed " << seed;
   }
 }
 
 TEST(ClusterTrackerProps, CommitToZeroLeavesNoStalePoison) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
-    cluster::DependencyTracker t;
     const std::uint32_t nodes = 4;
-    // A batch of level-1 sends from node 0, randomly interleaved with
-    // deeper ones that commit-to-zero must *keep* (shifted down a level).
-    int deep = 0;
+    Ranks t(nodes);
+    // A batch of level-1 sends from rank 0, randomly interleaved with
+    // deeper ones that the commit must keep speculative.
+    t.speculate(0);
+    std::vector<std::uint32_t> shallow, deep;
     for (int i = 0; i < 40; ++i) {
-      const auto r = static_cast<NodeId>(1 + rng.below(nodes - 1));
+      const auto r = static_cast<std::uint32_t>(1 + rng.below(nodes - 1));
       if (rng.chance(0.3)) {
-        t.record(0, 2, r, static_cast<SpecLevel>(rng.below(3)));
-        ++deep;
+        if (t.r[0].levels.size() == 1) t.speculate(0);
+        deep.push_back(r);
       } else {
-        t.record(0, 1, r, static_cast<SpecLevel>(rng.below(3)));
+        if (t.r[0].levels.size() == 2) t.r[0].levels.pop_back();  // folded
+        shallow.push_back(r);
       }
+      t.send(0, r);
+      ASSERT_TRUE(t.consume(r, 0));
     }
-    t.on_commit_to_zero(0);
-    // Level-1 records were discharged; the level-2 ones shifted to 1.
-    EXPECT_EQ(t.dependency_count(), static_cast<std::size_t>(deep))
-        << "seed " << seed;
-    // Rolling back the *new* level 1 may only hit the shifted survivors —
+    if (t.r[0].levels.size() == 1) t.speculate(0);
+    t.commit_oldest(0);
+    // Rolling back the *new* level 1 may only hit the deep consumers —
     // and after that, nothing: committed data can never poison anyone.
-    const auto hit = t.on_rollback(0, 1);
-    EXPECT_LE(hit.size(), static_cast<std::size_t>(deep)) << "seed " << seed;
-    drain_avalanche(t, hit, static_cast<std::size_t>(deep) + nodes);
-    EXPECT_TRUE(t.on_rollback(0, 1).empty()) << "seed " << seed;
-    for (NodeId n = 0; n < nodes; ++n) {
-      EXPECT_FALSE(t.consume_poison(n)) << "stale poison, seed " << seed;
+    t.rollback(0, 1);
+    for (std::uint32_t n = 1; n < nodes; ++n) {
+      const bool hit = t.take_poison(n);
+      if (std::find(deep.begin(), deep.end(), n) == deep.end()) {
+        EXPECT_FALSE(hit) << "stale poison of rank " << n << ", seed " << seed;
+      }
+    }
+    t.rollback(0, 1);
+    for (std::uint32_t n = 0; n < nodes; ++n) {
+      EXPECT_FALSE(t.take_poison(n)) << "stale poison, seed " << seed;
     }
   }
-}
-
-TEST(ClusterTrackerProps, ConcurrentRecordRollbackCommitIsRaceFree) {
-  // The coordinator's reader threads hit the tracker concurrently; this
-  // exists so the TSan job sweeps its locking. Assertions are minimal —
-  // the single-thread property tests pin the semantics.
-  cluster::DependencyTracker t;
-  constexpr std::uint32_t kNodes = 6;
-  std::vector<std::thread> threads;
-  for (std::uint64_t ti = 0; ti < 4; ++ti) {
-    threads.emplace_back([&t, ti] {
-      Rng rng(0xC0FFEE + ti);
-      for (int op = 0; op < 2000; ++op) {
-        const double dice = rng.uniform();
-        const auto a = static_cast<NodeId>(rng.below(kNodes));
-        auto b = static_cast<NodeId>(rng.below(kNodes));
-        if (b == a) b = (b + 1) % kNodes;
-        if (dice < 0.6) {
-          t.record(a, static_cast<SpecLevel>(1 + rng.below(3)), b,
-                   static_cast<SpecLevel>(rng.below(4)));
-        } else if (dice < 0.85) {
-          for (const NodeId p :
-               t.on_rollback(a, static_cast<SpecLevel>(1 + rng.below(3)))) {
-            t.consume_poison(p);
-          }
-        } else {
-          t.on_commit_to_zero(a);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (NodeId n = 0; n < kNodes; ++n) {
-    drain_avalanche(t, t.on_rollback(n, 1), t.dependency_count() + kNodes);
-  }
-  EXPECT_EQ(t.dependency_count(), 0u);
 }
 
 /// Bit-exact against the sequential reference: the distributed run does

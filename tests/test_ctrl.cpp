@@ -79,15 +79,14 @@ std::vector<std::byte> replay_into_state(const fs::path& dir,
 }
 
 /// A deterministic random transition stream touching every op the live
-/// coordinator emits, including the order-sensitive ones (fences, dep
-/// records, commits) whose interleavings the ring buffer must replay
-/// exactly.
+/// coordinator emits, including the order-sensitive ones (placement
+/// flips, grants that number incarnations).
 std::vector<ctrl::WalRecord> random_stream(std::uint32_t seed,
                                            std::uint32_t ranks,
                                            std::size_t ops) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<std::uint32_t> pick_rank(0, ranks - 1);
-  std::uniform_int_distribution<int> pick_op(0, 9);
+  std::uniform_int_distribution<int> pick_op(0, 5);
 
   std::vector<ctrl::WalRecord> stream;
   stream.push_back(meta_record(ranks));
@@ -97,56 +96,25 @@ std::vector<ctrl::WalRecord> random_stream(std::uint32_t seed,
   for (std::size_t i = 0; i < ops; ++i) {
     ctrl::WalRecord rec;
     switch (pick_op(rng)) {
-      case 0:
-      case 1: {  // weighted toward the speculation join
-        rec.op = ctrl::WalOp::kDepRecord;
-        rec.sender = pick_rank(rng);
-        do {
-          rec.receiver = pick_rank(rng);
-        } while (rec.receiver == rec.sender);
-        rec.sender_level = 1 + (rng() % 3);
-        rec.receiver_level = rng() % 3;
-        rec.epoch = rng() % 5;
-        rec.commit_seq = rng() % 4;
-        break;
-      }
-      case 2: {
-        rec.op = ctrl::WalOp::kRollback;
-        rec.rank = pick_rank(rng);
-        rec.level = 1 + (rng() % 2);
-        rec.epoch = rng() % 5;
-        break;
-      }
-      case 3: {
-        rec.op = ctrl::WalOp::kCommit;
-        rec.rank = pick_rank(rng);
-        break;
-      }
-      case 4: {
+      case 0: {
         rec.op = ctrl::WalOp::kResurrectGrant;
         rec.rank = pick_rank(rng);
         rec.agent = rng() % 2;
-        rec.commit_seq = rng() % 4;
         break;
       }
-      case 5: {
+      case 1: {
         rec.op = ctrl::WalOp::kRankUp;
         rec.rank = pick_rank(rng);
         rec.agent = rng() % 2;
         break;
       }
-      case 6: {
-        rec.op = ctrl::WalOp::kCommitSeqSet;
-        rec.rank = pick_rank(rng);
-        rec.commit_seq = rng() % 8;
-        break;
-      }
-      case 7: {
+      case 2: {
         rec.op = ctrl::WalOp::kAgentDown;
         rec.agent = rng() % 2;
         break;
       }
-      case 8: {
+      case 3:
+      case 4: {
         rec.op = ctrl::WalOp::kPlacement;
         rec.rank = pick_rank(rng);
         rec.agent = rng() % 2;
@@ -156,15 +124,13 @@ std::vector<ctrl::WalRecord> random_stream(std::uint32_t seed,
       default: {
         rec.op = ctrl::WalOp::kRankResult;
         rec.rank = pick_rank(rng);
-        rec.result_kind = 0;
-        rec.exit_code = 0;
-        rec.has_reported = true;
-        rec.reported = static_cast<double>(rng() % 1000) / 7.0;
-        rec.output = "rank output " + std::to_string(rec.rank);
-        rec.instructions = rng() % 100000;
-        rec.speculates = rng() % 10;
-        rec.commits = rng() % 10;
-        rec.rollbacks = rng() % 4;
+        rec.result.has_reported = true;
+        rec.result.reported = static_cast<double>(rng() % 1000) / 7.0;
+        rec.result.output = "rank output " + std::to_string(rec.rank);
+        rec.result.instructions = rng() % 100000;
+        rec.result.speculates = rng() % 10;
+        rec.result.commits = rng() % 10;
+        rec.result.rollbacks = rng() % 4;
         break;
       }
     }
@@ -199,9 +165,9 @@ TEST(CtrlWal, DuplicateResultIsIdempotentAcrossReplay) {
   ctrl::WalRecord res;
   res.op = ctrl::WalOp::kRankResult;
   res.rank = 0;
-  res.has_reported = true;
-  res.reported = 42.5;
-  res.instructions = 100;
+  res.result.has_reported = true;
+  res.result.reported = 42.5;
+  res.result.instructions = 100;
   stream.push_back(res);
   stream.push_back(res);  // re-sent across a failover
 

@@ -7,6 +7,7 @@
 
 #include "core/engine.hpp"
 #include "fir/ir.hpp"
+#include "frontend/compile.hpp"
 #include "gridapp/heat.hpp"
 #include "obs/metrics.hpp"
 
@@ -123,6 +124,52 @@ TEST(Engine, HeatComputeBlocksTouchOnlyTheReturnSlotsOfTheFrame) {
     }
   }
   EXPECT_GE(blocks, 3);  // the loops and joins of compute's two sweeps
+}
+
+/// Frame writes (home-slot stores) in `e`, both if-arms included.
+int frame_writes(const fir::Expr* e, fir::VarId frame) {
+  int n = 0;
+  for (; e != nullptr; e = e->next.get()) {
+    if (e->kind == fir::ExprKind::kWrite &&
+        e->a.kind == fir::Atom::Kind::kVar && e->a.var == frame) {
+      ++n;
+    }
+    if (e->kind == fir::ExprKind::kIf) n += frame_writes(e->els.get(), frame);
+  }
+  return n;
+}
+
+TEST(Engine, CallAfterCallStoresOnlyTheLocalsItChanged) {
+  // Before a user call every local in scope goes to its home slot. In the
+  // part that follows a call, the locals it read back from those slots
+  // are already there: only `a`, assigned from the first call, is
+  // stored before the second.
+  fir::Program program = frontend::compile_source("calls", R"(
+    int f(int v) { return v + 1; }
+    int main() {
+      int x = 1;
+      int y = 2;
+      int z = 3;
+      int a = f(x);
+      int b = f(y);
+      return a + b + z;
+    }
+  )");
+  int parts = 0;
+  for (const fir::Function& fn : program.functions) {
+    if (fn.name.rfind("main$", 0) != 0) continue;
+    const fir::VarId frame = fn.arity() - 1;
+    ASSERT_EQ(fn.var_names.at(frame), "frame");
+    SCOPED_TRACE(fn.name);
+    const int writes = frame_writes(fn.body.get(), frame);
+    if (fn.name.find("ret") != std::string::npos && writes > 0) {
+      ++parts;
+      EXPECT_EQ(writes, 1);
+    }
+  }
+  EXPECT_EQ(parts, 1) << "one return part makes the second call";
+  Engine engine;
+  EXPECT_EQ(engine.run_program(std::move(program)).run.exit_code, 2 + 3 + 3);
 }
 
 TEST(Engine, CompileFileAndRunFile) {
