@@ -184,7 +184,7 @@ struct NodeAgent::RankSlot {
 
   // --- Fiber pacing gates (loop thread only). Every gate is checked
   // BEFORE the external's side effects, so re-executing the instruction
-  // after a WouldBlock park is idempotent — the same contract that makes
+  // after a block() park is idempotent — the same contract that makes
   // native-tier deoptimization safe. ------------------------------------
   double next_send_at = 0;   ///< throttle gate
   double sleep_until = -1;   ///< armed sleep_ms gate; -1 = none
@@ -194,8 +194,8 @@ struct NodeAgent::RankSlot {
     std::uint32_t src = 0;
     double start = 0;  ///< first wait on this key (timeout base)
   } recv;
-  /// Set by an external just before it throws WouldBlock; the fiber parks
-  /// on this key.
+  /// Set by an external just before it calls block(); the fiber parks on
+  /// this key.
   std::uint64_t pending_wait_key = 0;
 
   /// Lazy cancellation (TimeWarp): hash of the last payload per (dst,
@@ -936,7 +936,8 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         const double now = now_seconds();
         if (now < slot.next_send_at) {
           slot.pending_wait_key = rank_wait_key(slot.rank);
-          throw vm::WouldBlock{slot.next_send_at};
+          it.block(slot.next_send_at);
+          return Value::unit();
         }
         Writer vw;
         for (std::int64_t i = 0; i < count; ++i) {
@@ -1006,7 +1007,8 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
             return Value::from_int(2);
           }
           slot.pending_wait_key = wkey;
-          throw vm::WouldBlock{slot.recv.start + recv_timeout_seconds_};
+          it.block(slot.recv.start + recv_timeout_seconds_);
+          return Value::unit();
         }
         slot.recv.active = false;
         AgentMetrics::get().consumed.inc();
@@ -1040,7 +1042,8 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
 
   vm.register_external(
       "sleep_ms",
-      [this, &slot](vm::Interpreter&, std::span<const Value> args) -> Value {
+      [this, &slot](vm::Interpreter& it,
+                    std::span<const Value> args) -> Value {
         const double now = now_seconds();
         if (slot.sleep_until < 0) {
           const std::int64_t ms = args.empty() ? 0 : args[0].as_int();
@@ -1048,7 +1051,8 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
         }
         if (now < slot.sleep_until) {
           slot.pending_wait_key = rank_wait_key(slot.rank);
-          throw vm::WouldBlock{slot.sleep_until};
+          it.block(slot.sleep_until);
+          return Value::unit();
         }
         slot.sleep_until = -1;
         return Value::unit();

@@ -14,7 +14,7 @@
 // and one agent hosts hundreds of ranks where the thread-per-rank design
 // topped out at dozens. Ranks advance in bounded instruction slices;
 // blocking externals (an empty mailbox, the send throttle, sleep_ms)
-// throw vm::WouldBlock and the fiber parks on a wait key until a frame,
+// call Interpreter::block() and the fiber parks on a wait key until a frame,
 // a poison, or a deadline wakes it.
 //
 //  * msg_send / msg_recv between ranks route through per-rank mailboxes —

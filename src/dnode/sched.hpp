@@ -7,7 +7,8 @@
 // already live inside its Interpreter; a "fiber" here is therefore not a
 // stack switch but a bookkeeping record around Interpreter::run_slice():
 // run a bounded slice, and either requeue (preempted), park on a wait key
-// (an external threw WouldBlock), or retire (halted / migrated away).
+// (an external called Interpreter::block()), or retire (halted /
+// migrated away).
 //
 // Wait keys are opaque 64-bit values chosen by the agent — in practice
 // hash(src_rank, tag) for message receives and a per-rank key for pacing

@@ -13,16 +13,21 @@
 // Register convention inside compiled code (System V x86-64 host):
 //   rbx  NativeContext*                (callee-saved, pinned for the run)
 //   r12  frame base (runtime::Value*)  (callee-saved, pinned for the run)
-//   rax, rcx, rdx, rsi, rdi, r8-r11, xmm0-xmm2   per-instruction scratch
+//   r15  remaining instruction budget  (callee-saved, pinned for the run;
+//        stored back to budget_left on exit)
+//   rcx rsi rdi r8-r11 r13 r14 rbp, xmm0-xmm14   the chunk's register cache
+//   rax rdx xmm15                      scratch inside one instruction
 //
-// Every bytecode instruction compiles memory-to-memory over the frame, so
-// no VM state lives in machine registers across a C helper call — which is
-// what makes every helper call (allocation, hooked writes) a GC safepoint
-// for free: every register the running function has written is current in
-// the frame. A register it has not yet written may still hold a value from
-// the caller (direct jumps do not clear the callee's registers); such
-// stale slots are only conservative GC roots, and a deopt resets them to
-// unit from a compile-time table before the interpreter sees the frame.
+// Inside a chunk (basic block) virtual registers live in machine
+// registers; the frame is made current wherever C++ can look at it: before
+// every C helper call (so each helper is a GC safepoint, and no Block*
+// survives one), in every deopt stub, and at every chunk end inside the
+// function. A direct jump writes only the callee's argument slots. A
+// register the running function has not yet written may still hold a
+// value from the caller (direct jumps do not clear the callee's
+// registers); such stale slots are only conservative GC roots, and a
+// deopt resets them to unit from a compile-time table before the
+// interpreter sees the frame.
 #pragma once
 
 #include <cstddef>
@@ -103,9 +108,6 @@ struct NativeContext {
   /// Interned string blocks (interpreter's string_blocks_.data()).
   const BlockIndex* string_indices = nullptr;
   runtime::Heap* heap = nullptr;
-  /// Scratch for the parallel move at direct jumps: one Value per argument
-  /// of any compiled callee (at most kMaxRegs).
-  runtime::Value* argbuf = nullptr;
   /// Deopt record: function / bytecode pc / reason to resume interpreting.
   std::uint32_t deopt_fun = 0;
   std::uint32_t deopt_pc = 0;
@@ -121,7 +123,7 @@ using NativeFn = void (*)(NativeContext*);
 
 /// Virtual registers of a function the native compiler accepts. A direct
 /// jump passes at most one argument per callee register, so this is also
-/// the direct-jump arity limit and bounds the size of `argbuf`.
+/// the direct-jump arity limit.
 inline constexpr std::uint16_t kMaxRegs = 256;
 
 // Offsets baked into emitted code.
@@ -134,11 +136,10 @@ inline constexpr std::int32_t kCtxBudget = 40;
 inline constexpr std::int32_t kCtxEntries = 48;
 inline constexpr std::int32_t kCtxStrings = 56;
 inline constexpr std::int32_t kCtxHeap = 64;
-inline constexpr std::int32_t kCtxArgbuf = 72;
-inline constexpr std::int32_t kCtxDeoptFun = 80;
-inline constexpr std::int32_t kCtxDeoptPc = 84;
-inline constexpr std::int32_t kCtxDeoptReason = 88;
-inline constexpr std::int32_t kCtxSpecTopEpoch = 96;
+inline constexpr std::int32_t kCtxDeoptFun = 72;
+inline constexpr std::int32_t kCtxDeoptPc = 76;
+inline constexpr std::int32_t kCtxDeoptReason = 80;
+inline constexpr std::int32_t kCtxSpecTopEpoch = 88;
 
 static_assert(offsetof(NativeContext, frame) == kCtxFrame);
 static_assert(offsetof(NativeContext, table_view) == kCtxTableView);
@@ -149,7 +150,6 @@ static_assert(offsetof(NativeContext, budget_left) == kCtxBudget);
 static_assert(offsetof(NativeContext, entries) == kCtxEntries);
 static_assert(offsetof(NativeContext, string_indices) == kCtxStrings);
 static_assert(offsetof(NativeContext, heap) == kCtxHeap);
-static_assert(offsetof(NativeContext, argbuf) == kCtxArgbuf);
 static_assert(offsetof(NativeContext, deopt_fun) == kCtxDeoptFun);
 static_assert(offsetof(NativeContext, deopt_pc) == kCtxDeoptPc);
 static_assert(offsetof(NativeContext, deopt_reason) == kCtxDeoptReason);

@@ -19,7 +19,11 @@ enum Reg : std::uint8_t {
   R8 = 8, R9 = 9, R10 = 10, R11 = 11, R12 = 12, R13 = 13, R14 = 14, R15 = 15,
 };
 
-enum Xmm : std::uint8_t { XMM0 = 0, XMM1 = 1, XMM2 = 2, XMM3 = 3 };
+enum Xmm : std::uint8_t {
+  XMM0 = 0, XMM1 = 1, XMM2 = 2, XMM3 = 3, XMM4 = 4, XMM5 = 5, XMM6 = 6,
+  XMM7 = 7, XMM8 = 8, XMM9 = 9, XMM10 = 10, XMM11 = 11, XMM12 = 12,
+  XMM13 = 13, XMM14 = 14, XMM15 = 15,
+};
 
 /// ModRM condition-code nibbles (Jcc = 0F 80+cc, SETcc = 0F 90+cc).
 enum Cc : std::uint8_t {
@@ -88,6 +92,12 @@ class Assembler {
   // --- moves ------------------------------------------------------------
 
   void mov_rr(Reg dst, Reg src) { alu_rr(0x89, dst, src); }
+  /// mov r32, r32: copies the low half and zeroes the high half.
+  void mov_rr32(Reg dst, Reg src) {
+    rex(false, src >> 3, 0, dst >> 3);
+    emit8(0x89);
+    modrm_reg(src & 7, dst);
+  }
   void mov_rm64(Reg dst, Mem m) { op_rm(0x8B, dst, m, /*w=*/true); }
   void mov_mr64(Mem m, Reg src) { op_rm(0x89, src, m, /*w=*/true); }
   void mov_rm32(Reg dst, Mem m) { op_rm(0x8B, dst, m, /*w=*/false); }
@@ -119,6 +129,23 @@ class Assembler {
     emit8(0xB8 | (r & 7));
     emit32(v);
   }
+  /// mov r64, imm32 sign-extended to 64 bits.
+  void mov_ri64s(Reg r, std::int32_t v) {
+    rex(true, 0, 0, r >> 3);
+    emit8(0xC7);
+    modrm_reg(0, r);
+    emit32(static_cast<std::uint32_t>(v));
+  }
+  /// Loads `v` into `r` with the shortest of the three encodings.
+  void mov_imm(Reg r, std::int64_t v) {
+    if (v >= 0 && v <= static_cast<std::int64_t>(UINT32_MAX)) {
+      mov_ri32(r, static_cast<std::uint32_t>(v));
+    } else if (v >= INT32_MIN && v <= INT32_MAX) {
+      mov_ri64s(r, static_cast<std::int32_t>(v));
+    } else {
+      mov_ri64(r, static_cast<std::uint64_t>(v));
+    }
+  }
   /// mov qword ptr [m], imm32 (sign-extended to 64 bits).
   void mov_mi64(Mem m, std::int32_t v) {
     prefix_mem(0xC7, 0, m, /*w=*/true);
@@ -141,16 +168,30 @@ class Assembler {
   void test_rr(Reg a, Reg b) { alu_rr(0x85, a, b); }
 
   void add_ri(Reg r, std::int32_t v) { alu_ri(0, r, v); }
-  void sub_ri(Reg r, std::int32_t v) { alu_ri(5, r, v); }
+  void or_ri(Reg r, std::int32_t v) { alu_ri(1, r, v); }
   void and_ri(Reg r, std::int32_t v) { alu_ri(4, r, v); }
+  void sub_ri(Reg r, std::int32_t v) { alu_ri(5, r, v); }
+  void xor_ri(Reg r, std::int32_t v) { alu_ri(6, r, v); }
   void cmp_ri(Reg r, std::int32_t v) { alu_ri(7, r, v); }
+  /// imul dst, src, imm32.
+  void imul_rri(Reg dst, Reg src, std::int32_t v) {
+    rex(true, dst >> 3, 0, src >> 3);
+    emit8(0x69);
+    modrm_reg(dst & 7, src);
+    emit32(static_cast<std::uint32_t>(v));
+  }
 
   void cmp_rm64(Reg reg, Mem m) { op_rm(0x3B, reg, m, /*w=*/true); }
+  /// add / sub qword ptr [m], reg.
+  void add_mr64(Mem m, Reg src) { op_rm(0x01, src, m, /*w=*/true); }
+  void sub_mr64(Mem m, Reg src) { op_rm(0x29, src, m, /*w=*/true); }
   void add_rm64(Reg reg, Mem m) { op_rm(0x03, reg, m, /*w=*/true); }
+  /// push / pop qword ptr [m].
+  void push_m(Mem m) { prefix_mem(0xFF, 6, m, /*w=*/false, /*imm=*/false); }
+  void pop_m(Mem m) { prefix_mem(0x8F, 0, m, /*w=*/false, /*imm=*/false); }
 
   /// add qword ptr [m], imm32 / sub / etc via /digit.
   void add_mi64(Mem m, std::int32_t v) { alu_mi(0, m, v); }
-  void sub_mi64(Mem m, std::int32_t v) { alu_mi(5, m, v); }
   void cmp_mi64(Mem m, std::int32_t v) { alu_mi(7, m, v); }
   /// test al, al — for uint64-in-rax helper results use test_rr instead.
   void test_al() {
@@ -163,7 +204,6 @@ class Assembler {
     modrm_mem(7, m);
     emit8(v);
   }
-  void inc_m64(Mem m) { prefix_mem(0xFF, 0, m, /*w=*/true, /*imm=*/false); }
 
   void imul_rr(Reg dst, Reg src) { op_rr_0f(0xAF, dst, src); }
   void cqo() {
@@ -180,8 +220,9 @@ class Assembler {
   void shr_ri(Reg r, std::uint8_t n) { shift_ri(5, r, n); }
   void sar_ri(Reg r, std::uint8_t n) { shift_ri(7, r, n); }
 
-  /// setcc on an 8-bit register; restrict to AL/CL/DL/BL (no REX quirks).
+  /// setcc on the low byte of any register (SIL/DIL/BPL need a bare REX).
   void setcc(Cc cc, Reg r8) {
+    if (r8 >= 4) emit8(static_cast<std::uint8_t>(0x40 | (r8 >> 3)));
     emit8(0x0F);
     emit8(0x90 | cc);
     modrm_reg(0, r8);
@@ -202,6 +243,11 @@ class Assembler {
   }
   void jmp(Label l) {
     emit8(0xE9);
+    fixup(l);
+  }
+  /// call rel32 to a label in the same code buffer.
+  void call(Label l) {
+    emit8(0xE8);
     fixup(l);
   }
   void jmp_r(Reg r) {
@@ -226,50 +272,47 @@ class Assembler {
 
   // --- SSE2 scalar double ----------------------------------------------
 
-  void movsd_xm(Xmm x, Mem m) { sse_f2_mem(0x10, x, m); }
-  void movsd_mx(Mem m, Xmm x) { sse_f2_mem(0x11, x, m); }
-  void addsd(Xmm dst, Xmm src) { sse_f2_rr(0x58, dst, src); }
-  void subsd(Xmm dst, Xmm src) { sse_f2_rr(0x5C, dst, src); }
-  void mulsd(Xmm dst, Xmm src) { sse_f2_rr(0x59, dst, src); }
-  void divsd(Xmm dst, Xmm src) { sse_f2_rr(0x5E, dst, src); }
+  void movsd_xm(Xmm x, Mem m) { sse_mem(0xF2, 0x10, x, m); }
+  void movsd_mx(Mem m, Xmm x) { sse_mem(0xF2, 0x11, x, m); }
+  void addsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x58, dst, src); }
+  void subsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x5C, dst, src); }
+  void mulsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x59, dst, src); }
+  void divsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x5E, dst, src); }
   /// cmpsd dst, src, pred — pred: 0=eq 1=lt 2=le 4=neq.
   void cmpsd(Xmm dst, Xmm src, std::uint8_t pred) {
-    sse_f2_rr(0xC2, dst, src);
+    sse_rr(0xF2, 0xC2, dst, src);
     emit8(pred);
   }
-  void xorpd(Xmm dst, Xmm src) {
-    emit8(0x66);
-    emit8(0x0F);
-    emit8(0x57);
-    modrm_reg(dst, static_cast<Reg>(src));
-  }
+  void xorpd(Xmm dst, Xmm src) { sse_rr(0x66, 0x57, dst, src); }
+  /// Full-register copy (no dependency on the old contents of dst).
+  void movapd(Xmm dst, Xmm src) { sse_rr(0x66, 0x28, dst, src); }
   void cvttsd2si(Reg dst, Xmm src) {
     emit8(0xF2);
-    rex(true, dst >> 3, 0, 0);
+    rex(true, dst >> 3, 0, src >> 3);
     emit8(0x0F);
     emit8(0x2C);
-    modrm_reg(dst & 7, static_cast<Reg>(src));
+    modrm_reg(dst & 7, static_cast<Reg>(src & 7));
   }
   void cvtsi2sd(Xmm dst, Reg src) {
     emit8(0xF2);
-    rex(true, 0, 0, src >> 3);
+    rex(true, dst >> 3, 0, src >> 3);
     emit8(0x0F);
     emit8(0x2A);
-    modrm_reg(dst, src);
+    modrm_reg(dst & 7, static_cast<Reg>(src & 7));
   }
   void movq_xr(Xmm dst, Reg src) {
     emit8(0x66);
-    rex(true, 0, 0, src >> 3);
+    rex(true, dst >> 3, 0, src >> 3);
     emit8(0x0F);
     emit8(0x6E);
-    modrm_reg(dst, src);
+    modrm_reg(dst & 7, static_cast<Reg>(src & 7));
   }
   void movq_rx(Reg dst, Xmm src) {
     emit8(0x66);
-    rex(true, 0, 0, dst >> 3);
+    rex(true, src >> 3, 0, dst >> 3);
     emit8(0x0F);
     emit8(0x7E);
-    modrm_reg(src, dst);
+    modrm_reg(src & 7, static_cast<Reg>(dst & 7));
   }
 
  private:
@@ -369,17 +412,24 @@ class Assembler {
     emit8(opcode);
     modrm_reg(reg & 7, rm);
   }
+  /// 83 /digit ib when the immediate fits a signed byte, else 81 /digit id.
   void alu_ri(std::uint8_t digit, Reg r, std::int32_t v) {
     rex(true, 0, 0, r >> 3);
-    emit8(0x81);
+    const bool short_imm = v >= -128 && v <= 127;
+    emit8(short_imm ? 0x83 : 0x81);
     modrm_reg(digit, r);
-    emit32(static_cast<std::uint32_t>(v));
+    imm8_or_32(short_imm, v);
   }
   void alu_mi(std::uint8_t digit, Mem m, std::int32_t v) {
     prefix_mem_nopcode(m, /*w=*/true, 0);
-    emit8(0x81);
+    const bool short_imm = v >= -128 && v <= 127;
+    emit8(short_imm ? 0x83 : 0x81);
     modrm_mem(digit, m);
-    emit32(static_cast<std::uint32_t>(v));
+    imm8_or_32(short_imm, v);
+  }
+  void imm8_or_32(bool short_imm, std::int32_t v) {
+    if (short_imm) emit8(static_cast<std::uint8_t>(v));
+    else emit32(static_cast<std::uint32_t>(v));
   }
   void unary_r(std::uint8_t digit, Reg r) {
     rex(true, 0, 0, r >> 3);
@@ -398,18 +448,20 @@ class Assembler {
     emit8(n);
   }
 
-  void sse_f2_mem(std::uint8_t opcode, Xmm x, Mem m) {
-    emit8(0xF2);
-    prefix_mem_nopcode(m, /*w=*/false, 0);
+  /// Mandatory prefix, [REX], 0F opcode, ModRM for reg-reg SSE forms.
+  void sse_rr(std::uint8_t prefix, std::uint8_t opcode, Xmm dst, Xmm src) {
+    emit8(prefix);
+    rex(false, dst >> 3, 0, src >> 3);
     emit8(0x0F);
     emit8(opcode);
-    modrm_mem(x, m);
+    modrm_reg(dst & 7, static_cast<Reg>(src & 7));
   }
-  void sse_f2_rr(std::uint8_t opcode, Xmm dst, Xmm src) {
-    emit8(0xF2);
+  void sse_mem(std::uint8_t prefix, std::uint8_t opcode, Xmm x, Mem m) {
+    emit8(prefix);
+    prefix_mem_nopcode(m, /*w=*/false, x >> 3);
     emit8(0x0F);
     emit8(opcode);
-    modrm_reg(dst, static_cast<Reg>(src));
+    modrm_mem(x & 7, m);
   }
 
   std::vector<std::uint8_t> buf_;

@@ -163,9 +163,6 @@ Engine::Engine(runtime::Heap& heap, spec::SpeculationManager& spec,
     max_regs = std::max(max_regs, static_cast<std::size_t>(f.num_regs));
   }
   frame_.assign(max_regs, Value::unit());
-  // A direct jump only reaches a compiled callee, whose arity is at most
-  // its num_regs <= kMaxRegs.
-  argbuf_.assign(std::min<std::size_t>(max_regs, kMaxRegs), Value::unit());
 
   auto& reg = obs::MetricsRegistry::instance();
   compiled_funcs_metric_ = &reg.counter("native.compiled_funcs");
@@ -184,7 +181,6 @@ Engine::~Engine() { heap_.remove_root_provider(this); }
 
 void Engine::enumerate_roots(runtime::RootVisitor& visitor) {
   for (const Value& v : frame_) visitor.value_root(v);
-  for (const Value& v : argbuf_) visitor.value_root(v);
 }
 
 void Engine::compile(FunIndex fun) {
@@ -237,7 +233,6 @@ bool Engine::try_run(RunIo& io) {
   ctx.entries = entries_.data();
   ctx.string_indices = io.strings->data();
   ctx.heap = &heap_;
-  ctx.argbuf = argbuf_.data();
   ctx.deopt_fun = fun;
   ctx.deopt_pc = 0;
   ctx.deopt_reason = static_cast<std::uint32_t>(DeoptReason::kGuard);
@@ -246,8 +241,8 @@ bool Engine::try_run(RunIo& io) {
 
   full_entries_[fun](&ctx);
 
-  // Rebuild the interpreter's register file at the deopt point. Compiled
-  // code keeps every register it writes current in the frame; a register
+  // Rebuild the interpreter's register file at the deopt point. The deopt
+  // stub wrote back every register the function had cached; a register
   // no path to this pc has written still holds what the caller left there
   // (direct jumps do not clear), so it is reset to the unit a pure
   // interpreter would hold at (deopt_fun, pc).
@@ -265,7 +260,6 @@ bool Engine::try_run(RunIo& io) {
   // Wipe the frame so stale values cannot linger as GC roots or survive a
   // speculation rollback-release window.
   std::fill(frame_.begin(), frame_.end(), Value::unit());
-  std::fill(argbuf_.begin(), argbuf_.end(), Value::unit());
 
   io.budget = ctx.budget_left;
   io.fun = ctx.deopt_fun;

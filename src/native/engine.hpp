@@ -112,12 +112,11 @@ class Engine final : public runtime::RootProvider {
   /// Per function: the registers to reset at each deopt pc.
   std::vector<DeoptResets> resets_;
 
-  /// The native frame: max num_regs Values. Every register a function has
-  /// written is current; the others may hold stale values from a caller
-  /// (conservative GC roots) until a deopt resets them.
+  /// The native frame: max num_regs Values. Wherever compiled code hands
+  /// control to C++ (a helper call or a deopt), every register the running
+  /// function has written is current; the others may hold stale values
+  /// from a caller (conservative GC roots) until a deopt resets them.
   std::vector<runtime::Value> frame_;
-  /// Parallel-move scratch for direct jumps.
-  std::vector<runtime::Value> argbuf_;
 
   std::uint64_t compiled_ = 0;
   std::array<std::uint64_t, kNumDeoptReasons> deopts_{};

@@ -3,9 +3,9 @@
 // Every operation that may allocate, run a speculation copy-on-write hook,
 // or otherwise reach deep into the runtime is performed by one of these
 // functions instead of inline machine code. They take virtual register
-// *numbers* and operate on ctx->frame directly, so the frame is always
-// fully materialized at the call — making each helper call a GC safepoint
-// by construction.
+// *numbers* and operate on ctx->frame directly; compiled code writes back
+// every register it caches before the call and drops every cached Block*
+// after it, so each helper call is a GC safepoint.
 //
 // Return convention: nonzero on success. Zero means the runtime raised an
 // exception; the caller (compiled code) must deoptimize with reason

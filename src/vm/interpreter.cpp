@@ -57,6 +57,14 @@ Interpreter::Interpreter(runtime::Heap& heap, spec::SpeculationManager& spec,
   (void)VmMetrics::get();  // register vm.* metrics eagerly
   setup_function_table();
   if (intern) intern_strings();
+  ext_fns_.assign(compiled_.ext_names.size(), nullptr);
+  std::size_t widest = 0;
+  for (const CompiledFunction& f : compiled_.functions) {
+    for (const Insn& I : f.code) {
+      if (I.op == Op::kExternal) widest = std::max(widest, I.args.size());
+    }
+  }
+  ext_args_.resize(widest);
   install_default_externals(*this);
 }
 
@@ -103,7 +111,10 @@ void Interpreter::intern_strings() {
 }
 
 void Interpreter::register_external(const std::string& name, ExternalFn fn) {
-  externals_[name] = std::move(fn);
+  const ExternalFn& slot = externals_[name] = std::move(fn);
+  for (std::size_t i = 0; i < ext_fns_.size(); ++i) {
+    if (compiled_.ext_names[i] == name) ext_fns_[i] = &slot;
+  }
 }
 
 void Interpreter::enumerate_roots(runtime::RootVisitor& visitor) {
@@ -470,21 +481,37 @@ SliceResult Interpreter::exec_slice(std::uint64_t max_insns) {
           break;
         }
         case Op::kExternal: {
-          if (I.aux >= compiled_.ext_names.size()) {
-            throw SafetyError("external id out of range");
+          const ExternalFn* fn =
+              I.aux < ext_fns_.size() ? ext_fns_[I.aux] : nullptr;
+          if (fn == nullptr) {
+            if (I.aux >= compiled_.ext_names.size()) {
+              throw SafetyError("external id out of range");
+            }
+            throw SafetyError("call of unregistered external: " +
+                              compiled_.ext_names[I.aux]);
           }
-          const std::string& name = compiled_.ext_names[I.aux];
-          auto it = externals_.find(name);
-          if (it == externals_.end()) {
-            throw SafetyError("call of unregistered external: " + name);
+          for (std::size_t i = 0; i < I.args.size(); ++i) {
+            ext_args_[i] = regs_[I.args[i]];
           }
-          std::vector<Value> ext_args;
-          ext_args.reserve(I.args.size());
-          for (std::uint16_t r : I.args) ext_args.push_back(regs_[r]);
-          const Value result = it->second(*this, ext_args);
+          block_requested_ = false;
+          const Value result =
+              (*fn)(*this, std::span<const Value>(ext_args_.data(),
+                                                  I.args.size()));
+          if (block_requested_) {
+            // The external could not complete; un-retire its instruction
+            // and park exactly before it. Resume re-executes the external,
+            // which must be idempotent up to its blocking point.
+            block_requested_ = false;
+            --executed;
+            --op_class_counts_[I.cls];
+            resume_pc_ = pc;
+            mid_function_ = true;
+            return SliceResult{SliceResult::Status::kBlocked, 0,
+                               block_deadline_};
+          }
           if (result.tag() != static_cast<Tag>(I.sub)) {
-            throw SafetyError("external " + name + " returned " +
-                              runtime::tag_name(result.tag()) +
+            throw SafetyError("external " + compiled_.ext_names[I.aux] +
+                              " returned " + runtime::tag_name(result.tag()) +
                               ", declared " +
                               runtime::tag_name(static_cast<Tag>(I.sub)));
           }
@@ -496,16 +523,6 @@ SliceResult Interpreter::exec_slice(std::uint64_t max_insns) {
                              regs_[I.r1].as_int(), 0};
       }
       ++pc;
-      } catch (const WouldBlock& wb) {
-        // The external could not complete; un-retire its instruction and
-        // park exactly before it. Resume re-executes the external, which
-        // must be idempotent up to its blocking point.
-        --executed;
-        --op_class_counts_[I.cls];
-        resume_pc_ = pc;
-        mid_function_ = true;
-        return SliceResult{SliceResult::Status::kBlocked, 0,
-                           wb.deadline_seconds};
       } catch (const SafetyError&) {
         // Rx-style recovery: convert the trap into a rollback of the
         // newest speculation level and resume at its continuation.

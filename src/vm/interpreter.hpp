@@ -61,18 +61,6 @@ struct RunResult {
   std::int64_t exit_code = 0;
 };
 
-/// Thrown by an external function that cannot complete without waiting
-/// (an empty mailbox, a pacing gate). Only meaningful under run_slice():
-/// the instruction is un-retired, the interpreter parks exactly before it,
-/// and the scheduler re-executes the external once `deadline_seconds`
-/// passes or the event it waits for arrives. Externals that throw this
-/// must be idempotent up to the blocking point — re-execution is the
-/// resume mechanism, exactly as for a native-tier deoptimization.
-struct WouldBlock {
-  /// Steady-clock wake-by time in seconds; 0 = wake on event only.
-  double deadline_seconds = 0;
-};
-
 /// Outcome of one bounded slice of execution (the fiber-scheduler view of
 /// a rank: a CPS machine advanced some instructions and stopped at a
 /// clean suspension point).
@@ -81,10 +69,10 @@ struct SliceResult {
     kHalted,        ///< program executed `halt`
     kMigratedAway,  ///< migration hook took the process (or it yielded)
     kPreempted,     ///< slice budget exhausted; resume with run_slice
-    kBlocked,       ///< an external threw WouldBlock; park, then resume
+    kBlocked,       ///< an external called block(); park, then resume
   } status = Status::kHalted;
   std::int64_t exit_code = 0;
-  double block_deadline = 0;  ///< kBlocked: WouldBlock::deadline_seconds
+  double block_deadline = 0;  ///< kBlocked: the deadline given to block()
 };
 
 struct VmStats {
@@ -107,6 +95,19 @@ class Interpreter final : public runtime::RootProvider {
   Interpreter& operator=(const Interpreter&) = delete;
 
   void register_external(const std::string& name, ExternalFn fn);
+  /// Called by an external that cannot complete without waiting (an empty
+  /// mailbox, a pacing gate). Only meaningful under run_slice(): when the
+  /// external returns, its result is ignored, the instruction is
+  /// un-retired, the interpreter parks exactly before it, and the
+  /// scheduler re-executes the external once `deadline_seconds` (a
+  /// steady-clock wake-by time; 0 = wake on event only) passes or the
+  /// event it waits for arrives. Externals that park must be idempotent
+  /// up to the blocking point — re-execution is the resume mechanism,
+  /// exactly as for a native-tier deoptimization.
+  void block(double deadline_seconds) {
+    block_requested_ = true;
+    block_deadline_ = deadline_seconds;
+  }
   void set_migration_hook(MigrationHook* hook) { hook_ = hook; }
   void set_output(std::ostream* out) { out_ = out; }
   [[nodiscard]] std::ostream& out() const { return *out_; }
@@ -145,7 +146,7 @@ class Interpreter final : public runtime::RootProvider {
   // start() arms a continuation; run_slice() advances it by at most
   // `max_insns` instructions and returns at a suspension point: slice
   // budget exhausted (kPreempted, resume by calling run_slice again), an
-  // external threw WouldBlock (kBlocked, the un-retired external will be
+  // external called block() (kBlocked, the un-retired external will be
   // re-executed on resume), or a terminal state. The suspended frame
   // (registers, pc) lives in the interpreter and is enumerated as GC
   // roots, so a parked fiber survives collections and checkpoints.
@@ -198,6 +199,13 @@ class Interpreter final : public runtime::RootProvider {
   spec::SpeculationManager& spec_;
   CompiledProgram compiled_;
   std::map<std::string, ExternalFn> externals_;
+  /// externals_ resolved per external id (compiled_.ext_names), null
+  /// until registered; map nodes never move, so the pointers stay valid.
+  std::vector<const ExternalFn*> ext_fns_;
+  /// Argument buffer for external calls, sized for the widest call site.
+  std::vector<runtime::Value> ext_args_;
+  bool block_requested_ = false;
+  double block_deadline_ = 0;
   MigrationHook* hook_ = nullptr;
   std::ostream* out_;
 

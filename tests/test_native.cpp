@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <random>
 #include <span>
+#include <sstream>
 #include <vector>
 
 #include "fir/builder.hpp"
@@ -1262,7 +1263,7 @@ TEST(NativeLazyReset, FrontendCpsBlocksNeedNoEagerClears) {
 
 // ---------------------------------------------------------------------------
 // Direct-jump argument moves: only the positions whose source register is
-// not already the destination move, through argbuf, with no arity cliff.
+// not already the destination move, with no arity cliff.
 // ---------------------------------------------------------------------------
 
 enum class MoveShape { kSwap, kRotate, kAllButOne };
@@ -1406,6 +1407,518 @@ TEST(NativeParallelMove, LoopWithFortyLocalsStaysNative) {
     EXPECT_EQ(eng->deopt_count(native::DeoptReason::kCall), 0u);
     EXPECT_EQ(native.vm().stats().instructions,
               interp.vm().stats().instructions);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Register cache: inside a chunk, values live in machine registers and the
+// frame is written back only at chunk ends, in deopt stubs and before
+// helper calls. Every deopt must still rebuild the interpreter's frame.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint16_t kKernelRegs = 40;
+constexpr std::uint16_t kKernelScratch = kKernelRegs - 1;
+constexpr std::uint16_t kKernelMainRegs = 48;
+
+vm::Insn load_float(std::uint16_t dst, double v) {
+  vm::Insn i = op(vm::Op::kLoadFloat);
+  i.dst = dst;
+  i.fimm = v;
+  return i;
+}
+
+vm::Insn unop(fir::Unop u, std::uint16_t dst, std::uint16_t r1) {
+  vm::Insn i = op(vm::Op::kUnop);
+  i.sub = static_cast<std::uint8_t>(u);
+  i.dst = dst;
+  i.r1 = r1;
+  return i;
+}
+
+vm::Insn read_slot(runtime::Tag t, std::uint16_t dst, std::uint16_t p,
+                   std::uint16_t off) {
+  vm::Insn i = op(vm::Op::kRead);
+  i.sub = static_cast<std::uint8_t>(t);
+  i.dst = dst;
+  i.r1 = p;
+  i.r2 = off;
+  return i;
+}
+
+vm::Insn write_slot(std::uint16_t p, std::uint16_t off, std::uint16_t v) {
+  vm::Insn i = op(vm::Op::kWrite);
+  i.r1 = p;
+  i.r2 = off;
+  i.r3 = v;
+  return i;
+}
+
+vm::Insn alloc_tagged(std::uint16_t dst, std::uint16_t n, std::uint16_t init) {
+  vm::Insn i = op(vm::Op::kAllocTagged);
+  i.dst = dst;
+  i.r1 = n;
+  i.r2 = init;
+  return i;
+}
+
+/// The straight-line body of k(m1, i, p): constants used as operands,
+/// more live integer temporaries than the cache has GPRs, float
+/// temporaries, and reads and a store through the one pointer p.
+std::vector<vm::Insn> kernel_body() {
+  using runtime::Tag;
+  std::vector<vm::Insn> k = {
+      load_int(3, 1),                             // c1
+      load_int(4, 2),                             // c2
+      read_slot(Tag::kFloat, 5, 2, 4),            // f0 = p[2]
+      load_int(6, 3),                             // c3
+      read_slot(Tag::kFloat, 7, 2, 6),            // f1 = p[3]
+      binop(Binop::kFAdd, 8, 5, 7),               // f2
+      load_float(9, 0.25),                        // k
+      binop(Binop::kFMul, 10, 9, 8),              // f3 = k * f2
+      binop(Binop::kAdd, 11, 1, 3),               // a0 = i + 1
+  };
+  // a1 .. a14: a chain that keeps every temporary alive to the end.
+  static const Binop kChain[] = {Binop::kMul, Binop::kAdd, Binop::kXor,
+                                 Binop::kSub, Binop::kOr,  Binop::kShl,
+                                 Binop::kAnd, Binop::kShr, Binop::kLt};
+  for (std::uint16_t j = 0; j < 14; ++j) {
+    const std::uint16_t dst = 12 + j;
+    const std::uint16_t rhs = j % 3 == 0 ? 3 : (j % 3 == 1 ? 11 : dst - 1);
+    k.push_back(binop(kChain[j % std::size(kChain)], dst, dst - 1, rhs));
+  }
+  const std::vector<vm::Insn> tail = {
+      write_slot(2, 3, 10),                       // p[1] = f3
+      read_slot(Tag::kFloat, 26, 2, 3),           // f4 = p[1]
+      unop(fir::Unop::kFloatOfInt, 27, 25),       // f5
+      binop(Binop::kFAdd, 28, 27, 26),            // f6
+      read_slot(Tag::kFloat, 29, 2, 4),           // f7 = p[2] again
+      binop(Binop::kFSub, 30, 28, 29),            // f8
+      unop(fir::Unop::kIntOfFloat, 31, 30),       // a15
+      binop(Binop::kAdd, 32, 31, 12),             // a16 = a15 + a1
+      unop(fir::Unop::kNeg, 33, 32),              // a17
+      binop(Binop::kDiv, 34, 33, 6),              // a18 = a17 / 3
+      binop(Binop::kFLt, 35, 29, 28),             // float compare
+      binop(Binop::kEq, 36, 34, 33),              // int compare
+  };
+  k.insert(k.end(), tail.begin(), tail.end());
+  return k;
+}
+
+enum class ChunkEnd { kDirectJump, kFallThrough };
+
+/// The forced deopt spliced in at one pc of the kernel chunk (kExternal:
+/// a `dump` of the register file).
+enum class Force { kGuard, kHelperTrap, kColdTarget, kExternal, kNone };
+
+/// Four functions:
+///   0 main(i):     halt i once i >= 3; otherwise allocate p (8 float
+///                  slots 0.5 + k), fill every other register with junk,
+///                  and jump directly to k(-1, i, p).
+///   1 k(m1, i, p): the kernel chunk ending per `end`, with `force`
+///                  spliced in before kernel position `at`; afterwards
+///                  (fall-through only) it dumps its register file. Then
+///                  again(m1, i + 1).
+///   2 h(m1, i):    halt i (never compiled: a jump to it is cold).
+///   3 again(m1, i): main(i).
+/// `deopt_pc` receives the pc in k where the forced deopt sits.
+vm::CompiledProgram make_kernel_program(ChunkEnd end, Force force,
+                                        std::size_t at,
+                                        std::uint32_t* deopt_pc) {
+  using runtime::Tag;
+  using vm::Op;
+  vm::CompiledProgram prog;
+  prog.name = "kernel";
+  prog.ext_names = {"dump"};
+
+  vm::CompiledFunction main = bytecode_fn("main", {Tag::kInt}, kKernelMainRegs);
+  main.code = {load_int(1, 3), binop(Binop::kGe, 2, 0, 1),
+               jump(Op::kJumpIfZero, 4, 2), call(Op::kHalt, 0, {}),
+               load_int(1, 8), load_float(3, 1.5), alloc_tagged(4, 1, 3)};
+  for (std::int64_t s = 0; s < 8; ++s) {
+    main.code.push_back(load_int(5, s));
+    main.code.push_back(load_float(6, 0.5 + static_cast<double>(s)));
+    main.code.push_back(write_slot(4, 5, 6));
+  }
+  for (std::uint16_t r = 5; r < kKernelMainRegs; ++r) {
+    main.code.push_back(r % 2 == 0 ? load_int(r, 7000 + r)
+                                   : load_float(r, 0.125 + r));
+  }
+  main.code.push_back(load_int(1, -1));
+  main.code.push_back(load_fun(2, 1));
+  vm::Insn enter = call(Op::kTailCall, 2, {1, 0, 4});
+  main.code.push_back(enter);
+
+  vm::CompiledFunction k =
+      bytecode_fn("k", {Tag::kInt, Tag::kInt, Tag::kPtr}, kKernelRegs);
+  const std::vector<vm::Insn> body = kernel_body();
+  // The fall-through shape opens with a branch on m1 (never taken) to the
+  // instruction after the kernel, which makes that a chunk start.
+  if (end == ChunkEnd::kFallThrough) k.code.push_back(vm::Insn{});
+  const std::uint16_t s = kKernelScratch;
+  // i + 1 replaces i in place: a dirty identity position of the jump.
+  std::vector<vm::Insn> next = {load_int(37, 1), binop(Binop::kAdd, 1, 1, 37),
+                                load_fun(s, 3), call(Op::kTailCall, s, {0, 1})};
+  std::vector<vm::Insn> chunk = body;
+  if (end == ChunkEnd::kDirectJump) {
+    // Positions past the body are the direct jump's own instructions.
+    chunk.insert(chunk.end(), next.begin(), next.end());
+  }
+  for (std::size_t j = 0; j <= chunk.size(); ++j) {
+    if (j == at) {
+      *deopt_pc = static_cast<std::uint32_t>(k.code.size());
+      switch (force) {
+        case Force::kGuard:  // the native div deopts on a -1 divisor
+          k.code.push_back(binop(Binop::kDiv, s, 1, 0));
+          break;
+        case Force::kHelperTrap:  // alloc(-1) traps in the helper
+          k.code.push_back(alloc_tagged(s, 0, 0));
+          break;
+        case Force::kColdTarget:
+          k.code.push_back(load_fun(s, 2));
+          *deopt_pc = static_cast<std::uint32_t>(k.code.size());
+          k.code.push_back(call(Op::kTailCall, s, {0, 1}));
+          break;
+        case Force::kExternal:
+          k.code.push_back(dump_all(s, kKernelRegs));
+          break;
+        case Force::kNone:
+          break;
+      }
+    }
+    if (j < chunk.size()) k.code.push_back(chunk[j]);
+  }
+  if (end == ChunkEnd::kFallThrough) {
+    k.code[0] =
+        jump(Op::kJumpIfZero, static_cast<std::uint32_t>(k.code.size()), 0);
+    k.code.push_back(dump_all(s, kKernelRegs));
+    k.code.insert(k.code.end(), next.begin(), next.end());
+  }
+
+  vm::CompiledFunction h = bytecode_fn("h", {Tag::kInt, Tag::kInt}, 2);
+  h.code = {call(Op::kHalt, 1, {})};
+  vm::CompiledFunction again = bytecode_fn("again", {Tag::kInt, Tag::kInt}, 3);
+  again.code = {load_fun(2, 0), call(Op::kTailCall, 2, {1})};
+
+  prog.functions = {std::move(main), std::move(k), std::move(h),
+                    std::move(again)};
+  for (std::uint32_t i = 0; i < prog.functions.size(); ++i) {
+    prog.functions[i].fir_id = i;
+  }
+  return prog;
+}
+
+/// The interpreter's frame, accounting and call count at the first `dump`
+/// of a pure interpreter run (the dump itself not yet retired).
+struct DumpPoint {
+  std::vector<std::string> regs;
+  vm::OpClassCounts counts{};
+  std::uint64_t calls = 0;
+};
+
+DumpPoint interpreter_at_first_dump(const vm::CompiledProgram& prog) {
+  vm::Process p(vm::CompiledProgram(prog), jit_off(), /*intern_strings=*/true);
+  DumpPoint out;
+  bool seen = false;
+  p.vm().register_external(
+      "dump", [&](vm::Interpreter& it, std::span<const runtime::Value> args) {
+        if (!seen) {
+          seen = true;
+          out.regs =
+              render(std::vector<runtime::Value>(args.begin(), args.end()));
+          out.counts = it.op_class_counts();
+          --out.counts[static_cast<std::size_t>(vm::OpClass::kExternal)];
+          out.calls = it.stats().calls;
+        }
+        return runtime::Value::unit();
+      });
+  p.vm().start(0, {runtime::Value::from_int(0)});
+  try {
+    vm::SliceResult r;
+    do {
+      r = p.vm().run_slice(0);
+    } while (r.status == vm::SliceResult::Status::kPreempted);
+  } catch (const Error&) {
+    // The dump's unit result may break what follows it; only the first
+    // dump matters.
+  }
+  EXPECT_TRUE(seen);
+  return out;
+}
+
+/// Drives native::Engine directly: compiles k (a first run that deopts on
+/// its null pointer), then enters main natively, so k is reached through
+/// a direct jump from a caller whose registers all hold junk. Returns the
+/// frame the engine rebuilt at k's deopt and the native accounting.
+struct NativeDeopt {
+  native::RunIo io;
+  std::vector<runtime::Value> regs;
+  vm::OpClassCounts counts{};
+  std::uint64_t calls = 0;
+};
+
+NativeDeopt native_to_deopt(const vm::CompiledProgram& prog) {
+  runtime::Heap heap;
+  spec::SpeculationManager spec(heap);
+  native::Engine engine(heap, spec, prog,
+                        native::JitOptions{.enabled = true, .threshold = 1});
+  const std::vector<BlockIndex> strings;
+  NativeDeopt out;
+  const auto run = [&](FunIndex fun, std::vector<runtime::Value> regs) {
+    out.regs = std::move(regs);
+    out.counts = {};
+    out.calls = 0;
+    out.io = native::RunIo{};
+    out.io.regs = &out.regs;
+    out.io.strings = &strings;
+    out.io.class_counts = out.counts.data();
+    out.io.calls = &out.calls;
+    out.io.budget = 1 << 20;
+    out.io.fun = fun;
+    EXPECT_TRUE(engine.try_run(out.io));
+  };
+  std::vector<runtime::Value> k_regs(kKernelRegs, runtime::Value::unit());
+  k_regs[0] = runtime::Value::from_int(-1);
+  k_regs[1] = runtime::Value::from_int(0);
+  k_regs[2] = runtime::Value::from_ptr(kNullIndex, 0);
+  run(1, k_regs);
+  EXPECT_TRUE(engine.is_compiled(1));
+  std::vector<runtime::Value> main_regs(kKernelMainRegs,
+                                        runtime::Value::unit());
+  main_regs[0] = runtime::Value::from_int(0);
+  run(0, main_regs);
+  return out;
+}
+
+TEST(NativeRegCache, DeoptAtEveryPcRebuildsTheInterpreterFrame) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  using R = native::DeoptReason;
+  const std::pair<Force, R> kinds[] = {{Force::kGuard, R::kGuard},
+                                       {Force::kHelperTrap, R::kHelperTrap},
+                                       {Force::kColdTarget, R::kColdTarget},
+                                       {Force::kExternal, R::kExternal}};
+  const std::size_t body = kernel_body().size();
+  for (const ChunkEnd end : {ChunkEnd::kDirectJump, ChunkEnd::kFallThrough}) {
+    // The direct-jump chunk also ends in its four jump instructions.
+    const std::size_t last = end == ChunkEnd::kDirectJump ? body + 3 : body;
+    for (const auto& [force, reason] : kinds) {
+      for (std::size_t at = 0; at <= last; ++at) {
+        SCOPED_TRACE(std::string(end == ChunkEnd::kDirectJump
+                                     ? "direct jump"
+                                     : "fall through") +
+                     ", reason " + native::deopt_reason_name(reason) +
+                     ", before kernel position " + std::to_string(at));
+        std::uint32_t pc = 0;
+        std::uint32_t dump_pc = 0;
+        const vm::CompiledProgram forced =
+            make_kernel_program(end, force, at, &pc);
+        // The reference: the same prefix with a dump at the deopt pc (for
+        // a cold target, in place of the tail call after the ldfn).
+        vm::CompiledProgram reference =
+            make_kernel_program(end, force, at, &dump_pc);
+        reference.functions[1].code[pc] = dump_all(kKernelScratch, kKernelRegs);
+
+        const NativeDeopt n = native_to_deopt(forced);
+        const DumpPoint want = interpreter_at_first_dump(reference);
+        EXPECT_EQ(n.io.fun, 1u);
+        EXPECT_EQ(n.io.pc, pc);
+        EXPECT_EQ(n.io.reason, static_cast<std::uint32_t>(reason));
+        EXPECT_EQ(render(n.regs), want.regs);
+        EXPECT_EQ(n.counts, want.counts);
+        // The interpreter also counts its own entry into main.
+        EXPECT_EQ(n.calls + 1, want.calls);
+      }
+    }
+  }
+}
+
+TEST(NativeRegCache, SlicedRunsMatchTheInterpreterExactly) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  // Small slices put a budget deopt at every chunk start; the forced
+  // guard and helper trap re-execute in the interpreter.
+  for (const ChunkEnd end : {ChunkEnd::kDirectJump, ChunkEnd::kFallThrough}) {
+    for (const Force force :
+         {Force::kNone, Force::kGuard, Force::kHelperTrap}) {
+      for (const std::size_t at : {std::size_t{0}, std::size_t{9},
+                                   std::size_t{22}, std::size_t{30}}) {
+        std::uint32_t pc = 0;
+        const vm::CompiledProgram prog =
+            make_kernel_program(end, force, at, &pc);
+        // A lost argument would loop forever; the fuse turns that into a
+        // failed comparison.
+        vm::ProcessConfig on = jit_on(1);
+        vm::ProcessConfig off = jit_off();
+        on.max_instructions = off.max_instructions = 100'000;
+        for (const std::uint64_t slice : {0, 1, 2, 3, 5, 8, 13, 29, 47}) {
+          SCOPED_TRACE("end " + std::to_string(static_cast<int>(end)) +
+                       ", force " + std::to_string(static_cast<int>(force)) +
+                       ", at " + std::to_string(at) + ", slice " +
+                       std::to_string(slice));
+          const RegRun native = run_regs(prog, on, slice);
+          const RegRun interp = run_regs(prog, off, slice);
+          EXPECT_EQ(native.dumps, interp.dumps);
+          EXPECT_EQ(native.outcome, interp.outcome);
+          EXPECT_EQ(native.counts, interp.counts);
+          EXPECT_EQ(native.calls, interp.calls);
+        }
+      }
+    }
+  }
+}
+
+/// main allocates P = [10, 20, 30, 40] and speculates. Inside the level a
+/// hot loop reads P[1], allocates a 64-slot block (a small heap makes that
+/// helper collect, moving P), reads P[1] again through the same pointer
+/// register, stores P[1] and P[2] (the level's first store to P clones it
+/// in the helper and redirects P to the clone), reads P[2] back, and folds
+/// the reads into an accumulator it prints at the end. Then the level
+/// aborts and the re-entry halts with a checksum of P, which must be the
+/// pre-level one.
+fir::Program make_safepoint_program(std::int64_t iters) {
+  ProgramBuilder pb("safepoint");
+  auto main_id = pb.declare("main", {});
+  auto body_id = pb.declare("body", {Type::integer(), Type::ptr()});
+  auto loop_id = pb.declare("loop", {Type::integer(), Type::integer(),
+                                     Type::ptr(), Type::integer()});
+  {
+    auto fb = pb.define(main_id, {});
+    auto p = fb.let_alloc("P", Atom::integer(4), Atom::integer(0));
+    for (int k = 0; k < 4; ++k) {
+      fb.write(fb.v(p), Atom::integer(k), Atom::integer(10 * (k + 1)));
+    }
+    fb.speculate(Atom::fun_ref(body_id), {fb.v(p)});
+  }
+  {
+    auto fb = pb.define(body_id, {"c", "P"});
+    auto live = fb.let_binop("live", Binop::kGt, fb.arg(0), Atom::integer(0));
+    fb.branch(
+        fb.v(live),
+        [&](auto& t) {
+          t.tail_call(Atom::fun_ref(loop_id),
+                      {Atom::integer(0), Atom::integer(0), t.arg(1), t.arg(0)});
+        },
+        [&](auto& e) {
+          Atom sum = Atom::integer(0);
+          for (int k = 0; k < 4; ++k) {
+            auto x = e.let_read("x", Type::integer(), e.arg(1),
+                                Atom::integer(k));
+            auto m = e.let_binop("m", Binop::kMul, sum, Atom::integer(100));
+            sum = e.v(e.let_binop("s", Binop::kAdd, e.v(m), e.v(x)));
+          }
+          e.halt(sum);
+        });
+  }
+  {
+    auto fb = pb.define(loop_id, {"i", "acc", "P", "c"});
+    auto done = fb.let_binop("done", Binop::kGe, fb.arg(0),
+                             Atom::integer(iters));
+    fb.branch(
+        fb.v(done),
+        [&](auto& t) {
+          (void)t.let_external("u", Type::unit(), "print_int", {t.arg(1)});
+          t.abort_spec(t.arg(3), Atom::integer(0));
+        },
+        [&](auto& e) {
+          auto x = e.let_read("x", Type::integer(), e.arg(2), Atom::integer(1));
+          auto q = e.let_alloc("q", Atom::integer(64), Atom::integer(3));
+          auto y = e.let_read("y", Type::integer(), e.arg(2), Atom::integer(1));
+          auto z = e.let_read("z", Type::integer(), e.v(q), Atom::integer(5));
+          auto y1 = e.let_binop("y1", Binop::kAdd, e.v(y), Atom::integer(1));
+          e.write(e.arg(2), Atom::integer(1), e.v(y1));
+          auto y2 = e.let_binop("y2", Binop::kAdd, e.v(y), e.v(z));
+          e.write(e.arg(2), Atom::integer(2), e.v(y2));
+          auto w = e.let_read("w", Type::integer(), e.arg(2), Atom::integer(2));
+          auto a1 = e.let_binop("a1", Binop::kAdd, e.arg(1), e.v(x));
+          auto a2 = e.let_binop("a2", Binop::kAdd, e.v(a1), e.v(w));
+          auto i1 = e.let_binop("i1", Binop::kAdd, e.arg(0), Atom::integer(1));
+          e.tail_call(Atom::fun_ref(loop_id),
+                      {e.v(i1), e.v(a2), e.arg(2), e.arg(3)});
+        });
+  }
+  return pb.take("main");
+}
+
+TEST(NativeRegCache, HelperCallsAreSafepointsForCachedPointers) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  constexpr std::int64_t kIters = 400;
+  struct Outcome {
+    TierRun run;
+    std::string printed;
+    std::uint64_t collections = 0;
+    std::uint64_t bytes_evacuated = 0;
+  };
+  // One space of 32 KB, every collection a full compacting cycle: the
+  // 1 KB block each iteration allocates forces one every few dozen
+  // iterations, and it moves every live block.
+  const auto small_heap = [](vm::ProcessConfig& cfg) {
+    cfg.heap.generational = false;
+    cfg.heap.old_capacity = 32 * 1024;
+  };
+  const auto run = [&](vm::ProcessConfig cfg) {
+    std::ostringstream printed;
+    cfg.output = &printed;
+    small_heap(cfg);
+    Outcome o;
+    o.run = run_tier(make_safepoint_program(kIters), cfg);
+    o.printed = printed.str();
+    return o;
+  };
+  // run_tier owns its Process; a second run reads the GC statistics.
+  const auto gc_of = [&](vm::ProcessConfig cfg, Outcome& o) {
+    small_heap(cfg);
+    std::ostringstream sink;
+    cfg.output = &sink;
+    vm::Process p(make_safepoint_program(kIters), cfg);
+    (void)p.run();
+    const runtime::GcStats& gc = p.heap().stats().gc;
+    o.collections = gc.minor_collections + gc.major_collections;
+    o.bytes_evacuated = gc.bytes_evacuated;
+  };
+  Outcome native = run(jit_on(1));
+  Outcome interp = run(jit_off());
+  gc_of(jit_on(1), native);
+  gc_of(jit_off(), interp);
+
+  expect_tiers_agree(native.run, interp.run);
+  EXPECT_GE(native.run.compiled, 1u);
+  // Every iteration reads x (= y), stores x + 1 and x + 3, and reads the
+  // latter back: the accumulator is sum(2x + 3) over x = 20 .. 20 + kIters - 1.
+  std::int64_t want = 0;
+  for (std::int64_t x = 20; x < 20 + kIters; ++x) want += 2 * x + 3;
+  EXPECT_EQ(native.printed, std::to_string(want));
+  EXPECT_EQ(interp.printed, native.printed);
+  // The abort brings back the contents from before the level.
+  EXPECT_EQ(native.run.exit_code, 10203040);
+  EXPECT_EQ(interp.run.exit_code, 10203040);
+  // The level's first store to P cloned it; the collector ran inside the
+  // allocation helper and moved blocks while compiled code held P.
+  EXPECT_GE(native.run.cow_clones, 1u);
+  EXPECT_EQ(native.run.cow_clones, interp.run.cow_clones);
+  EXPECT_GT(native.collections, 5u);
+  EXPECT_GT(native.bytes_evacuated, 0u);
+}
+
+TEST(NativeRegCache, LongRunsRefillTheBudgetWindowExactly) {
+  if (!native::jit_supported()) GTEST_SKIP() << "native tier unsupported";
+  // About 6.3 M instructions in one native run: the budget window (1 M)
+  // is refilled several times and the packed counters flushed each time.
+  const std::int64_t n = 1'000'000;
+  const TierRun native = run_tier(make_sum_loop(n), jit_on(1));
+  const TierRun interp = run_tier(make_sum_loop(n), jit_off());
+  expect_tiers_agree(native, interp);
+  EXPECT_EQ(native.exit_code, n * (n - 1) / 2);
+  EXPECT_GT(native.instructions, std::uint64_t{3} << 20);
+  // A fuse several windows in lands on the same instruction.
+  for (const std::uint64_t fuse :
+       {std::uint64_t{1} << 20, std::uint64_t{3'500'001}}) {
+    vm::OpClassCounts counts[2]{};
+    for (const bool jit : {true, false}) {
+      vm::ProcessConfig cfg = jit ? jit_on(1) : jit_off();
+      cfg.max_instructions = fuse;
+      vm::Process p(make_sum_loop(n), cfg);
+      EXPECT_THROW((void)p.run(), Error);
+      counts[jit ? 0 : 1] = p.vm().op_class_counts();
+    }
+    EXPECT_EQ(counts[0], counts[1]) << "fuse " << fuse;
   }
 }
 

@@ -295,9 +295,9 @@ TEST(VmBasic, SlicedRunMatchesUnboundedRun) {
   EXPECT_GT(preemptions, 10) << "budget of 50 never preempted a ~1k-iter loop";
 }
 
-/// An external that blocks is re-executed on resume (WouldBlock un-retires
-/// it), so a gated external must see every attempt while the program
-/// observes exactly one successful call with the right result.
+/// An external that blocks is re-executed on resume (Interpreter::block
+/// un-retires it), so a gated external must see every attempt while the
+/// program observes exactly one successful call with the right result.
 TEST(VmBasic, WouldBlockParksAndReExecutesExternal) {
   ProgramBuilder pb("blocky");
   auto main_id = pb.declare("main", {});
@@ -311,8 +311,12 @@ TEST(VmBasic, WouldBlockParksAndReExecutesExternal) {
   auto& vm = p.vm();
   int attempts = 0;
   vm.register_external(
-      "gated_value", [&](vm::Interpreter&, std::span<const runtime::Value>) {
-        if (++attempts < 3) throw vm::WouldBlock{123.5};
+      "gated_value",
+      [&](vm::Interpreter& it, std::span<const runtime::Value>) -> Value {
+        if (++attempts < 3) {
+          it.block(123.5);
+          return Value::unit();
+        }
         return Value::from_int(41);
       });
   vm.start(vm.compiled().entry, {});
