@@ -34,6 +34,9 @@ constexpr std::uint8_t kCodecZeroRle = 1;
 // + codec(1); the payload follows, then the u64 checksum trailer.
 constexpr std::uint64_t kHeaderBytes = 38;
 constexpr std::uint64_t kTrailerBytes = 8;
+// Buffered records past this size are written out before the next flush,
+// bounding the buffer a large batch holds.
+constexpr std::size_t kMaxPendingBytes = 4u << 20;
 
 struct EngineMetrics {
   obs::Counter& puts;
@@ -44,6 +47,7 @@ struct EngineMetrics {
   obs::Counter& cache_misses;
   obs::Counter& compactions;
   obs::Counter& read_errors;
+  obs::Counter& fsyncs;
   obs::Gauge& extents;
   obs::Gauge& live_chunks;
 
@@ -57,6 +61,7 @@ struct EngineMetrics {
                            reg.counter("ckpt.engine.cache_misses"),
                            reg.counter("ckpt.engine.compactions"),
                            reg.counter("ckpt.engine.read_errors"),
+                           reg.counter("ckpt.engine.fsyncs"),
                            reg.gauge("ckpt.engine.extents"),
                            reg.gauge("ckpt.engine.live_chunks")};
     return m;
@@ -178,7 +183,11 @@ ChunkEngine::ChunkEngine(std::filesystem::path dir, Options opts)
 ChunkEngine::~ChunkEngine() {
   std::lock_guard lock(mu_);
   if (active_fd_ >= 0) {
-    if (dirty_) ::fsync(active_fd_);
+    try {
+      sync_locked();
+    } catch (const ImageError& e) {
+      MOJAVE_LOG(kError, "ckpt.engine") << "closing extent: " << e.what();
+    }
     ::close(active_fd_);
     active_fd_ = -1;
   }
@@ -204,10 +213,7 @@ void ChunkEngine::open_active_locked() {
 void ChunkEngine::rotate_if_needed_locked() {
   if (active_fd_ >= 0 && active_bytes_ < opts_.extent_target_bytes) return;
   if (active_fd_ >= 0) {
-    if (dirty_) {
-      ::fsync(active_fd_);
-      dirty_ = false;
-    }
+    sync_locked();
     ::close(active_fd_);
     active_fd_ = -1;
   }
@@ -218,7 +224,8 @@ void ChunkEngine::append_record_locked(std::uint8_t kind, const ChunkKey& key,
                                        std::uint32_t raw_len,
                                        std::span<const std::byte> stored,
                                        std::uint8_t codec) {
-  Writer w;
+  const std::size_t start = pending_.size();
+  Writer w(std::move(pending_));
   w.u32(kExtentMagic);
   w.u8(kind);
   w.u64(next_seq_);
@@ -228,22 +235,39 @@ void ChunkEngine::append_record_locked(std::uint8_t kind, const ChunkKey& key,
   w.u32(static_cast<std::uint32_t>(stored.size()));
   w.u8(codec);
   w.bytes(stored);
-  const auto body = w.view().subspan(4);  // everything after the magic
-  w.u64(xxh64(body));
-  const auto rec = w.view();
+  w.u64(xxh64(w.view().subspan(start + 4)));  // everything after the magic
+  pending_ = w.take();
+  const std::size_t rec = pending_.size() - start;
+  active_bytes_ += rec;
+  extents_[active_id_].scanned += rec;
+  dirty_ = true;
+  EngineMetrics::get().bytes_written.inc(rec);
+  if (pending_.size() >= kMaxPendingBytes) write_pending_locked();
+}
+
+void ChunkEngine::write_pending_locked() {
+  if (pending_.empty()) return;
+  // Freed, not kept: an idle engine holds no buffer.
+  const std::vector<std::byte> buf = std::move(pending_);
+  pending_ = {};
   std::size_t off = 0;
-  while (off < rec.size()) {
-    const ssize_t n = ::write(active_fd_, rec.data() + off, rec.size() - off);
+  while (off < buf.size()) {
+    const ssize_t n = ::write(active_fd_, buf.data() + off, buf.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw ImageError("extent append failed");
     }
     off += static_cast<std::size_t>(n);
   }
-  active_bytes_ += rec.size();
-  extents_[active_id_].scanned += rec.size();
-  dirty_ = true;
-  EngineMetrics::get().bytes_written.inc(rec.size());
+}
+
+void ChunkEngine::sync_locked() {
+  write_pending_locked();
+  if (active_fd_ >= 0 && dirty_) {
+    ::fsync(active_fd_);
+    dirty_ = false;
+    EngineMetrics::get().fsyncs.inc();
+  }
 }
 
 void ChunkEngine::refresh_locked() {
@@ -385,6 +409,7 @@ void ChunkEngine::put(const ChunkKey& key, std::span<const std::byte> data) {
 
 std::optional<std::vector<std::byte>> ChunkEngine::read(const ChunkKey& key) {
   std::lock_guard lock(mu_);
+  write_pending_locked();
   if (index_.count(KeyPair{key.hi, key.lo}) == 0) refresh_locked();
   return read_locked(key);
 }
@@ -403,7 +428,7 @@ std::optional<std::vector<std::byte>> ChunkEngine::read_locked(
   const IndexEntry& e = it->second;
   const Extent& ext = extents_[e.extent_id];
   // Our own active extent may have unsynced bytes; the OS page cache
-  // still serves them to pread, so no flush is needed for self-reads.
+  // still serves them to pread once they are written out (read() did).
   std::vector<std::byte> rec;
   try {
     rec = read_file_range(ext.path, e.offset, record_cost(e));
@@ -473,14 +498,17 @@ std::vector<std::pair<ChunkKey, std::uint32_t>> ChunkEngine::live_chunks() {
 
 void ChunkEngine::flush() {
   std::lock_guard lock(mu_);
-  if (active_fd_ >= 0 && dirty_) {
-    ::fsync(active_fd_);
-    dirty_ = false;
-  }
+  sync_locked();
+}
+
+void ChunkEngine::write_out() {
+  std::lock_guard lock(mu_);
+  write_pending_locked();
 }
 
 CompactStats ChunkEngine::compact(bool force) {
   std::lock_guard lock(mu_);
+  write_pending_locked();
   // Only a forced compaction reads other writers' extents: their dead
   // bytes come from their own tombstones, which they compact themselves.
   if (force) refresh_locked();
@@ -551,10 +579,7 @@ CompactStats ChunkEngine::compact(bool force) {
       it->second = TombInfo{seq, active_id_};
       ++it;
     }
-    if (active_fd_ >= 0 && dirty_) {
-      ::fsync(active_fd_);
-      dirty_ = false;
-    }
+    sync_locked();
     std::error_code ec;
     const std::uint64_t file_bytes = fs::file_size(ext_path, ec);
     fs::remove(ext_path, ec);
@@ -578,6 +603,7 @@ CompactStats ChunkEngine::compact(bool force) {
 
 EngineStats ChunkEngine::stats() {
   std::lock_guard lock(mu_);
+  write_pending_locked();
   EngineStats s;
   for (const Extent& e : extents_) {
     if (e.path.empty()) continue;
@@ -601,6 +627,7 @@ EngineStats ChunkEngine::stats() {
 
 std::optional<ChunkEngine::Location> ChunkEngine::locate(const ChunkKey& key) {
   std::lock_guard lock(mu_);
+  write_pending_locked();
   const KeyPair k{key.hi, key.lo};
   auto it = index_.find(k);
   if (it == index_.end()) {

@@ -24,6 +24,13 @@
 // in seq order, so a tombstone and a later re-put resolve correctly no
 // matter which extent file each landed in.
 //
+// Appends are buffered: put() and remove() gather their records in
+// memory, and flush() hands them to the extent in one write() before its
+// fsync, so a checkpoint batch costs one write and one fsync however many
+// chunks it adds. Every record stays self-framing, so a torn write still
+// leaves a clean prefix of whole records. Anything that reads the extent
+// files (read, locate, stats, compact) writes the buffer out first.
+//
 // Concurrency: every agent process owns its *own* active extent (the file
 // name embeds pid + nonce), so writers never contend. A tombstone masks
 // every older put of its key in any extent, so a writer must tombstone
@@ -124,9 +131,14 @@ class ChunkEngine {
   /// Every live key with its raw length.
   [[nodiscard]] std::vector<std::pair<ChunkKey, std::uint32_t>> live_chunks();
 
-  /// fsync the active extent (called before a manifest is published, so
-  /// chunks-before-manifest durability survives the engine).
+  /// Write buffered records and fsync the active extent (called before a
+  /// manifest is published, so chunks-before-manifest durability survives
+  /// the engine).
   void flush();
+
+  /// Write buffered records to the active extent without an fsync (for
+  /// tombstones: a lost one only leaves a chunk orphaned).
+  void write_out();
 
   /// Rewrite live records out of dead-heavy extents and delete the husks.
   /// Without `force`, only this instance's own extents whose dead
@@ -177,10 +189,15 @@ class ChunkEngine {
   // All private methods require mu_.
   void open_active_locked();
   void rotate_if_needed_locked();
+  /// Append one record to pending_ (written out at the next flush, or
+  /// once pending_ passes kMaxPendingBytes).
   void append_record_locked(std::uint8_t kind, const ChunkKey& key,
                             std::uint32_t raw_len,
                             std::span<const std::byte> stored,
                             std::uint8_t codec);
+  void write_pending_locked();
+  /// write_pending_locked(), then fsync the active extent if it is dirty.
+  void sync_locked();
   void refresh_locked();                    ///< rescan foreign extents
   void scan_extent_locked(std::uint32_t id);
   [[nodiscard]] std::optional<std::vector<std::byte>> read_locked(
@@ -214,6 +231,9 @@ class ChunkEngine {
   std::uint64_t active_nonce_ = 0;
   std::uint32_t active_count_ = 0;  ///< extents created by this instance
   bool dirty_ = false;
+  /// Records appended to the active extent but not yet written to it;
+  /// active_bytes_ and the index already count them.
+  std::vector<std::byte> pending_;
 
   // LRU block cache: list front = most recent; map points into the list.
   struct CacheSlot {

@@ -1,10 +1,14 @@
 #include "ckpt/store.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <future>
 #include <map>
 #include <random>
 #include <set>
+#include <utility>
 
+#include "ckpt/writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -36,6 +40,7 @@ struct CkptMetrics {
   obs::Counter& restores;
   obs::Counter& restore_fallbacks;
   obs::Counter& restore_failures;
+  obs::Counter& batches;
   obs::Histogram& put_us;
   obs::Histogram& restore_us;
   obs::Histogram& image_bytes;
@@ -56,6 +61,7 @@ struct CkptMetrics {
         r.counter("ckpt.restores"),
         r.counter("ckpt.restore_fallbacks"),
         r.counter("ckpt.restore_failures"),
+        r.counter("ckpt.batches"),
         r.histogram("ckpt.put_us"),
         r.histogram("ckpt.restore_us"),
         r.histogram("ckpt.image_bytes"),
@@ -166,6 +172,7 @@ CheckpointStore::CheckpointStore(fs::path root, Options opts)
                                           opts_.engine);
   std::random_device rd;
   key_seed_ = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
+  writer_ = std::make_unique<CheckpointWriter>(*this);
 }
 
 std::shared_ptr<CheckpointStore> CheckpointStore::open_shared(
@@ -221,16 +228,83 @@ CheckpointStore::list_manifests(const std::string& snapshot) const {
   return files;
 }
 
+// Out of line: CheckpointWriter is complete here. writer_ goes first.
+CheckpointStore::~CheckpointStore() = default;
+
+void CheckpointStore::submit(CheckpointJob job) {
+  validate_snapshot_name(job.snapshot);
+  if (job.companion) validate_snapshot_name(job.companion_snapshot);
+  writer().submit(std::move(job));
+}
+
 PutStats CheckpointStore::put(const std::string& snapshot,
                               std::span<const std::byte> image) {
-  validate_snapshot_name(snapshot);
+  std::promise<CheckpointResult> landed;
+  std::future<CheckpointResult> result = landed.get_future();
+  CheckpointJob job;
+  job.snapshot = snapshot;
+  job.image.assign(image.begin(), image.end());
+  job.done = [&landed](const CheckpointResult& r) { landed.set_value(r); };
+  submit(std::move(job));
+  const CheckpointResult r = result.get();
+  if (!r.ok()) std::rethrow_exception(r.error);
+  return r.image;
+}
+
+CheckpointStore::Staged CheckpointStore::stage_locked(
+    const std::string& snapshot, std::uint64_t seq,
+    std::span<const std::byte> bytes) {
   Stopwatch sw;
   obs::ScopedSpan span("ckpt", "put");
-  span.set_arg("bytes", image.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  CkptMetrics& m = CkptMetrics::get();
+  span.set_arg("bytes", bytes.size());
+  Staged st;
+  st.name = manifest_name(snapshot, seq);
+  st.stats.seq = seq;
+  st.stats.first_snapshot = seq == 1;
+  Manifest& man = st.man;
+  man.snapshot = snapshot;
+  man.seq = seq;
+  man.key_seed = key_seed_;
+  man.image_bytes = bytes.size();
+  man.image_hash = xxh64(bytes);
 
-  PutStats stats;
+  // Each entry takes its reference as it is listed, so a repeat within
+  // this image (or an earlier one of the batch) dedups too; a failure
+  // gives them back, evicting what was appended.
+  try {
+    for (std::span<const std::byte> chunk : split_chunks(bytes, opts_.chunker)) {
+      const ChunkKey key = ChunkKey::of(chunk, key_seed_);
+      man.chunks.push_back({key, static_cast<std::uint32_t>(chunk.size())});
+      ++st.stats.chunks_total;
+      st.stats.bytes_total += chunk.size();
+      if (own_refs_[key]++ > 0) {
+        ++st.stats.chunks_deduped;
+      } else {
+        engine_->put(key, chunk);
+        ++st.stats.chunks_written;
+        st.stats.bytes_written += chunk.size();
+      }
+    }
+  } catch (...) {
+    GcStats undo;
+    release_locked(man.chunks, undo);
+    throw;
+  }
+  st.seconds = sw.seconds();
+  return st;
+}
+
+std::vector<CheckpointResult> CheckpointStore::put_batch(
+    std::vector<CheckpointJob>& jobs) {
+  obs::ScopedSpan span("ckpt", "batch");
+  span.set_arg("jobs", jobs.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  Stopwatch shared_sw;  // time no single put owns: listing, flush, publish
+  double staging_seconds = 0;
+  CkptMetrics& m = CkptMetrics::get();
+  m.batches.inc();
+  std::vector<CheckpointResult> results(jobs.size());
+
   GcStats gc;
   const std::vector<ManifestFile> listing = list_manifests();
   if (opts_.auto_gc && !own_manifests_.empty()) {
@@ -240,86 +314,140 @@ PutStats CheckpointStore::put(const std::string& snapshot,
     for (const ManifestFile& mf : listing) listed.insert(mf.name);
     release_own_except_locked(listed, gc);
   }
-  std::vector<const ManifestFile*> existing;
+  // Charged to the batch's first published put, as a lone put's stats
+  // would show it.
+  std::size_t released_by_listing = gc.chunks_evicted;
+  // Published manifests per snapshot, oldest first; a put numbers itself
+  // after the newest, here at write time.
+  std::map<std::string, std::deque<std::string>, std::less<>> published;
+  std::map<std::string, std::uint64_t, std::less<>> newest;
   for (const ManifestFile& mf : listing) {
-    if (mf.snapshot == snapshot) existing.push_back(&mf);
+    published[mf.snapshot].push_back(mf.name);
+    newest[mf.snapshot] = mf.seq;
   }
-  stats.first_snapshot = existing.empty();
-  stats.seq = existing.empty() ? 1 : existing.back()->seq + 1;
-  const std::string name = manifest_name(snapshot, stats.seq);
 
-  Manifest man;
-  man.snapshot = snapshot;
-  man.seq = stats.seq;
-  man.key_seed = key_seed_;
-  man.image_bytes = image.size();
-  man.image_hash = xxh64(image);
-
-  // Chunks first, manifest last: the checkpoint only becomes visible once
-  // every byte it references is durably in place. Each entry takes its
-  // reference as it is listed, so a repeat within this image dedups too;
-  // a failed put gives them back, evicting what it wrote.
-  try {
-    for (std::span<const std::byte> chunk :
-         split_chunks(image, opts_.chunker)) {
-      const ChunkKey key = ChunkKey::of(chunk, key_seed_);
-      man.chunks.push_back({key, static_cast<std::uint32_t>(chunk.size())});
-      ++stats.chunks_total;
-      stats.bytes_total += chunk.size();
-      if (own_refs_[key]++ > 0) {
-        ++stats.chunks_deduped;
-      } else {
-        engine_->put(key, chunk);
-        ++stats.chunks_written;
-        stats.bytes_written += chunk.size();
+  // 1. Chunks, in submit order: each job's companion, then its image.
+  std::vector<Staged> staged;
+  const auto stage = [&](std::size_t j, bool companion,
+                         const std::string& snapshot, std::uint64_t seq,
+                         std::span<const std::byte> bytes) {
+    staged.push_back(stage_locked(snapshot, seq, bytes));
+    staged.back().job = j;
+    staged.back().companion = companion;
+    staging_seconds += staged.back().seconds;
+  };
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    CheckpointJob& job = jobs[j];
+    const std::size_t first = staged.size();
+    try {
+      const std::uint64_t image_seq = ++newest[job.snapshot];
+      if (job.companion) {
+        const std::vector<std::byte> bytes = job.companion(image_seq);
+        stage(j, true, job.companion_snapshot,
+              ++newest[job.companion_snapshot], bytes);
       }
+      stage(j, false, job.snapshot, image_seq, job.image);
+    } catch (...) {
+      results[j].error = std::current_exception();
+      GcStats undo;
+      for (std::size_t k = first; k < staged.size(); ++k) {
+        release_locked(staged[k].man.chunks, undo);
+      }
+      staged.resize(first);
     }
-    // fsync appended chunk records before the manifest rename makes them
-    // reachable — chunks-before-manifest durability holds for the engine.
+  }
+
+  // 2. One fsync for the whole batch: every chunk a manifest below
+  // references is durable before the first rename makes it reachable.
+  try {
+    obs::ScopedSpan flush_span("ckpt", "flush");
     engine_->flush();
-    storage_.write(name, man.encode());
   } catch (...) {
     GcStats undo;
-    release_locked(man.chunks, undo);
-    throw;
+    for (Staged& st : staged) {
+      results[st.job].error = std::current_exception();
+      release_locked(st.man.chunks, undo);
+    }
+    staged.clear();
   }
-  own_manifests_.emplace(name, std::move(man.chunks));
 
-  m.chunks_written.inc(stats.chunks_written);
-  m.chunks_deduped.inc(stats.chunks_deduped);
-  m.bytes_logical.inc(stats.bytes_total);
-  m.bytes_written.inc(stats.bytes_written);
-  if (!stats.first_snapshot) {
-    m.bytes_logical_incremental.inc(stats.bytes_total);
-    m.bytes_written_incremental.inc(stats.bytes_written);
+  // 3. Manifests in order, each followed by its snapshot's retention. A
+  // job whose companion failed to publish does not publish its image.
+  for (Staged& st : staged) {
+    CheckpointResult& res = results[st.job];
+    if (!res.ok()) {
+      GcStats undo;
+      release_locked(st.man.chunks, undo);
+      continue;
+    }
+    try {
+      storage_.write(st.name, st.man.encode());
+    } catch (...) {
+      res.error = std::current_exception();
+      GcStats undo;
+      release_locked(st.man.chunks, undo);
+      continue;
+    }
+    const std::size_t image_bytes = st.man.image_bytes;
+    own_manifests_.emplace(st.name, std::move(st.man.chunks));
+    PutStats& stats = st.stats;
+    m.chunks_written.inc(stats.chunks_written);
+    m.chunks_deduped.inc(stats.chunks_deduped);
+    m.bytes_logical.inc(stats.bytes_total);
+    m.bytes_written.inc(stats.bytes_written);
+    if (!stats.first_snapshot) {
+      m.bytes_logical_incremental.inc(stats.bytes_total);
+      m.bytes_written_incremental.inc(stats.bytes_written);
+    }
+    m.manifests_written.inc();
+    m.image_bytes.record_us(static_cast<double>(image_bytes));
+    m.written_bytes.record_us(static_cast<double>(stats.bytes_written));
+
+    std::deque<std::string>& names = published[st.man.snapshot];
+    names.push_back(st.name);
+    if (opts_.auto_gc) {
+      // Retention for this snapshot only: it is the one this put grew.
+      // Pruning another writer's manifest drops no reference here; that
+      // writer notices at its next put.
+      GcStats pruned;
+      const std::size_t from_listing = std::exchange(released_by_listing, 0);
+      while (names.size() > opts_.keep_manifests) {
+        storage_.remove(names.front());
+        ++pruned.manifests_pruned;
+        const auto own = own_manifests_.find(names.front());
+        if (own != own_manifests_.end()) {
+          release_locked(own->second, pruned);
+          own_manifests_.erase(own);
+        }
+        names.pop_front();
+      }
+      stats.manifests_pruned = pruned.manifests_pruned;
+      stats.chunks_evicted = from_listing + pruned.chunks_evicted;
+      gc.manifests_pruned += pruned.manifests_pruned;
+      gc.chunks_evicted += pruned.chunks_evicted;
+    }
+    if (!st.companion) res.image = stats;
   }
-  m.manifests_written.inc();
-  m.image_bytes.record_us(static_cast<double>(image.size()));
-  m.written_bytes.record_us(static_cast<double>(stats.bytes_written));
 
   if (opts_.auto_gc) {
-    // Retention for this snapshot only: it is the one this put grew.
-    // Pruning another writer's manifest drops no reference here; that
-    // writer notices at its next put.
-    const std::size_t kept = existing.size() + 1;
-    for (std::size_t i = 0; i + opts_.keep_manifests < kept; ++i) {
-      storage_.remove(existing[i]->name);
-      ++gc.manifests_pruned;
-      const auto own = own_manifests_.find(existing[i]->name);
-      if (own == own_manifests_.end()) continue;
-      release_locked(own->second, gc);
-      own_manifests_.erase(own);
-    }
     // Rewrites own extents whose dead fraction crossed the threshold;
     // a check of per-extent counters when none has.
     engine_->compact(/*force=*/false);
     m.chunks_evicted.inc(gc.chunks_evicted);
     m.manifests_pruned.inc(gc.manifests_pruned);
-    stats.manifests_pruned = gc.manifests_pruned;
-    stats.chunks_evicted = gc.chunks_evicted;
   }
-  m.put_us.record_seconds(sw.seconds());
-  return stats;
+  engine_->write_out();  // tombstones: no fsync needed
+
+  // Each put is charged its own chunking plus an equal share of the
+  // batch's common work, so ckpt.put_us sums to the writer's busy time.
+  if (!staged.empty()) {
+    const double shared = std::max(0.0, shared_sw.seconds() - staging_seconds) /
+                          static_cast<double>(staged.size());
+    for (const Staged& st : staged) {
+      m.put_us.record_seconds(st.seconds + shared);
+    }
+  }
+  return results;
 }
 
 void CheckpointStore::release_locked(const std::vector<ManifestEntry>& entries,

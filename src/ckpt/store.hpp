@@ -37,10 +37,19 @@
 // a chunk is evicted when its count reaches zero. A put therefore costs
 // what it adds, never a scan of the store. Chunks of a writer that died
 // stay until the offline full sweep (`collect_garbage`, `mojc ckpt gc`).
+//
+// One write path. Every put goes through the instance's checkpoint writer
+// thread (ckpt/writer.hpp), started by the first put: submit() queues a
+// checkpoint and returns at once, put() submits and waits. The writer
+// drains its queue as a batch: each checkpoint's chunks are appended, the
+// engine is fsynced once for the whole batch (group commit), and only then
+// are the manifests published, in submit order, and retention run.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -138,6 +147,36 @@ struct StoreStats {
   }
 };
 
+/// What became of one submitted checkpoint.
+struct CheckpointResult {
+  /// Why the checkpoint was not published (put() rethrows it); null when
+  /// it was.
+  std::exception_ptr error;
+  PutStats image;
+
+  [[nodiscard]] bool ok() const { return error == nullptr; }
+};
+
+/// One checkpoint handed to a store's writer (CheckpointStore::submit).
+struct CheckpointJob {
+  /// Whose checkpoint it is: CheckpointWriter::cancel/drain act on one
+  /// owner's jobs. Null for put()'s own jobs.
+  const void* owner = nullptr;
+  std::string snapshot;
+  std::vector<std::byte> image;
+  /// Optional bytes published under `companion_snapshot` just before the
+  /// image. The writer builds them from the seq the image is about to get,
+  /// so a restore can pair the two by that seq. Runs on the writer thread
+  /// under the store's lock: it must not call the store.
+  std::string companion_snapshot;
+  std::function<std::vector<std::byte>(std::uint64_t image_seq)> companion;
+  /// Runs on the writer thread once the image manifest is published, or
+  /// the checkpoint failed. Must not wait on this store's writer.
+  std::function<void(const CheckpointResult&)> done;
+};
+
+class CheckpointWriter;
+
 class CheckpointStore {
  public:
   struct Options {
@@ -154,6 +193,11 @@ class CheckpointStore {
   explicit CheckpointStore(std::filesystem::path root, Options opts);
   explicit CheckpointStore(std::filesystem::path root)
       : CheckpointStore(std::move(root), Options{}) {}
+  /// Writes what the writer still holds queued, then stops it.
+  ~CheckpointStore();
+
+  CheckpointStore(const CheckpointStore&) = delete;
+  CheckpointStore& operator=(const CheckpointStore&) = delete;
 
   /// Process-wide shared instance per (canonical) root, so every rank
   /// checkpointing from one process dedups against the others. Separate
@@ -166,13 +210,22 @@ class CheckpointStore {
     return open_shared(root, Options{});
   }
 
-  /// Store one checkpoint of `snapshot`. Only chunks this instance does
-  /// not already hold are written; the manifest is written (atomically)
-  /// last, so a crash mid-put leaves the previous checkpoint restorable.
-  /// With `auto_gc`, the put then prunes `snapshot` to `keep_manifests`
-  /// and evicts the chunks of this instance that no manifest of it
-  /// references any more.
+  /// Store one checkpoint of `snapshot` and wait until it is published:
+  /// submit() and a wait. Only chunks this instance does not already hold
+  /// are written; the manifest is written (atomically) last, so a crash
+  /// mid-put leaves the previous checkpoint restorable. With `auto_gc`,
+  /// the put then prunes `snapshot` to `keep_manifests` and evicts the
+  /// chunks of this instance that no manifest of it references any more.
+  /// Throws what failed the put.
   PutStats put(const std::string& snapshot, std::span<const std::byte> image);
+
+  /// Queue one checkpoint for the writer thread and return at once; its
+  /// `done` reports the outcome. Throws Error on a bad snapshot name.
+  void submit(CheckpointJob job);
+
+  /// The store's writer. Its thread starts with the first submit, so a
+  /// store that is never written to never runs one.
+  [[nodiscard]] CheckpointWriter& writer() { return *writer_; }
 
   /// Reassemble the newest complete checkpoint of `snapshot` numbered at
   /// most `max_seq`, verifying every chunk against its content key and
@@ -221,6 +274,28 @@ class CheckpointStore {
     std::uint64_t seq = 0;
   };
 
+  friend class CheckpointWriter;
+
+  /// Write one batch of checkpoints (writer thread only): append every
+  /// chunk record, flush the engine once, publish the manifests in order
+  /// (each companion before its image) and run retention. One result per
+  /// job.
+  std::vector<CheckpointResult> put_batch(std::vector<CheckpointJob>& jobs);
+
+  /// A put whose chunks are appended but whose manifest is not published.
+  struct Staged {
+    std::size_t job = 0;
+    bool companion = false;
+    std::string name;  ///< the manifest's storage-relative path
+    Manifest man;
+    PutStats stats;
+    double seconds = 0;  ///< time spent chunking and appending
+  };
+  /// Chunk `bytes` and append the chunks this instance lacks, taking a
+  /// reference per entry. On a throw it has released them again.
+  Staged stage_locked(const std::string& snapshot, std::uint64_t seq,
+                      std::span<const std::byte> bytes);
+
   /// Manifest files by (snapshot, seq). Reads only the filesystem, so
   /// callers need not hold mu_.
   [[nodiscard]] std::vector<ManifestFile> list_manifests() const;
@@ -244,6 +319,9 @@ class CheckpointStore {
   /// Entries in own_manifests_ per chunk key; a key is live in the
   /// engine exactly while it is present here.
   std::map<ChunkKey, std::uint32_t> own_refs_;
+
+  /// Declared last: destroyed (and its thread joined) first.
+  std::unique_ptr<CheckpointWriter> writer_;
 
   static constexpr const char* kExtentDir = "extents";
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ckpt/writer.hpp"
 #include "fir/serialize.hpp"
 #include "migrate/image.hpp"
 #include "migrate/migrator.hpp"
@@ -45,12 +46,14 @@ struct AgentMetrics {
   obs::Counter& data_out;
   obs::Counter& forwards;
   obs::Counter& replay_requests;
+  obs::Counter& resend_frames;
   obs::Counter& replays_served;
   obs::Counter& consumed;
   obs::Counter& poisons;
   obs::Counter& corrupt_frames;
   obs::Counter& heartbeats;
   obs::Counter& link_failures;
+  obs::Counter& links_lost;
 
   static AgentMetrics& get() {
     auto& r = obs::MetricsRegistry::instance();
@@ -58,63 +61,15 @@ struct AgentMetrics {
         r.counter("node.launches"),       r.counter("node.resurrections"),
         r.counter("node.yields"),         r.counter("node.data_frames_in"),
         r.counter("node.data_frames_out"), r.counter("node.data_forwards"),
-        r.counter("dspec.replay_requests"), r.counter("dspec.replays_served"),
+        r.counter("dspec.replay_requests"), r.counter("dspec.resend_frames"),
+        r.counter("dspec.replays_served"),
         r.counter("dspec.payloads_consumed"),
         r.counter("dspec.poisons_received"), r.counter("node.corrupt_frames"),
         r.counter("node.heartbeats"),     r.counter("node.link_failures"),
+        r.counter("node.links_lost"),
     };
     return m;
   }
-};
-
-/// Wraps the per-rank Migrator. The agent persists the rank's channels
-/// just before each checkpoint image and tells their senders once the
-/// image landed. The coordinator can also turn the rank's *next
-/// successful checkpoint* into a yield: the process exits here with
-/// kMigratedAway and is resurrected from that checkpoint on the target
-/// agent. Checkpoints happen at commit points (Figure 2's loop), so a
-/// yield never strands an active speculation.
-class YieldHook final : public vm::MigrationHook {
- public:
-  YieldHook(vm::Process& proc, migrate::Migrator& inner,
-            std::atomic<bool>& yield_requested, std::function<void()> before,
-            std::function<void()> landed)
-      : proc_(proc),
-        inner_(inner),
-        yield_(yield_requested),
-        before_(std::move(before)),
-        landed_(std::move(landed)) {
-    proc_.vm().set_migration_hook(this);
-  }
-  ~YieldHook() override { proc_.vm().set_migration_hook(&inner_); }
-
-  Action on_migrate(vm::Interpreter& vm, MigrateLabel label,
-                    const std::string& target, FunIndex resume_fun,
-                    std::span<const Value> resume_args) override {
-    before_();
-    const std::size_t events = inner_.events().size();
-    const Action a = inner_.on_migrate(vm, label, target, resume_fun,
-                                       resume_args);
-    if (a == Action::kExit) return a;
-    if (inner_.events().size() > events && inner_.events().back().success) {
-      landed_();
-      if (yield_.load()) {
-        yielded_ = true;
-        return Action::kExit;
-      }
-    }
-    return a;
-  }
-
-  [[nodiscard]] bool yielded() const { return yielded_; }
-
- private:
-  vm::Process& proc_;
-  migrate::Migrator& inner_;
-  std::atomic<bool>& yield_;
-  std::function<void()> before_;
-  std::function<void()> landed_;
-  bool yielded_ = false;
 };
 
 /// The innermost active speculation's id; 0 outside any speculation.
@@ -132,13 +87,34 @@ std::vector<std::byte> encode_entry(std::uint32_t src, std::uint32_t dst,
                                    e.h.spec_id);
 }
 
+/// (src, rank) for every other rank src of the `ranks`.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> all_senders(
+    std::uint32_t rank, std::uint32_t ranks) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  for (std::uint32_t src = 0; src < ranks; ++src) {
+    if (src != rank) pairs.emplace_back(src, rank);
+  }
+  return pairs;
+}
+
+std::string describe(const std::exception_ptr& e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::exception& ex) {
+    return ex.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
+
 std::string image_snapshot(std::uint32_t rank) {
   return "rank_" + std::to_string(rank);
 }
 
 /// Store name of a rank's persisted channels: the Outbox log the
 /// receivers have not checkpointed past, and the Inbox positions to
-/// resume from. Written right before each checkpoint image.
+/// resume from. Published right before each checkpoint image, naming its
+/// seq.
 std::string send_log_snapshot(std::uint32_t rank) {
   return image_snapshot(rank) + "_sendlog";
 }
@@ -166,13 +142,29 @@ struct NodeAgent::Link {
 
 struct NodeAgent::RankSlot {
   std::uint32_t rank = 0;
+  /// Unique among this agent's slots: a writer ack finds its slot by it.
+  std::uint64_t id = 0;
   std::ostringstream output;
-  // Destruction order matters (reverse of declaration): the yield hook
+  // Destruction order matters (reverse of declaration): the rank hook
   // restores the migrator as the vm's hook, the migrator detaches itself,
   // then the process goes.
   std::unique_ptr<vm::Process> process;
   std::unique_ptr<migrate::Migrator> migrator;
-  std::unique_ptr<YieldHook> yield_hook;
+  std::unique_ptr<RankHook> hook;
+
+  // --- Checkpoints (loop thread only) ----------------------------------
+  bool ckpt_in_flight = false;  ///< submitted, not yet acked
+  bool ckpt_landed = false;     ///< the last acked checkpoint was published
+  bool ckpt_waiting = false;    ///< parked at a migrate until the ack
+  /// A rank that ends with a checkpoint in flight reports its result only
+  /// once that checkpoint landed: a kill after its RESULT must still find
+  /// it in the store.
+  struct Finish {
+    int result_kind = 0;
+    std::int64_t exit_code = 0;
+    std::string error;
+  };
+  std::optional<Finish> finish_pending;
 
   /// The distributed poison flag: set by a reverted join, a lost sender
   /// or FORCE_ROLL, drained by msg_recv as MSG_ROLL.
@@ -220,6 +212,51 @@ struct NodeAgent::RankSlot {
   std::vector<std::byte> last_result;
 };
 
+/// A rank's migration hook, wrapping its Migrator. The Migrator packs a
+/// ckpt:// checkpoint on the loop (the consistent cut) and hands it to
+/// submit_checkpoint; the rank goes on at once. At most one checkpoint per
+/// rank is in flight: reaching the next one parks the rank until the
+/// previous one's ack, and the migrate instruction then runs again. The
+/// coordinator can also turn the rank's *next successful checkpoint* into
+/// a yield: the process exits here with kMigratedAway, once that
+/// checkpoint landed, and is resurrected from it on the target agent.
+/// Checkpoints happen at commit points (Figure 2's loop), so a yield never
+/// strands an active speculation.
+class NodeAgent::RankHook final : public vm::MigrationHook {
+ public:
+  RankHook(NodeAgent& agent, RankSlot& slot) : agent_(agent), slot_(slot) {
+    slot_.process->vm().set_migration_hook(this);
+  }
+  ~RankHook() override {
+    slot_.process->vm().set_migration_hook(slot_.migrator.get());
+  }
+
+  Action on_migrate(vm::Interpreter& vm, MigrateLabel label,
+                    const std::string& target, FunIndex resume_fun,
+                    std::span<const Value> resume_args) override {
+    if (slot_.ckpt_in_flight) {
+      slot_.ckpt_waiting = true;
+      slot_.pending_wait_key = rank_wait_key(slot_.rank);
+      vm.block(0);
+      return Action::kContinue;
+    }
+    slot_.ckpt_waiting = false;
+    const Action a = slot_.migrator->on_migrate(vm, label, target,
+                                                resume_fun, resume_args);
+    if (a == Action::kExit || !slot_.yield_requested.load()) return a;
+    if (!agent_.await_checkpoint(slot_)) return a;
+    yielded_ = true;
+    return Action::kExit;
+  }
+
+  [[nodiscard]] bool yielded() const { return yielded_; }
+
+ private:
+  NodeAgent& agent_;
+  RankSlot& slot_;
+  bool yielded_ = false;
+};
+
 NodeAgent::NodeAgent(AgentConfig cfg)
     : cfg_(std::move(cfg)),
       listener_(cfg_.bind, cfg_.port),
@@ -238,8 +275,11 @@ void NodeAgent::wait() {
     std::unique_lock<std::mutex> lock(wait_mu_);
     wait_cv_.wait(lock, [this] { return shutdown_requested_; });
   }
+  drain_checkpoints();
   stop();
 }
+
+void NodeAgent::drain_checkpoints() { store_->writer().drain(this); }
 
 void NodeAgent::stop() {
   if (stopping_.exchange(true)) return;
@@ -250,6 +290,11 @@ void NodeAgent::stop() {
   }
   poller_.wake();
   if (loop_thread_.joinable()) loop_thread_.join();
+  // No checkpoint of this agent lands after this: a rank resurrected
+  // elsewhere must never see this incarnation's manifests appear later.
+  // Done before the sockets close, which is how the cluster learns of
+  // the death.
+  store_->writer().cancel(this);
   listener_.shutdown();
   // Loop thread is gone; tear down its sockets on this thread.
   conns_.clear();
@@ -340,6 +385,7 @@ void NodeAgent::loop() {
         }
       }
     }
+    handle_acks();
     sched_.run_some(kSlicesPerTick, now);
     flush_io();
   }
@@ -456,17 +502,20 @@ void NodeAgent::fail_link(std::uint32_t agent) {
 void NodeAgent::resend_from_agent(std::uint32_t agent) {
   if (stopping_.load()) return;
   ++links_lost_;
+  AgentMetrics::get().links_lost.inc();
   // Every rank here asks every live rank there: what was lost may have
   // been its first entry.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   for (const auto& [rank, slot] : slots_) {
     if (slot->done.load()) continue;
     for (std::uint32_t src = 0; src < placement_.size(); ++src) {
       if (src != rank && placement_[src].agent == agent &&
           placement_[src].alive) {
-        request_resend(src, rank);
+        pairs.emplace_back(src, rank);
       }
     }
   }
+  request_resends(pairs);
 }
 
 void NodeAgent::flush_io() {
@@ -624,10 +673,23 @@ void NodeAgent::handle_frame(const Msg& m, std::span<const std::byte> raw,
       receive_entry(m.src, m.dst, std::move(e));
       break;
     }
-    case MsgType::kResend:
-      if (forward(m.src, raw)) break;
-      handle_resend(m.src, m.dst, m.seq, m.agent);
+    case MsgType::kResend: {
+      // Channels whose sender moved on go on to its agent, one frame per
+      // agent.
+      std::map<std::uint32_t, std::vector<ResendEntry>> onward;
+      for (const ResendEntry& e : m.resends) {
+        if (const auto agent = route(e.src)) {
+          onward[*agent].push_back(e);
+        } else {
+          handle_resend(e.src, e.dst, e.seq, m.agent);
+        }
+      }
+      for (const auto& [agent, entries] : onward) {
+        AgentMetrics::get().forwards.inc();
+        send_to_agent(agent, encode_resend(m.agent, entries));
+      }
       break;
+    }
     case MsgType::kWatermark:
       if (forward(m.src, raw)) break;
       if (RankSlot* slot = find_slot(m.src)) slot->out.truncate(m.dst, m.seq);
@@ -684,22 +746,25 @@ NodeAgent::RankSlot* NodeAgent::find_slot(std::uint32_t rank) {
   return it == slots_.end() ? nullptr : it->second.get();
 }
 
-bool NodeAgent::forward(std::uint32_t rank, std::span<const std::byte> raw) {
+std::optional<std::uint32_t> NodeAgent::route(std::uint32_t rank) {
   // A rank running here is here, whatever the placement map says yet: a
   // resurrected one hears from its senders before its RANK_UP returns as
   // a PLACEMENT.
   if (const RankSlot* slot = find_slot(rank); slot && !slot->done.load()) {
-    return false;
+    return std::nullopt;
   }
-  std::uint32_t agent = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (rank >= placement_.size()) return false;
-    agent = placement_[rank].agent;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (rank >= placement_.size() || placement_[rank].agent == my_agent_) {
+    return std::nullopt;
   }
-  if (agent == my_agent_) return false;
+  return placement_[rank].agent;
+}
+
+bool NodeAgent::forward(std::uint32_t rank, std::span<const std::byte> raw) {
+  const auto agent = route(rank);
+  if (!agent) return false;
   AgentMetrics::get().forwards.inc();
-  send_to_agent(agent, {raw.begin(), raw.end()});
+  send_to_agent(*agent, {raw.begin(), raw.end()});
   return true;
 }
 
@@ -739,19 +804,27 @@ void NodeAgent::receive_entry(std::uint32_t src, std::uint32_t dst, Entry e) {
   if (a.gap) request_resend(src, dst);
 }
 
-void NodeAgent::request_resend(std::uint32_t src, std::uint32_t dst) {
-  std::uint32_t agent = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (src >= placement_.size() || !placement_[src].alive) return;
-    agent = placement_[src].agent;
+void NodeAgent::request_resends(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
+  std::map<std::uint32_t, std::vector<ResendEntry>> by_agent;
+  for (const auto& [src, dst] : pairs) {
+    std::uint32_t agent = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (src >= placement_.size() || !placement_[src].alive) continue;
+      agent = placement_[src].agent;
+    }
+    AgentMetrics::get().replay_requests.inc();
+    const std::uint64_t from = mail_[dst].resend_from(src);
+    if (agent == my_agent_) {
+      handle_resend(src, dst, from, my_agent_);
+    } else {
+      by_agent[agent].push_back(ResendEntry{src, dst, from});
+    }
   }
-  AgentMetrics::get().replay_requests.inc();
-  const std::uint64_t from = mail_[dst].resend_from(src);
-  if (agent == my_agent_) {
-    handle_resend(src, dst, from, my_agent_);
-  } else {
-    send_to_agent(agent, encode_resend(src, dst, from, my_agent_));
+  for (const auto& [agent, entries] : by_agent) {
+    AgentMetrics::get().resend_frames.inc();
+    send_to_agent(agent, encode_resend(my_agent_, entries));
   }
 }
 
@@ -823,31 +896,95 @@ void NodeAgent::rank_lost(std::uint32_t rank) {
   }
 }
 
-void NodeAgent::persist_channels(RankSlot& slot) {
-  Writer w;
-  w.u32(kSendLogMagic);
-  w.u32(kSendLogVersion);
-  // The image this state goes with, the one about to be put (its writer
-  // numbers it after the newest): a restore takes the channels of the
-  // image it restores, also when it falls back to an older one.
-  w.u64(store_->latest_seq(image_snapshot(slot.rank)) + 1);
-  slot.out.encode(w);
-  mail_[slot.rank].encode(w);
-  try {
-    store_->put(send_log_snapshot(slot.rank), w.take());
-  } catch (const std::exception& e) {
-    MOJAVE_LOG(kWarn, "dnode")
-        << "rank " << slot.rank << " channel persist failed: " << e.what();
+void NodeAgent::submit_checkpoint(RankSlot& slot, const std::string& snapshot,
+                                  std::vector<std::byte> image) {
+  // The channels and marks as of the pack: the rank runs on while the
+  // writer works, and its inbox with it.
+  Writer channels;
+  slot.out.encode(channels);
+  mail_[slot.rank].encode(channels);
+  ckpt::CheckpointJob job;
+  job.owner = this;
+  job.snapshot = snapshot;
+  job.image = std::move(image);
+  job.companion_snapshot = send_log_snapshot(slot.rank);
+  // A restore takes the channels of the image it restores, also when it
+  // falls back to an older one: the blob names the image's seq, which
+  // the writer assigns.
+  job.companion = [body = channels.take()](std::uint64_t image_seq) {
+    Writer w;
+    w.reserve(16 + body.size());
+    w.u32(kSendLogMagic);
+    w.u32(kSendLogVersion);
+    w.u64(image_seq);
+    w.bytes(body);
+    return w.take();
+  };
+  job.done = [this, rank = slot.rank, id = slot.id,
+              marks = mail_[slot.rank].watermarks()](
+                 const ckpt::CheckpointResult& r) mutable {
+    post_ack(CkptAck{rank, id, r.ok(), r.ok() ? "" : describe(r.error),
+                     std::move(marks)});
+  };
+  slot.ckpt_in_flight = true;
+  store_->submit(std::move(job));
+}
+
+void NodeAgent::post_ack(CkptAck ack) {
+  {
+    std::lock_guard<std::mutex> lock(ack_mu_);
+    acks_.push_back(std::move(ack));
+  }
+  poller_.wake();
+}
+
+void NodeAgent::handle_acks() {
+  std::vector<CkptAck> acks;
+  {
+    std::lock_guard<std::mutex> lock(ack_mu_);
+    acks.swap(acks_);
+  }
+  for (CkptAck& a : acks) {
+    RankSlot* slot = find_slot(a.rank);
+    if (slot == nullptr || slot->id != a.slot_id) continue;  // replaced
+    slot->ckpt_in_flight = false;
+    slot->ckpt_landed = a.ok;
+    if (a.ok) {
+      checkpoint_landed(*slot, std::move(a.marks));
+    } else {
+      // The rank keeps running and its senders keep their logs: the
+      // next checkpoint is the retry.
+      MOJAVE_LOG(kWarn, "dnode") << "rank " << a.rank
+                                 << " checkpoint failed: " << a.error;
+    }
+    if (slot->ckpt_waiting) {
+      slot->ckpt_waiting = false;
+      sched_.wake(a.rank);
+    }
+    if (slot->finish_pending) {
+      const RankSlot::Finish f = std::move(*slot->finish_pending);
+      slot->finish_pending.reset();
+      finish_rank(*slot, f.result_kind, f.exit_code, f.error);
+    }
   }
 }
 
-void NodeAgent::checkpoint_landed(RankSlot& slot) {
+bool NodeAgent::await_checkpoint(RankSlot& slot) {
+  if (!slot.ckpt_in_flight) return false;  // nothing was submitted
+  drain_checkpoints();
+  handle_acks();
+  return !slot.ckpt_in_flight && slot.ckpt_landed;
+}
+
+void NodeAgent::checkpoint_landed(
+    RankSlot& slot,
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> marks) {
   // Senders learn the marks of the checkpoint before the previous one: a
   // restore that finds the newest checkpoints torn (a crash mid-put, and
   // one more while the agent went down) falls back past them, and must
   // still find its entries logged.
   constexpr std::size_t kFallbacks = 2;
-  slot.covered.push_back(mail_[slot.rank].watermarks());
+  slot.covered.push_back(std::move(marks));
   if (slot.covered.size() <= kFallbacks) return;
   for (const auto& [src, seq] : slot.covered.front()) {
     if (forward(src, encode_watermark(src, slot.rank, seq))) continue;
@@ -940,6 +1077,7 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
           return Value::unit();
         }
         Writer vw;
+        vw.reserve(static_cast<std::size_t>(count) * 9);  // tag + 8 bytes
         for (std::int64_t i = 0; i < count; ++i) {
           runtime::write_value(
               vw, it.heap().read_slot(
@@ -1095,7 +1233,7 @@ RankScheduler::Step NodeAgent::step_rank(RankSlot& slot) {
       return RankScheduler::Step{RankScheduler::Step::Kind::kBlocked,
                                  slot.pending_wait_key, r.block_deadline};
     case vm::SliceResult::Status::kMigratedAway:
-      if (slot.yield_hook && slot.yield_hook->yielded()) {
+      if (slot.hook && slot.hook->yielded()) {
         AgentMetrics::get().yields.inc();
         MOJAVE_LOG(kInfo, "dnode") << "rank " << slot.rank << " yielded";
         send_to_coordinator(encode_rank_yielded(slot.rank, true));
@@ -1114,6 +1252,10 @@ RankScheduler::Step NodeAgent::step_rank(RankSlot& slot) {
 
 void NodeAgent::finish_rank(RankSlot& slot, int result_kind,
                             std::int64_t exit_code, const std::string& error) {
+  if (slot.ckpt_in_flight && !stopping_.load()) {
+    slot.finish_pending = RankSlot::Finish{result_kind, exit_code, error};
+    return;
+  }
   ctrl::RankResult res;
   res.result_kind = static_cast<std::uint8_t>(result_kind);
   res.exit_code = exit_code;
@@ -1133,6 +1275,27 @@ void NodeAgent::finish_rank(RankSlot& slot, int result_kind,
   slot.done.store(true);
 }
 
+void NodeAgent::attach_hooks(RankSlot& slot) {
+  slot.migrator = std::make_unique<migrate::Migrator>(*slot.process);
+  // Every ckpt:// checkpoint of a rank goes to this agent's store: it is
+  // the one RESURRECT restores ranks from.
+  slot.migrator->set_ckpt_submit(
+      [this, &slot](const std::string& snapshot, std::vector<std::byte> image) {
+        submit_checkpoint(slot, snapshot, std::move(image));
+      });
+  slot.hook = std::make_unique<RankHook>(*this, slot);
+}
+
+void NodeAgent::retire_slot(RankSlot& slot) {
+  if (slot.ckpt_in_flight) {
+    drain_checkpoints();
+    handle_acks();
+  }
+  sched_.remove(slot.rank);
+  std::lock_guard<std::mutex> lock(mu_);
+  slots_.erase(slot.rank);
+}
+
 void NodeAgent::adopt_slot(std::uint32_t rank,
                            std::unique_ptr<RankSlot> slot) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -1143,14 +1306,13 @@ void NodeAgent::launch_rank(std::uint32_t rank, std::vector<std::byte> image) {
   AgentMetrics::get().launches.inc();
   if (RankSlot* existing = find_slot(rank)) {
     if (!existing->done.load()) return;  // already running here
-    sched_.remove(rank);
-    std::lock_guard<std::mutex> lock(mu_);
-    slots_.erase(rank);
+    retire_slot(*existing);
   }
   obs::ScopedSpan span("dnode", "agent.run_rank");
   span.set_arg("rank", rank);
   auto slot = std::make_unique<RankSlot>();
   slot->rank = rank;
+  slot->id = next_slot_id_++;
   RankSlot* sp = slot.get();
   try {
     fir::Program prog = fir::decode_program(image);
@@ -1159,11 +1321,7 @@ void NodeAgent::launch_rank(std::uint32_t rank, std::vector<std::byte> image) {
     pcfg.max_instructions = max_instructions_;
     sp->process = std::make_unique<vm::Process>(std::move(prog), pcfg);
     register_externals(*sp->process, *sp);
-    sp->migrator = std::make_unique<migrate::Migrator>(*sp->process);
-    sp->yield_hook = std::make_unique<YieldHook>(
-        *sp->process, *sp->migrator, sp->yield_requested,
-        [this, sp] { persist_channels(*sp); },
-        [this, sp] { checkpoint_landed(*sp); });
+    attach_hooks(*sp);
     sp->process->vm().start(sp->process->vm().compiled().entry, {});
   } catch (const std::exception& e) {
     finish_rank(*sp, 2, 0, e.what());
@@ -1173,11 +1331,7 @@ void NodeAgent::launch_rank(std::uint32_t rank, std::vector<std::byte> image) {
   adopt_slot(rank, std::move(slot));
   // Entries can arrive before LAUNCH, and be lost with a link before
   // anything here could ask for them: then this rank asks every sender.
-  if (links_lost_ > 0) {
-    for (std::uint32_t src = 0; src < num_ranks_; ++src) {
-      if (src != rank) request_resend(src, rank);
-    }
-  }
+  if (links_lost_ > 0) request_resends(all_senders(rank, num_ranks_));
   sched_.spawn(rank, [this, sp](RankScheduler::FiberId) {
     return step_rank(*sp);
   });
@@ -1186,14 +1340,13 @@ void NodeAgent::launch_rank(std::uint32_t rank, std::vector<std::byte> image) {
 void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t incarnation) {
   if (RankSlot* existing = find_slot(rank)) {
     if (!existing->done.load()) return;  // at-most-one incarnation here
-    sched_.remove(rank);
-    std::lock_guard<std::mutex> lock(mu_);
-    slots_.erase(rank);
+    retire_slot(*existing);
   }
   obs::ScopedSpan span("dnode", "agent.resume_rank");
   span.set_arg("rank", rank);
   auto slot = std::make_unique<RankSlot>();
   slot->rank = rank;
+  slot->id = next_slot_id_++;
   slot->out.start(incarnation, true);
   RankSlot* sp = slot.get();
   try {
@@ -1212,11 +1365,7 @@ void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t incarnation) {
     restore_channels(*sp, image_seq.seq);
     sp->process = std::move(unpacked.process);
     register_externals(*sp->process, *sp);
-    sp->migrator = std::make_unique<migrate::Migrator>(*sp->process);
-    sp->yield_hook = std::make_unique<YieldHook>(
-        *sp->process, *sp->migrator, sp->yield_requested,
-        [this, sp] { persist_channels(*sp); },
-        [this, sp] { checkpoint_landed(*sp); });
+    attach_hooks(*sp);
     sp->process->vm().start(unpacked.resume_fun,
                             std::move(unpacked.resume_args));
     AgentMetrics::get().resurrections.inc();
@@ -1235,9 +1384,7 @@ void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t incarnation) {
   adopt_slot(rank, std::move(slot));
   // Ask every sender once for what this incarnation lacks, from where
   // its checkpoint left each channel.
-  for (std::uint32_t src = 0; src < num_ranks_; ++src) {
-    if (src != rank) request_resend(src, rank);
-  }
+  request_resends(all_senders(rank, num_ranks_));
   sched_.spawn(rank, [this, sp](RankScheduler::FiberId) {
     return step_rank(*sp);
   });

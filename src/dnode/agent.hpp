@@ -31,7 +31,10 @@
 //  * Ranks checkpoint into the content-addressed chunk store under
 //    --storage ROOT (shared across agents, the role NFS played in the
 //    paper); RESURRECT restores any rank from that store, which is how
-//    both failure recovery and load-aware migration move ranks here.
+//    both failure recovery and load-aware migration move ranks here. A
+//    rank stops only for the pack: the image and its channels go to the
+//    store's checkpoint writer thread (ckpt/writer.hpp), whose ack wakes
+//    the loop once the checkpoint is published.
 //  * The speculation join runs agent to agent over the channels: a
 //    rollback or a commit to zero travels behind the payloads it covers,
 //    and a receiver that consumed a reverted payload reports MSG_ROLL at
@@ -51,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -100,8 +104,15 @@ class NodeAgent {
   /// connection) — the `mojc node` main loop.
   void wait();
 
-  /// Stop everything: the event loop, all fibers, all sockets.
+  /// Stop everything: the event loop, all fibers, all sockets. This is
+  /// the in-process kill: checkpoints still queued for the writer are
+  /// discarded, the one being written finishes, and once stop() returns
+  /// no checkpoint of this agent lands.
   void stop();
+
+  /// Wait until every checkpoint this agent handed to the writer is
+  /// published or failed (wait() does this before it stops).
+  void drain_checkpoints();
 
   /// Ranks currently hosted and running here (tests/monitoring).
   [[nodiscard]] std::vector<std::uint32_t> hosted_ranks() const;
@@ -110,6 +121,17 @@ class NodeAgent {
   struct Conn;       // one accepted connection (framed, non-blocking)
   struct Link;       // one outbound data-plane link to a peer agent
   struct RankSlot;   // one hosted rank: process + fiber + gates + logs
+  class RankHook;    // a rank's migration hook: checkpoint, yield
+  /// A checkpoint the writer finished: posted by its thread, handled on
+  /// the loop (handle_acks).
+  struct CkptAck {
+    std::uint32_t rank = 0;
+    std::uint64_t slot_id = 0;
+    bool ok = false;
+    std::string error;
+    /// The rank's inbox watermarks when the checkpoint was taken.
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> marks;
+  };
   struct Placement {
     std::uint32_t agent = 0;
     bool alive = true;
@@ -129,14 +151,17 @@ class NodeAgent {
   void handle_frame(const Msg& m, std::span<const std::byte> raw,
                     const std::shared_ptr<Conn>& conn);
   void handle_placement(const Msg& m);
-  /// Send `raw` on to the agent hosting `rank` when the rank does not
-  /// run here (the sender routed on a stale placement). True when
-  /// forwarded.
+  /// The agent to pass a frame for `rank` on to: set when the rank does
+  /// not run here and the placement puts it on another agent (the sender
+  /// routed on a stale placement).
+  std::optional<std::uint32_t> route(std::uint32_t rank);
+  /// Send `raw` on to route(rank). True when forwarded.
   bool forward(std::uint32_t rank, std::span<const std::byte> raw);
   void drop_conn(std::uint64_t token);
   void fail_link(std::uint32_t agent);
   /// A link to or from `agent` died or was re-dialled: every rank here
-  /// asks each live rank there once for what it may have lost.
+  /// asks each live rank there once for what it may have lost, all in one
+  /// RESEND frame.
   void resend_from_agent(std::uint32_t agent);
   void request_shutdown();
 
@@ -147,6 +172,11 @@ class NodeAgent {
   RankScheduler::Step step_rank(RankSlot& slot);
   void finish_rank(RankSlot& slot, int result_kind, std::int64_t exit_code,
                    const std::string& error);
+  /// Give the slot's process its Migrator and RankHook.
+  void attach_hooks(RankSlot& slot);
+  /// An existing slot is about to be replaced: its checkpoint in flight
+  /// lands (or fails) first, so the new one restores from it.
+  void retire_slot(RankSlot& slot);
   void register_externals(vm::Process& proc, RankSlot& slot);
   RankSlot* find_slot(std::uint32_t rank);
 
@@ -163,16 +193,35 @@ class NodeAgent {
   void receive_entry(std::uint32_t src, std::uint32_t dst, Entry e);
   /// Rank `dst` asks rank `src` once to resend their channel from where
   /// `dst`'s inbox stands.
-  void request_resend(std::uint32_t src, std::uint32_t dst);
+  void request_resend(std::uint32_t src, std::uint32_t dst) {
+    request_resends({{src, dst}});
+  }
+  /// request_resend for each (src, dst) pair, one RESEND frame per agent
+  /// the live senders run on.
+  void request_resends(
+      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs);
   void handle_resend(std::uint32_t src, std::uint32_t dst, std::uint64_t seq,
                      std::uint32_t reply_agent);
   /// Make rank's next msg_recv report MSG_ROLL (one poison per event).
   void poison(std::uint32_t rank);
-  /// Persist the rank's channels for the checkpoint image about to be
-  /// put; once it landed, tell its senders how far its previous one
-  /// covers (WATERMARK).
-  void persist_channels(RankSlot& slot);
-  void checkpoint_landed(RankSlot& slot);
+  /// Hand the rank's packed image to the writer, with its channels (the
+  /// companion blob, paired with the image's seq) and the inbox marks as
+  /// of the pack. The rank continues at once.
+  void submit_checkpoint(RankSlot& slot, const std::string& snapshot,
+                         std::vector<std::byte> image);
+  /// Writer thread: queue an ack and wake the loop.
+  void post_ack(CkptAck ack);
+  /// Loop thread: apply the acks the writer posted.
+  void handle_acks();
+  /// Yield path: wait for the rank's checkpoint in flight. True when it
+  /// landed.
+  bool await_checkpoint(RankSlot& slot);
+  /// The checkpoint taken with inbox watermarks `marks` is published:
+  /// tell the senders how far the rank's checkpoint before it covers
+  /// (WATERMARK).
+  void checkpoint_landed(
+      RankSlot& slot,
+      std::vector<std::pair<std::uint32_t, std::uint64_t>> marks);
   /// Restore the channels persisted for checkpoint `image_seq` of the
   /// rank.
   void restore_channels(RankSlot& slot, std::uint64_t image_seq);
@@ -221,10 +270,15 @@ class NodeAgent {
   std::vector<AgentAddr> agents_;
   std::vector<Placement> placement_;
   std::map<std::uint32_t, std::unique_ptr<RankSlot>> slots_;
+  std::uint64_t next_slot_id_ = 1;  ///< loop thread
 
   /// Each rank's receiving half, keyed by the rank rather than the slot
   /// so entries that arrive before LAUNCH/RESURRECT are not lost.
   std::map<std::uint32_t, Inbox> mail_;
+
+  /// Acks from the writer thread, drained by the loop.
+  std::mutex ack_mu_;
+  std::vector<CkptAck> acks_;
 
   std::atomic<bool> stopping_{false};
   std::mutex wait_mu_;

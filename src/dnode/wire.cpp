@@ -129,14 +129,16 @@ std::vector<std::byte> encode_spec_outcome(std::uint32_t src,
   return finish(w);
 }
 
-std::vector<std::byte> encode_resend(std::uint32_t src, std::uint32_t dst,
-                                     std::uint64_t seq,
-                                     std::uint32_t reply_agent) {
+std::vector<std::byte> encode_resend(std::uint32_t reply_agent,
+                                     const std::vector<ResendEntry>& entries) {
   Writer w = begin(MsgType::kResend);
-  w.u32(src);
-  w.u32(dst);
-  w.u64(seq);
   w.u32(reply_agent);
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const ResendEntry& e : entries) {
+    w.u32(e.src);
+    w.u32(e.dst);
+    w.u64(e.seq);
+  }
   return finish(w);
 }
 
@@ -332,12 +334,20 @@ std::optional<Msg> decode(std::span<const std::byte> frame) {
         m.seq = r.u64();
         m.spec_id = r.u64();
         break;
-      case MsgType::kResend:
-        m.src = r.u32();
-        m.dst = r.u32();
-        m.seq = r.u64();
+      case MsgType::kResend: {
         m.agent = r.u32();
+        const std::uint32_t n = r.u32();
+        if (n > r.remaining() / 16) return std::nullopt;  // 16 bytes each
+        m.resends.reserve(n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          ResendEntry e;
+          e.src = r.u32();
+          e.dst = r.u32();
+          e.seq = r.u64();
+          m.resends.push_back(e);
+        }
         break;
+      }
       case MsgType::kWatermark:
         m.src = r.u32();
         m.dst = r.u32();

@@ -4,15 +4,15 @@
 // two node agents, is one TcpStream frame (u32 length prefix) whose body
 // is:
 //
-//   u32 magic 'DNO4' | u8 type | type-specific fields | u64 xxh64
+//   u32 magic 'DNO5' | u8 type | type-specific fields | u64 xxh64
 //
 // The trailing xxh64 covers everything before it, so a frame mangled in
 // transit is rejected (node.corrupt_frames) instead of decoded into
 // garbage.
 // Frames with another 'DNOn' magic ('DNO1' had an FNV-1a trailer, 'DNO2'
-// a shorter DATA header, 'DNO3' stamped DATA instead of numbering it)
-// come from a build of another wire version: decode logs that once per
-// process and drops them.
+// a shorter DATA header, 'DNO3' stamped DATA instead of numbering it,
+// 'DNO4' asked for one channel per RESEND) come from a build of another
+// wire version: decode logs that once per process and drops them.
 //
 // Control plane (agent <-> coordinator, one long-lived connection):
 //   HELLO/CONFIG/LAUNCH/PLACEMENT       session setup and rank placement
@@ -27,7 +27,8 @@
 // (docs/SPECULATION.md, "Channels"):
 //   DATA                                one msg_send payload
 //   SPEC_OUTCOME                        a rollback, commit or restart
-//   RESEND                              "resend from seq n", receiver -> sender
+//   RESEND                              "resend from seq n" for a list of
+//                                       channels, receivers -> senders
 //   WATERMARK                           "checkpointed below n", receiver -> sender
 #pragma once
 
@@ -42,7 +43,7 @@
 
 namespace mojave::dnode {
 
-inline constexpr std::uint32_t kWireMagic = 0x344f4e44;  // "DNO4"
+inline constexpr std::uint32_t kWireMagic = 0x354f4e44;  // "DNO5"
 inline constexpr std::uint32_t kWireMagicV1 = 0x314f4e44;  // "DNO1"
 
 enum class MsgType : std::uint8_t {
@@ -104,6 +105,16 @@ struct CensusEntry {
   std::uint8_t state = 0;
 };
 
+/// One channel a RESEND asks for: rank `src` resends to rank `dst` every
+/// entry from `seq` on.
+struct ResendEntry {
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint64_t seq = 0;
+
+  friend bool operator==(const ResendEntry&, const ResendEntry&) = default;
+};
+
 /// Decoded frame: a tagged superset of every message's fields (internal
 /// protocol, not a public API — a flat struct beats a 18-way variant).
 struct Msg {
@@ -123,7 +134,8 @@ struct Msg {
   std::int32_t tag = 0;                    // DATA
   ChannelOp op = ChannelOp::kData;         // SPEC_OUTCOME
   std::uint64_t incarnation = 0;           // SPEC_OUTCOME/RESURRECT
-  std::uint64_t seq = 0;                   // SPEC_OUTCOME/RESEND/WATERMARK
+  std::uint64_t seq = 0;                   // SPEC_OUTCOME/WATERMARK
+  std::vector<ResendEntry> resends;        // RESEND
   std::uint64_t spec_id = 0;               // SPEC_OUTCOME
   double load = 0;                         // HEARTBEAT
   std::uint32_t live_ranks = 0;            // HEARTBEAT
@@ -151,12 +163,10 @@ struct Msg {
 [[nodiscard]] std::vector<std::byte> encode_spec_outcome(
     std::uint32_t src, std::uint32_t dst, ChannelOp op,
     std::uint64_t incarnation, std::uint64_t seq, std::uint64_t spec_id);
-/// Receiver `dst` (hosted on `reply_agent`) asks sender `src` for every
-/// entry of their channel from `seq` on.
-[[nodiscard]] std::vector<std::byte> encode_resend(std::uint32_t src,
-                                                   std::uint32_t dst,
-                                                   std::uint64_t seq,
-                                                   std::uint32_t reply_agent);
+/// Receivers hosted on `reply_agent` ask senders for the channels
+/// `entries` names, all in one frame.
+[[nodiscard]] std::vector<std::byte> encode_resend(
+    std::uint32_t reply_agent, const std::vector<ResendEntry>& entries);
 /// Receiver `dst` checkpointed its channel from `src` below `seq`.
 [[nodiscard]] std::vector<std::byte> encode_watermark(std::uint32_t src,
                                                       std::uint32_t dst,

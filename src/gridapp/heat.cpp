@@ -248,8 +248,12 @@ LocalCluster::LocalCluster(std::uint32_t ranks,
 LocalCluster::~LocalCluster() {
   // Stop the agents before the coordinator closes their control
   // connections, which they would otherwise hold their ranks through.
+  // Their last checkpoints land first, as a `mojc node` agent's do.
   coord_->shutdown_agents();
-  for (auto& agent : agents_) agent->stop();
+  for (auto& agent : agents_) {
+    agent->drain_checkpoints();
+    agent->stop();
+  }
   for (auto& proxy : proxies_) proxy->stop();
 }
 

@@ -88,13 +88,8 @@ PackResult pack_process(vm::Process& proc, MigrateLabel label,
   w.u8(static_cast<std::uint8_t>(kind));
 
   // Program text: FIR for the untrusted path, bytecode for the trusted one.
-  Writer pw;
-  if (kind == ImageKind::kFir) {
-    fir::write_program(pw, proc.program());
-  } else {
-    vm::serialize_compiled(pw, proc.vm().compiled());
-  }
-  const auto program_bytes = pw.take();
+  const std::vector<std::byte>& program_bytes =
+      proc.program_text(kind == ImageKind::kFir);
   w.str(kind == ImageKind::kFir ? proc.program().name
                                 : proc.vm().compiled().name);
   w.u32(static_cast<std::uint32_t>(program_bytes.size()));

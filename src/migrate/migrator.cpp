@@ -78,9 +78,19 @@ vm::MigrationHook::Action Migrator::on_migrate(
       case Protocol::kCkpt: {
         // Incremental checkpoint: unchanged chunks dedupe against what
         // this Migrator's store already wrote, so only the delta hits
-        // storage. Shared storage can hiccup (full NFS, transient EIO),
-        // so the put runs under the retry policy; chunk puts are
-        // idempotent by content address, so a repeated attempt is safe.
+        // storage.
+        if (ckpt_submit_) {
+          // The pack was the consistent cut; the writer does the rest
+          // while the process runs on.
+          ckpt_submit_(target.snapshot, std::move(packed.bytes));
+          event.success = true;
+          action = Action::kContinue;
+          break;
+        }
+        // Shared storage can hiccup (full NFS, transient EIO), so a put
+        // the Migrator waits for runs under the retry policy; chunk puts
+        // are idempotent by content address, so a repeated attempt is
+        // safe.
         net::Backoff backoff(retry_policy_, label + 1);
         while (true) {
           try {

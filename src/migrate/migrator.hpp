@@ -13,7 +13,10 @@
 //  * ckpt       — incremental checkpoint into the content-addressed chunk
 //                 store (src/ckpt): only chunks this Migrator's store has
 //                 not written before are written, so steady-state cost is
-//                 O(delta), not O(image); always continue running.
+//                 O(delta), not O(image); always continue running. With a
+//                 submit hook (set_ckpt_submit) the packed image goes to
+//                 the store's writer thread and the process continues at
+//                 once; without one the Migrator waits for the put.
 //
 // Checkpoint files are written atomically (temp file + rename) so a
 // resurrection daemon never sees a torn image — the role NFS played for
@@ -27,6 +30,7 @@
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,7 +57,8 @@ class Migrator final : public vm::MigrationHook {
     std::size_t image_bytes = 0;
     /// Bytes actually moved to storage/network. Equal to image_bytes for
     /// whole-image protocols; for ckpt:// targets only the chunks the
-    /// store did not already hold (the incremental delta).
+    /// store did not already hold (the incremental delta), and 0 when the
+    /// image was submitted (the writer has not written it yet).
     std::size_t bytes_written = 0;
     double pack_seconds = 0;
     double transfer_seconds = 0;
@@ -81,6 +86,15 @@ class Migrator final : public vm::MigrationHook {
 
   Migrator(const Migrator&) = delete;
   Migrator& operator=(const Migrator&) = delete;
+
+  /// Takes a packed ckpt:// image of `snapshot` off the process's thread
+  /// and returns at once; the hook decides which store's writer gets it
+  /// (a node agent: its own store, the one it restores ranks from).
+  using CkptSubmit = std::function<void(const std::string& snapshot,
+                                        std::vector<std::byte> image)>;
+  void set_ckpt_submit(CkptSubmit submit) {
+    ckpt_submit_ = std::move(submit);
+  }
 
   Action on_migrate(vm::Interpreter& vm, MigrateLabel label,
                     const std::string& target, FunIndex resume_fun,
@@ -110,6 +124,7 @@ class Migrator final : public vm::MigrationHook {
   /// dedups against it and its GC reclaims what later ones drop: a store
   /// instance does both only for chunks it wrote itself.
   std::shared_ptr<ckpt::CheckpointStore> ckpt_store_;
+  CkptSubmit ckpt_submit_;
 };
 
 /// Convenience for hosts: reconstruct and resume a process from a

@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
@@ -23,6 +24,8 @@ namespace mojave {
 class Writer {
  public:
   Writer() = default;
+  /// Append to `buf` (take() hands it back, grown).
+  explicit Writer(std::vector<std::byte> buf) : buf_(std::move(buf)) {}
 
   void u8(std::uint8_t v) { buf_.push_back(std::byte{v}); }
   void u16(std::uint16_t v) { put_le(v); }
@@ -48,6 +51,11 @@ class Writer {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
 
+  /// Room for `n` more bytes without reallocating. For a fresh writer
+  /// whose size is known up front: repeated calls defeat the vector's
+  /// geometric growth.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] std::span<const std::byte> view() const { return buf_; }
   [[nodiscard]] std::vector<std::byte> take() { return std::move(buf_); }
@@ -62,10 +70,15 @@ class Writer {
   }
 
  private:
+  /// One resize per value, then byte stores at fixed shifts: the
+  /// compiler folds them into a single little-endian store.
   template <typename T>
   void put_le(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::byte* p = buf_.data() + at;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(std::byte{static_cast<std::uint8_t>(v >> (8 * i))});
+      p[i] = std::byte{static_cast<std::uint8_t>(v >> (8 * i))};
     }
   }
 

@@ -468,8 +468,20 @@ SliceResult Interpreter::exec_slice(std::uint64_t max_insns) {
           if (hook_ == nullptr) {
             throw MigrateError("migrate instruction with no migration hook");
           }
+          block_requested_ = false;
           const auto action =
               hook_->on_migrate(*this, I.aux, target, callee, pending_args_);
+          if (block_requested_) {
+            // The hook must wait (a checkpoint still being written): park
+            // before the instruction, as a blocked external does.
+            block_requested_ = false;
+            --executed;
+            --op_class_counts_[I.cls];
+            resume_pc_ = pc;
+            mid_function_ = true;
+            return SliceResult{SliceResult::Status::kBlocked, 0,
+                               block_deadline_};
+          }
           if (action == MigrationHook::Action::kExit) {
             return SliceResult{SliceResult::Status::kMigratedAway, 0, 0};
           }

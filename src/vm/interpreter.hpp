@@ -103,7 +103,8 @@ class Interpreter final : public runtime::RootProvider {
   /// steady-clock wake-by time; 0 = wake on event only) passes or the
   /// event it waits for arrives. Externals that park must be idempotent
   /// up to the blocking point — re-execution is the resume mechanism,
-  /// exactly as for a native-tier deoptimization.
+  /// exactly as for a native-tier deoptimization. A MigrationHook may
+  /// block too: the migrate instruction is then re-executed.
   void block(double deadline_seconds) {
     block_requested_ = true;
     block_deadline_ = deadline_seconds;

@@ -1,6 +1,7 @@
 #include "vm/process.hpp"
 
 #include "fir/legalize.hpp"
+#include "fir/serialize.hpp"
 #include "fir/typecheck.hpp"
 #include "support/error.hpp"
 #include "vm/lowering.hpp"
@@ -41,6 +42,20 @@ const fir::Program& Process::program() const {
         "FIR migration is unavailable");
   }
   return *program_;
+}
+
+const std::vector<std::byte>& Process::program_text(bool fir) {
+  std::vector<std::byte>& text = program_text_[fir ? 0 : 1];
+  if (text.empty()) {
+    Writer w;
+    if (fir) {
+      fir::write_program(w, program());
+    } else {
+      serialize_compiled(w, vm_->compiled());
+    }
+    text = w.take();
+  }
+  return text;
 }
 
 }  // namespace mojave::vm

@@ -12,8 +12,10 @@
 //  * from precompiled bytecode — the trusted "binary" path, no FIR kept.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "fir/ir.hpp"
 #include "runtime/heap.hpp"
@@ -52,7 +54,15 @@ class Process {
 
   /// Attach the FIR a trusted unpack decoded alongside the bytecode, so a
   /// reconstructed process can itself migrate again via the FIR path.
-  void attach_fir(fir::Program program) { program_ = std::move(program); }
+  void attach_fir(fir::Program program) {
+    program_ = std::move(program);
+    program_text_[0].clear();
+  }
+
+  /// The program text an image carries: the serialized FIR (`fir`) or
+  /// bytecode. Serialized on first use and kept, since neither changes
+  /// while the process is hosted; every later checkpoint copies it.
+  [[nodiscard]] const std::vector<std::byte>& program_text(bool fir);
 
   /// Tie a migration hook's lifetime to this process (it is destroyed
   /// before the interpreter, so its detach-on-destruction stays safe).
@@ -69,6 +79,8 @@ class Process {
   runtime::Heap heap_;
   spec::SpeculationManager spec_;
   std::optional<fir::Program> program_;
+  /// program_text() per kind: [0] FIR, [1] bytecode; empty = not yet.
+  std::array<std::vector<std::byte>, 2> program_text_;
   std::unique_ptr<Interpreter> vm_;
   /// Declared after vm_ so hooks are destroyed first.
   std::vector<std::unique_ptr<MigrationHook>> owned_hooks_;

@@ -358,8 +358,13 @@ TEST(Grid, SurvivesNodeFailureWithResurrection) {
   cfg.nodes = 3;
   cfg.rows = 12;
   cfg.cols = 10;
-  cfg.steps = 60;
-  cfg.checkpoint_interval = 10;
+  // The kill lands when the victim's first checkpoint becomes visible,
+  // one writer batch after the rank took it. The interval must outlast
+  // that delay, also on a loaded host: otherwise every rank may have
+  // committed the next interval and parked for its ack (one checkpoint in
+  // flight), leaving nothing speculative for the kill to revert.
+  cfg.steps = 2000;
+  cfg.checkpoint_interval = 1000;
 
   const auto run = gridapp::run_heat(
       cfg, {}, [&](gridapp::LocalCluster& cl) {

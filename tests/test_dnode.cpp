@@ -266,6 +266,54 @@ TEST(DnodeWire, AnySingleFlippedByteIsRejected) {
   }
 }
 
+/// A RESEND frame carries every channel one agent asks another for.
+TEST(DnodeWire, ResendListRoundTrips) {
+  const std::vector<dnode::ResendEntry> entries = {
+      {0, 1, 1}, {2, 1, 7}, {0, 3, 0x0123456789abcdefull}, {4294967295u, 5, 9}};
+  const auto m = dnode::decode(dnode::encode_resend(3, entries));
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->type, dnode::MsgType::kResend);
+  EXPECT_EQ(m->agent, 3u);
+  EXPECT_EQ(m->resends, entries);
+
+  const auto empty = dnode::decode(dnode::encode_resend(1, {}));
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->resends.empty());
+
+  // A count larger than the body holds is corrupt, not an allocation.
+  auto frame = dnode::encode_resend(3, entries);
+  frame.resize(frame.size() - 8);  // drop the checksum
+  Writer count;
+  count.u32(1000000);
+  std::copy(count.view().begin(), count.view().end(), frame.begin() + 9);
+  Writer sum;
+  sum.u64(xxh64(frame));
+  frame.insert(frame.end(), sum.view().begin(), sum.view().end());
+  EXPECT_FALSE(dnode::decode(frame).has_value());
+}
+
+/// A frame from a DNO4 build (one channel per RESEND) is dropped and
+/// named, not misread as a list.
+TEST(DnodeWire, Dno4FramesAreRejectedByName) {
+  std::vector<std::string> errors;
+  Logger::instance().set_sink(
+      [&](LogLevel level, const std::string&, const std::string& msg) {
+        if (level == LogLevel::kError) errors.push_back(msg);
+      });
+  auto frame = dnode::encode_resend(1, {{2, 3, 4}});
+  frame.resize(frame.size() - 8);
+  Writer head;
+  head.u32(0x344f4e44);  // "DNO4"
+  std::copy(head.view().begin(), head.view().end(), frame.begin());
+  Writer sum;
+  sum.u64(xxh64(frame));
+  frame.insert(frame.end(), sum.view().begin(), sum.view().end());
+  EXPECT_FALSE(dnode::decode(frame).has_value());
+  Logger::instance().set_sink(nullptr);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("DNO4"), std::string::npos) << errors[0];
+}
+
 /// A DATA body shorter than its header is corrupt even under a valid
 /// checksum: the receiving agent reads that header on its event loop.
 TEST(DnodeWire, DataShorterThanItsHeaderIsRejected) {
@@ -752,6 +800,44 @@ TEST(DnodeChannel, HeatSurvivesDataLinkResetBitExact) {
   // Two halos per inner border per step, each read once.
   EXPECT_EQ(counter("dspec.payloads_consumed") - consumed,
             2u * (hcfg.nodes - 1) * hcfg.steps);
+}
+
+/// A dropped data link costs one RESEND frame per direction however many
+/// ranks each agent hosts: the frame lists every (sender, receiver)
+/// channel between the two agents. With four ranks per agent that is 16
+/// channels in one frame, where one frame per channel would be 16 frames.
+TEST(DnodeCluster, DroppedLinkAsksWithOneResendFramePerDirection) {
+  gridapp::HeatConfig hcfg;
+  hcfg.nodes = 8;
+  hcfg.rows = 32;
+  hcfg.cols = 12;
+  hcfg.steps = 30;
+  hcfg.checkpoint_interval = 0;
+  const TempDir storage("mojave_dnode_resend_list_");
+  dnode::AgentConfig acfg;
+  acfg.storage_root = storage.path();
+  dnode::NodeAgent a0(acfg), a1(acfg);
+  net::WireFaults faults;
+  faults.reset_conn = 2;  // agent 0's data link; #1 is the coordinator's
+  faults.reset_after_bytes = 6000;
+  net::WireChaosProxy proxy("127.0.0.1", a1.port(), faults);
+
+  const std::uint64_t frames = counter("dspec.resend_frames");
+  const std::uint64_t requests = counter("dspec.replay_requests");
+  const std::uint64_t links = counter("node.links_lost");
+  dnode::Coordinator coord(coord_config({a0.port(), proxy.port()}, 8));
+  coord.launch_spmd(gridapp::heat_program(hcfg));
+  ASSERT_TRUE(coord.wait_all(60.0)) << "heat run timed out";
+  expect_sums_match(coord, hcfg);
+  coord.shutdown_agents();
+  EXPECT_EQ(proxy.stats().resets, 1u) << "the data link never reset";
+
+  const std::uint64_t lost = counter("node.links_lost") - links;
+  EXPECT_GE(lost, 2u) << "each side sees the drop";
+  EXPECT_EQ(counter("dspec.resend_frames") - frames, lost)
+      << "one RESEND frame per link event";
+  EXPECT_EQ(counter("dspec.replay_requests") - requests, 16u * lost)
+      << "each frame lists every channel from the other agent";
 }
 
 /// An agent runs at most one incarnation of a rank: a RESURRECT for a

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "fir/builder.hpp"
+#include "fir/serialize.hpp"
 #include "migrate/image.hpp"
 #include "migrate/migrator.hpp"
 #include "migrate/protocols.hpp"
@@ -174,6 +175,78 @@ TEST(Migrate, SuspendProtocolTerminatesAndResumes) {
     img = migrate::Migrator::read_image_file(file);
   }
   EXPECT_EQ(final_code, kSum1To10);
+}
+
+/// Packs the process twice at its first migrate instruction and keeps
+/// both images; every migrate continues.
+class PackTwice final : public vm::MigrationHook {
+ public:
+  PackTwice(vm::Process& proc, migrate::ImageKind kind)
+      : proc_(proc), kind_(kind) {
+    proc_.vm().set_migration_hook(this);
+  }
+  ~PackTwice() override { proc_.vm().set_migration_hook(nullptr); }
+
+  Action on_migrate(vm::Interpreter&, MigrateLabel label, const std::string&,
+                    FunIndex resume_fun,
+                    std::span<const Value> resume_args) override {
+    while (images.size() < 2) {
+      images.push_back(
+          migrate::pack_process(proc_, label, resume_fun, resume_args, kind_)
+              .bytes);
+    }
+    return Action::kContinue;
+  }
+
+  std::vector<std::vector<std::byte>> images;
+
+ private:
+  vm::Process& proc_;
+  migrate::ImageKind kind_;
+};
+
+/// The program section of an image: magic, version, kind, name, then the
+/// length-prefixed program text.
+std::vector<std::byte> program_section(std::span<const std::byte> image) {
+  Reader r(image);
+  (void)r.bytes(4 + 4 + 1);
+  (void)r.str();
+  const std::uint32_t n = r.u32();
+  const auto text = r.bytes(n);
+  return {text.begin(), text.end()};
+}
+
+/// pack_process serializes the program text once per process and copies
+/// it into every later image: the cached bytes equal a fresh
+/// serialization byte for byte, and the image still unpacks and resumes.
+TEST(Migrate, CachedProgramTextMatchesAFreshSerialization) {
+  for (const auto kind :
+       {migrate::ImageKind::kFir, migrate::ImageKind::kBinary}) {
+    const bool fir = kind == migrate::ImageKind::kFir;
+    vm::Process p(make_counter_program("checkpoint://unused", 4));
+    Writer fresh;
+    if (fir) {
+      fir::write_program(fresh, p.program());
+    } else {
+      vm::serialize_compiled(fresh, p.vm().compiled());
+    }
+    PackTwice hook(p, kind);
+    EXPECT_EQ(p.run().exit_code, kSum1To10);
+    ASSERT_EQ(hook.images.size(), 2u);
+    const std::vector<std::byte> want(fresh.view().begin(),
+                                      fresh.view().end());
+    EXPECT_EQ(program_section(hook.images[0]), want);
+    EXPECT_EQ(program_section(hook.images[1]), want);
+    EXPECT_EQ(&p.program_text(fir), &p.program_text(fir))
+        << "the text is kept, not rebuilt";
+
+    auto unpacked = migrate::unpack_process(hook.images[1]);
+    PackTwice again(*unpacked.process, kind);
+    const auto r = unpacked.process->resume(unpacked.resume_fun,
+                                            std::move(unpacked.resume_args));
+    EXPECT_EQ(r.kind, vm::RunResult::Kind::kHalted);
+    EXPECT_EQ(r.exit_code, kSum1To10);
+  }
 }
 
 TEST(Migrate, BinaryImageRoundTrip) {

@@ -9,6 +9,7 @@
 #include "fir/printer.hpp"
 #include "fir/serialize.hpp"
 #include "fir/typecheck.hpp"
+#include "runtime/value_codec.hpp"
 #include "support/rng.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/lowering.hpp"
@@ -51,6 +52,61 @@ Program sample_program() {
                {Atom::integer(0), fb.arg(1)});
   }
   return pb.take("main");
+}
+
+std::vector<std::byte> bytes_of(std::initializer_list<int> v) {
+  std::vector<std::byte> out;
+  for (const int b : v) out.push_back(static_cast<std::byte>(b));
+  return out;
+}
+
+/// The canonical byte order, pinned against hand-written vectors: every
+/// image, manifest and wire frame depends on it.
+TEST(Serialize, WriterEmitsCanonicalLittleEndianBytes) {
+  const auto take = [](auto&& fill) {
+    Writer w;
+    fill(w);
+    return w.take();
+  };
+  EXPECT_EQ(take([](Writer& w) { w.u16(0x1234); }), bytes_of({0x34, 0x12}));
+  EXPECT_EQ(take([](Writer& w) { w.u32(0x89abcdefu); }),
+            bytes_of({0xef, 0xcd, 0xab, 0x89}));
+  EXPECT_EQ(take([](Writer& w) { w.u64(0x0123456789abcdefull); }),
+            bytes_of({0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01}));
+  EXPECT_EQ(take([](Writer& w) { w.i64(-2); }),
+            bytes_of({0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}));
+  EXPECT_EQ(take([](Writer& w) { w.i32(-3); }),
+            bytes_of({0xfd, 0xff, 0xff, 0xff}));
+  EXPECT_EQ(take([](Writer& w) { w.f64(1.5); }),  // 0x3ff8000000000000
+            bytes_of({0, 0, 0, 0, 0, 0, 0xf8, 0x3f}));
+  EXPECT_EQ(take([](Writer& w) {
+              runtime::write_value(w, runtime::Value::from_int(-2));
+            }),
+            bytes_of({1, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}));
+  EXPECT_EQ(take([](Writer& w) {
+              runtime::write_value(w, runtime::Value::from_float(-0.25));
+            }),  // 0xbfd0000000000000
+            bytes_of({2, 0, 0, 0, 0, 0, 0, 0xd0, 0xbf}));
+  EXPECT_EQ(take([](Writer& w) {
+              runtime::write_value(w, runtime::Value::from_ptr(0x0102, 7));
+            }),
+            bytes_of({3, 0x02, 0x01, 0, 0, 7, 0, 0, 0}));
+  // Mixed widths back to back, after a reserve, land in order.
+  EXPECT_EQ(take([](Writer& w) {
+              w.reserve(64);
+              w.u8(0xaa);
+              w.u16(0x0201);
+              w.u32(0x06050403);
+              w.patch_u32(1, 0x0d0c0b0a);
+            }),
+            bytes_of({0xaa, 0x0a, 0x0b, 0x0c, 0x0d, 0x05, 0x06}));
+  Writer w;
+  w.u64(0x1122334455667788ull);
+  w.f64(-0.25);
+  Reader r(w.view());
+  EXPECT_EQ(r.u64(), 0x1122334455667788ull);
+  EXPECT_EQ(r.f64(), -0.25);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Serialize, ProgramRoundTripIsExact) {
