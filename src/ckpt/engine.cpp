@@ -255,9 +255,31 @@ void ChunkEngine::write_pending_locked() {
     const ssize_t n = ::write(active_fd_, buf.data() + off, buf.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
+      retire_active_locked();
       throw ImageError("extent append failed");
     }
     off += static_cast<std::size_t>(n);
+  }
+}
+
+void ChunkEngine::retire_active_locked() {
+  // The index and the cache name records that never reached the file.
+  // Close the extent, so the next append starts a new one, and rebuild
+  // both from what the extents hold; a lost tombstone leaves its chunk
+  // orphaned, as a crash would.
+  ::close(active_fd_);
+  active_fd_ = -1;
+  dirty_ = false;
+  ++lost_writes_;
+  index_.clear();
+  tombs_.clear();
+  cache_lru_.clear();
+  cache_map_.clear();
+  cache_used_ = 0;
+  for (std::uint32_t id = 0; id < extents_.size(); ++id) {
+    Extent& e = extents_[id];
+    e.scanned = e.live_stored = e.dead_stored = 0;
+    if (!e.path.empty()) scan_extent_locked(id);
   }
 }
 

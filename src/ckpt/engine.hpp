@@ -140,6 +140,14 @@ class ChunkEngine {
   /// tombstones: a lost one only leaves a chunk orphaned).
   void write_out();
 
+  /// Failed extent writes so far. Each one lost every record buffered
+  /// since the last write, so a caller that buffered a batch compares
+  /// this before and after to learn whether its records survived.
+  [[nodiscard]] std::uint64_t lost_writes() {
+    std::lock_guard lock(mu_);
+    return lost_writes_;
+  }
+
   /// Rewrite live records out of dead-heavy extents and delete the husks.
   /// Without `force`, only this instance's own extents whose dead
   /// fraction reached `compact_min_dead_ratio` (cheap when none has; run
@@ -196,6 +204,9 @@ class ChunkEngine {
                             std::span<const std::byte> stored,
                             std::uint8_t codec);
   void write_pending_locked();
+  /// A write of pending_ failed: close the active extent and rebuild the
+  /// index from the extent files.
+  void retire_active_locked();
   /// write_pending_locked(), then fsync the active extent if it is dirty.
   void sync_locked();
   void refresh_locked();                    ///< rescan foreign extents
@@ -234,6 +245,7 @@ class ChunkEngine {
   /// Records appended to the active extent but not yet written to it;
   /// active_bytes_ and the index already count them.
   std::vector<std::byte> pending_;
+  std::uint64_t lost_writes_ = 0;
 
   // LRU block cache: list front = most recent; map points into the list.
   struct CacheSlot {

@@ -13,6 +13,7 @@
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/log.hpp"
 #include "support/serialize.hpp"
 #include "support/stopwatch.hpp"
 
@@ -327,6 +328,7 @@ std::vector<CheckpointResult> CheckpointStore::put_batch(
   }
 
   // 1. Chunks, in submit order: each job's companion, then its image.
+  const std::uint64_t lost_writes = engine_->lost_writes();
   std::vector<Staged> staged;
   const auto stage = [&](std::size_t j, bool companion,
                          const std::string& snapshot, std::uint64_t seq,
@@ -358,10 +360,15 @@ std::vector<CheckpointResult> CheckpointStore::put_batch(
   }
 
   // 2. One fsync for the whole batch: every chunk a manifest below
-  // references is durable before the first rename makes it reachable.
+  // references is durable before the first rename makes it reachable. A
+  // write that failed while staging lost the records buffered before it,
+  // also those of jobs staged earlier: none of the batch publishes.
   try {
     obs::ScopedSpan flush_span("ckpt", "flush");
     engine_->flush();
+    if (engine_->lost_writes() != lost_writes) {
+      throw ImageError("extent append failed: the batch's chunks were lost");
+    }
   } catch (...) {
     GcStats undo;
     for (Staged& st : staged) {
@@ -429,14 +436,20 @@ std::vector<CheckpointResult> CheckpointStore::put_batch(
     if (!st.companion) res.image = stats;
   }
 
-  if (opts_.auto_gc) {
-    // Rewrites own extents whose dead fraction crossed the threshold;
-    // a check of per-extent counters when none has.
-    engine_->compact(/*force=*/false);
-    m.chunks_evicted.inc(gc.chunks_evicted);
-    m.manifests_pruned.inc(gc.manifests_pruned);
+  // The manifests are out: what fails from here leaves them published,
+  // and their jobs ok.
+  try {
+    if (opts_.auto_gc) {
+      // Rewrites own extents whose dead fraction crossed the threshold;
+      // a check of per-extent counters when none has.
+      engine_->compact(/*force=*/false);
+      m.chunks_evicted.inc(gc.chunks_evicted);
+      m.manifests_pruned.inc(gc.manifests_pruned);
+    }
+    engine_->write_out();  // tombstones: no fsync needed
+  } catch (const std::exception& e) {
+    MOJAVE_LOG(kWarn, "ckpt") << "after publishing a batch: " << e.what();
   }
-  engine_->write_out();  // tombstones: no fsync needed
 
   // Each put is charged its own chunking plus an equal share of the
   // batch's common work, so ckpt.put_us sums to the writer's busy time.

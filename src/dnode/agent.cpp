@@ -120,8 +120,9 @@ std::string send_log_snapshot(std::uint32_t rank) {
 }
 
 constexpr std::uint32_t kSendLogMagic = 0x474c534d;  // "MSLG"
-/// Version 1 was the unversioned whole-history (dst, tag) log.
-constexpr std::uint32_t kSendLogVersion = 2;
+/// Version 1 was the unversioned whole-history (dst, tag) log; version 2
+/// logged no LANDED entries.
+constexpr std::uint32_t kSendLogVersion = 3;
 
 }  // namespace
 
@@ -156,6 +157,9 @@ struct NodeAgent::RankSlot {
   bool ckpt_in_flight = false;  ///< submitted, not yet acked
   bool ckpt_landed = false;     ///< the last acked checkpoint was published
   bool ckpt_waiting = false;    ///< parked at a migrate until the ack
+  /// A checkpoint of this rank exists, or is on its way: a restore may
+  /// take it back to before its latest commits.
+  bool checkpointed = false;
   /// A rank that ends with a checkpoint in flight reports its result only
   /// once that checkpoint landed: a kill after its RESULT must still find
   /// it in the store.
@@ -921,12 +925,14 @@ void NodeAgent::submit_checkpoint(RankSlot& slot, const std::string& snapshot,
     return w.take();
   };
   job.done = [this, rank = slot.rank, id = slot.id,
-              marks = mail_[slot.rank].watermarks()](
+              marks = mail_[slot.rank].watermarks(),
+              commits = slot.out.uncovered()](
                  const ckpt::CheckpointResult& r) mutable {
     post_ack(CkptAck{rank, id, r.ok(), r.ok() ? "" : describe(r.error),
-                     std::move(marks)});
+                     std::move(marks), std::move(commits)});
   };
   slot.ckpt_in_flight = true;
+  slot.checkpointed = true;
   store_->submit(std::move(job));
 }
 
@@ -951,9 +957,11 @@ void NodeAgent::handle_acks() {
     slot->ckpt_landed = a.ok;
     if (a.ok) {
       checkpoint_landed(*slot, std::move(a.marks));
+      transmit(*slot, slot->out.landed(a.commits));
     } else {
-      // The rank keeps running and its senders keep their logs: the
-      // next checkpoint is the retry.
+      // The rank keeps running, its senders keep their logs and its
+      // receivers wait for its COMMITs to count: the next checkpoint is
+      // the retry.
       MOJAVE_LOG(kWarn, "dnode") << "rank " << a.rank
                                  << " checkpoint failed: " << a.error;
     }
@@ -1209,7 +1217,12 @@ void NodeAgent::register_externals(vm::Process& proc, RankSlot& slot) {
     const bool level_zero = proc.spec().current_level() == 0;
     const std::uint64_t durable_below =
         level_zero ? ~std::uint64_t{0} : proc.spec().level_id(1);
+    // The receivers count the COMMITs once the checkpoint after them
+    // landed; a rank with no checkpoint cannot go back past them.
     transmit(slot, slot.out.commit(durable_below, level_zero));
+    if (!slot.checkpointed) {
+      transmit(slot, slot.out.landed(slot.out.uncovered()));
+    }
     mail_[slot.rank].commit(durable_below);
     if (level_zero) slot.sent_hashes.clear();
   });
@@ -1271,7 +1284,11 @@ void NodeAgent::finish_rank(RankSlot& slot, int result_kind,
   res.has_reported = slot.has_reported.load();
   res.reported = slot.reported.load();
   slot.last_result = encode_result(slot.rank, res);
-  if (!stopping_.load()) send_to_coordinator(slot.last_result);
+  if (!stopping_.load()) {
+    // No checkpoint follows the last commits: they count now.
+    transmit(slot, slot.out.landed(slot.out.uncovered()));
+    send_to_coordinator(slot.last_result);
+  }
   slot.done.store(true);
 }
 
@@ -1279,9 +1296,11 @@ void NodeAgent::attach_hooks(RankSlot& slot) {
   slot.migrator = std::make_unique<migrate::Migrator>(*slot.process);
   // Every ckpt:// checkpoint of a rank goes to this agent's store: it is
   // the one RESURRECT restores ranks from.
-  slot.migrator->set_ckpt_submit(
-      [this, &slot](const std::string& snapshot, std::vector<std::byte> image) {
+  slot.migrator->set_ckpt_sink(
+      [this, &slot](const std::filesystem::path&, const std::string& snapshot,
+                    std::vector<std::byte> image) {
         submit_checkpoint(slot, snapshot, std::move(image));
+        return std::size_t{0};
       });
   slot.hook = std::make_unique<RankHook>(*this, slot);
 }
@@ -1347,6 +1366,7 @@ void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t incarnation) {
   auto slot = std::make_unique<RankSlot>();
   slot->rank = rank;
   slot->id = next_slot_id_++;
+  slot->checkpointed = true;
   slot->out.start(incarnation, true);
   RankSlot* sp = slot.get();
   try {

@@ -131,6 +131,8 @@ class NodeAgent {
     std::string error;
     /// The rank's inbox watermarks when the checkpoint was taken.
     std::vector<std::pair<std::uint32_t, std::uint64_t>> marks;
+    /// The COMMITs the checkpoint covers.
+    Outbox::Commits commits;
   };
   struct Placement {
     std::uint32_t agent = 0;

@@ -75,7 +75,29 @@ Outbox::Sent Outbox::commit(std::uint64_t durable_below, bool level_zero) {
   for (auto& [dst, c] : ch_) {
     if (c.spec_sent == 0) continue;
     append(dst, c, ChannelOp::kCommit, 0, durable_below, 0, {}, out);
+    c.last_commit = c.next_seq - 1;
     if (level_zero) c.spec_sent = 0;
+  }
+  return out;
+}
+
+Outbox::Commits Outbox::uncovered() const {
+  Commits out;
+  for (const auto& [dst, c] : ch_) {
+    if (c.last_commit != 0 && c.last_commit >= c.landed_below) {
+      out.emplace_back(dst, c.last_commit);
+    }
+  }
+  return out;
+}
+
+Outbox::Sent Outbox::landed(const Commits& commits) {
+  Sent out;
+  for (const auto& [dst, seq] : commits) {
+    Channel& c = ch_[dst];
+    if (seq < c.landed_below) continue;
+    c.landed_below = seq + 1;
+    append(dst, c, ChannelOp::kLanded, 0, c.landed_below, 0, {}, out);
   }
   return out;
 }
@@ -83,10 +105,11 @@ Outbox::Sent Outbox::commit(std::uint64_t durable_below, bool level_zero) {
 Outbox::Sent Outbox::from(std::uint32_t dst, Channel& c, std::uint64_t seq) {
   Sent out;
   for (const Entry& e : c.log) {
-    // This incarnation's RESTART always goes: a receiver past its seq
-    // still needs it to accept what follows.
-    if (e.h.seq >= seq || (e.op == ChannelOp::kRestart &&
-                           e.h.incarnation == incarnation_)) {
+    // Every RESTART goes: a receiver past its seq still needs it to
+    // accept what follows. That holds for an older incarnation's too: a
+    // receiver restored from a checkpoint that outran this sender's may
+    // have applied entries a dead incarnation numbered past it.
+    if (e.h.seq >= seq || e.op == ChannelOp::kRestart) {
       out.emplace_back(dst, &e);
     }
   }
@@ -118,8 +141,10 @@ Outbox::Sent Outbox::take_deferred(std::uint32_t dst) {
 }
 
 void Outbox::truncate(std::uint32_t dst, std::uint64_t seq) {
-  std::deque<Entry>& log = ch_[dst].log;
-  while (!log.empty() && log.front().h.seq < seq) log.pop_front();
+  // RESTARTs stay, one per incarnation: resend() always sends them.
+  std::erase_if(ch_[dst].log, [&](const Entry& e) {
+    return e.h.seq < seq && e.op != ChannelOp::kRestart;
+  });
 }
 
 void Outbox::encode(Writer& w) const {
@@ -155,7 +180,13 @@ Inbox::Applied Inbox::receive(std::uint32_t src, Entry e) {
     auto node = c.early.extract(c.early.begin());
     accept(c, std::move(node.mapped()), out);
   }
-  if (c.early.empty() && c.wanted.empty()) c.resend_pending = false;
+  if (c.early.empty() && c.wanted.empty()) {
+    c.resend_pending = false;
+  } else if (!c.early.empty() && !c.resend_pending) {
+    // A RESTART renumbered the channel under what was held early.
+    c.resend_pending = true;
+    out.gap = true;
+  }
   return out;
 }
 
@@ -214,21 +245,24 @@ void Inbox::apply(Channel& c, Entry e, Applied& out) {
       });
       break;
     case ChannelOp::kCommit:
-      for (Held& h : c.held) {
-        if (h.e.h.incarnation == e.h.incarnation &&
-            h.e.h.spec_id < e.h.spec_id) {
-          h.e.h.spec_id = 0;
-        }
+      c.commits.push_back(std::move(e));
+      break;
+    case ChannelOp::kLanded:
+      while (!c.commits.empty() && c.commits.front().h.seq < e.h.spec_id) {
+        make_durable(c, c.commits.front());
+        c.commits.pop_front();
       }
-      std::erase_if(c.held, [](const Held& h) {
-        return h.consumed && h.under == 0 && h.e.h.spec_id == 0;
-      });
       break;
     case ChannelOp::kRestart:
       // The new incarnation resumed from the checkpoint that numbered
       // this seq: whatever its predecessor sent from here on is void. A
       // speculative payload of it that was consumed poisons; a durable
-      // one is re-sent by the new incarnation's re-execution.
+      // one is re-sent by the new incarnation's re-execution. That
+      // checkpoint landed, so the COMMITs it covers count.
+      for (const Entry& k : c.commits) {
+        if (k.h.seq < s) make_durable(c, k);
+      }
+      c.commits.clear();
       drop([&](const Held& h) { return h.e.h.seq >= s; });
       c.wanted.erase(c.wanted.lower_bound(s), c.wanted.end());
       std::erase_if(c.early, [&](const auto& kv) {
@@ -237,8 +271,21 @@ void Inbox::apply(Channel& c, Entry e, Applied& out) {
       c.inc = e.h.incarnation;
       c.cut = s;
       c.next = s + 1;
+      c.resend_pending = false;  // asked under the old numbering
       break;
   }
+}
+
+void Inbox::make_durable(Channel& c, const Entry& k) {
+  for (Held& h : c.held) {
+    if (h.e.h.incarnation == k.h.incarnation && h.e.h.seq < k.h.seq &&
+        h.e.h.spec_id < k.h.spec_id) {
+      h.e.h.spec_id = 0;
+    }
+  }
+  std::erase_if(c.held, [](const Held& h) {
+    return h.consumed && h.under == 0 && h.e.h.spec_id == 0;
+  });
 }
 
 std::optional<std::vector<std::byte>> Inbox::consume(std::uint32_t src,
@@ -287,8 +334,8 @@ bool Inbox::kill(std::uint32_t src) {
   bool poison = false;
   std::erase_if(c.held, [&](const Held& h) {
     if (h.e.h.spec_id == 0) return false;
-    // Void, unless its COMMIT was still in flight: the next incarnation
-    // re-sends it from its checkpointed log when asked.
+    // Void, unless its sender's checkpoint covers it after all: the next
+    // incarnation re-sends it from its checkpointed log when asked.
     c.wanted.insert(h.e.h.seq);
     poison = poison || h.consumed;
     return true;

@@ -55,13 +55,21 @@ class Outbox {
   /// `durable_below` durable: a COMMIT on every channel with speculative
   /// payloads since the last one. `level_zero`: no speculation is left.
   Sent commit(std::uint64_t durable_below, bool level_zero);
-  /// Logged entries to `dst` from `seq` on.
+  /// (dst, seq of the newest COMMIT to it that no LANDED covers yet).
+  using Commits = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  /// The COMMITs a checkpoint packed now covers.
+  [[nodiscard]] Commits uncovered() const;
+  /// The checkpoint that covered `commits` landed: a LANDED behind them
+  /// on their channels, from which on the receivers count them.
+  Sent landed(const Commits& commits);
+  /// Logged entries to `dst` from `seq` on, and every logged RESTART.
   Sent resend(std::uint32_t dst, std::uint64_t seq);
   /// Remember that entry `seq` to `dst` could not be transmitted.
   void defer(std::uint32_t dst, std::uint64_t seq);
   /// The logged entries deferred since the last call, for `dst`.
   Sent take_deferred(std::uint32_t dst);
-  /// `dst` checkpointed every entry below `seq`: forget them.
+  /// `dst` checkpointed every entry below `seq`: forget them (but the
+  /// RESTARTs).
   void truncate(std::uint32_t dst, std::uint64_t seq);
 
   void encode(Writer& w) const;
@@ -75,6 +83,8 @@ class Outbox {
     std::uint64_t spec_sent = 0;  ///< newest spec id sent since a commit
     std::uint64_t deferred = 0;   ///< first untransmitted seq; 0 = none
     bool restarted = false;
+    std::uint64_t last_commit = 0;   ///< seq of the newest COMMIT
+    std::uint64_t landed_below = 0;  ///< a LANDED covers COMMITs below
   };
   void append(std::uint32_t dst, Channel& c, ChannelOp op, std::int32_t tag,
               std::uint64_t spec_id, std::uint32_t count,
@@ -106,7 +116,9 @@ class Inbox {
   /// that id or deeper is queued again.
   void rollback(std::uint64_t spec_id);
   /// This rank committed to zero: consumptions under ids below
-  /// `durable_below` are permanent.
+  /// `durable_below` are permanent. (A sender's COMMIT counts only once
+  /// its LANDED, or a RESTART past it, arrives: the sender may still
+  /// restore from a checkpoint before it until then.)
   void commit(std::uint64_t durable_below);
   /// Sender `src` was lost: its non-durable entries are void and asked
   /// for again. True when one of them had been consumed (poison).
@@ -139,8 +151,12 @@ class Inbox {
     std::set<std::uint64_t> wanted;      ///< seqs below next to accept again
     std::map<std::uint64_t, Entry> early;  ///< arrived ahead of a gap
     std::deque<Held> held;  ///< applied payloads not durable on both sides
+    /// Applied COMMITs waiting for their LANDED.
+    std::deque<Entry> commits;
     bool resend_pending = false;
   };
+  /// COMMIT `k` counts: what it covers is durable.
+  static void make_durable(Channel& c, const Entry& k);
   [[nodiscard]] static bool needs_restart(const Channel& c, const Entry& e);
   void accept(Channel& c, Entry e, Applied& out);
   void apply(Channel& c, Entry e, Applied& out);

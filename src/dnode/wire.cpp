@@ -327,7 +327,7 @@ std::optional<Msg> decode(std::span<const std::byte> frame) {
         m.src = r.u32();
         m.dst = r.u32();
         m.op = static_cast<ChannelOp>(r.u8());
-        if (m.op == ChannelOp::kData || m.op > ChannelOp::kRestart) {
+        if (m.op == ChannelOp::kData || m.op > ChannelOp::kLanded) {
           return std::nullopt;
         }
         m.incarnation = r.u64();

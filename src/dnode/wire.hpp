@@ -95,6 +95,9 @@ enum class ChannelOp : std::uint8_t {
   kRollback,  ///< payloads with spec id >= DataHeader::spec_id are void
   kCommit,    ///< payloads with spec id < DataHeader::spec_id are durable
   kRestart,   ///< a new incarnation continues the channel at this seq
+  /// The sender's checkpoint after its COMMITs below seq
+  /// DataHeader::spec_id landed: only now do they count.
+  kLanded,
 };
 
 /// One rank's answer to RE_ADOPT: what the agent is actually running.

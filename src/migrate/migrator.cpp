@@ -39,6 +39,18 @@ struct MigrateMetrics {
 
 }  // namespace
 
+Migrator::Migrator(vm::Process& process)
+    : process_(process),
+      retry_policy_(net::RetryPolicy::process_defaults()),
+      ckpt_sink_([this](const std::filesystem::path& store_root,
+                        const std::string& snapshot,
+                        std::vector<std::byte> image) {
+        ckpt_store_ = ckpt::CheckpointStore::open_shared(store_root);
+        return ckpt_store_->put(snapshot, image).bytes_written;
+      }) {
+  process_.vm().set_migration_hook(this);
+}
+
 vm::MigrationHook::Action Migrator::on_migrate(
     vm::Interpreter& vm, MigrateLabel label, const std::string& target_str,
     FunIndex resume_fun, std::span<const runtime::Value> resume_args) {
@@ -75,42 +87,14 @@ vm::MigrationHook::Action Migrator::on_migrate(
         event.bytes_written = packed.bytes.size();
         action = Action::kContinue;  // keep running after a checkpoint
         break;
-      case Protocol::kCkpt: {
+      case Protocol::kCkpt:
         // Incremental checkpoint: unchanged chunks dedupe against what
-        // this Migrator's store already wrote, so only the delta hits
-        // storage.
-        if (ckpt_submit_) {
-          // The pack was the consistent cut; the writer does the rest
-          // while the process runs on.
-          ckpt_submit_(target.snapshot, std::move(packed.bytes));
-          event.success = true;
-          action = Action::kContinue;
-          break;
-        }
-        // Shared storage can hiccup (full NFS, transient EIO), so a put
-        // the Migrator waits for runs under the retry policy; chunk puts
-        // are idempotent by content address, so a repeated attempt is
-        // safe.
-        net::Backoff backoff(retry_policy_, label + 1);
-        while (true) {
-          try {
-            ckpt_store_ = ckpt::CheckpointStore::open_shared(target.path);
-            const ckpt::PutStats put =
-                ckpt_store_->put(target.snapshot, packed.bytes);
-            event.bytes_written = put.bytes_written;
-            break;
-          } catch (const Error& e) {
-            if (!backoff.retry_after_failure()) throw;
-            MigrateMetrics::get().retries.inc();
-            MOJAVE_LOG(kWarn, "migrate")
-                << "ckpt put retry " << backoff.attempts() << ": " << e.what();
-          }
-        }
-        event.attempts = backoff.attempts();
+        // the store already wrote, so only the delta hits storage.
+        event.bytes_written = ckpt_sink_(target.path, target.snapshot,
+                                         std::move(packed.bytes));
         event.success = true;
         action = Action::kContinue;
         break;
-      }
       case Protocol::kSuspend:
         write_image_file(target.path, packed.bytes);
         event.success = true;

@@ -13,10 +13,10 @@
 //  * ckpt       — incremental checkpoint into the content-addressed chunk
 //                 store (src/ckpt): only chunks this Migrator's store has
 //                 not written before are written, so steady-state cost is
-//                 O(delta), not O(image); always continue running. With a
-//                 submit hook (set_ckpt_submit) the packed image goes to
-//                 the store's writer thread and the process continues at
-//                 once; without one the Migrator waits for the put.
+//                 O(delta), not O(image); always continue running. The
+//                 packed image goes to the ckpt sink (set_ckpt_sink):
+//                 by default a put that waits for the store's writer, in
+//                 a node agent a hand-off that returns at once.
 //
 // Checkpoint files are written atomically (temp file + rename) so a
 // resurrection daemon never sees a torn image — the role NFS played for
@@ -58,7 +58,7 @@ class Migrator final : public vm::MigrationHook {
     /// Bytes actually moved to storage/network. Equal to image_bytes for
     /// whole-image protocols; for ckpt:// targets only the chunks the
     /// store did not already hold (the incremental delta), and 0 when the
-    /// image was submitted (the writer has not written it yet).
+    /// sink handed the image off (the writer has not written it yet).
     std::size_t bytes_written = 0;
     double pack_seconds = 0;
     double transfer_seconds = 0;
@@ -68,11 +68,7 @@ class Migrator final : public vm::MigrationHook {
     std::uint64_t migration_id = 0;
   };
 
-  explicit Migrator(vm::Process& process)
-      : process_(process),
-        retry_policy_(net::RetryPolicy::process_defaults()) {
-    process_.vm().set_migration_hook(this);
-  }
+  explicit Migrator(vm::Process& process);
   ~Migrator() override { process_.vm().set_migration_hook(nullptr); }
 
   /// Override the transport retry policy (defaults to the process-wide
@@ -87,14 +83,16 @@ class Migrator final : public vm::MigrationHook {
   Migrator(const Migrator&) = delete;
   Migrator& operator=(const Migrator&) = delete;
 
-  /// Takes a packed ckpt:// image of `snapshot` off the process's thread
-  /// and returns at once; the hook decides which store's writer gets it
-  /// (a node agent: its own store, the one it restores ranks from).
-  using CkptSubmit = std::function<void(const std::string& snapshot,
-                                        std::vector<std::byte> image)>;
-  void set_ckpt_submit(CkptSubmit submit) {
-    ckpt_submit_ = std::move(submit);
-  }
+  /// Where a packed ckpt:// image of `snapshot` goes; returns the chunk
+  /// bytes written. The default puts it into the store at the target's
+  /// path and waits until it landed. A host with a store of its own (a
+  /// node agent: the one it restores ranks from) hands it to that store's
+  /// writer and returns 0 at once. No sink retries: a failed checkpoint
+  /// leaves the process running, and its next checkpoint is the retry.
+  using CkptSink = std::function<std::size_t(
+      const std::filesystem::path& store_root, const std::string& snapshot,
+      std::vector<std::byte> image)>;
+  void set_ckpt_sink(CkptSink sink) { ckpt_sink_ = std::move(sink); }
 
   Action on_migrate(vm::Interpreter& vm, MigrateLabel label,
                     const std::string& target, FunIndex resume_fun,
@@ -120,11 +118,11 @@ class Migrator final : public vm::MigrationHook {
   vm::Process& process_;
   net::RetryPolicy retry_policy_;
   std::vector<Event> events_;
-  /// The store of the last ckpt:// put, held so the next checkpoint
-  /// dedups against it and its GC reclaims what later ones drop: a store
-  /// instance does both only for chunks it wrote itself.
+  /// The default sink's store of the last ckpt:// put, held so the next
+  /// checkpoint dedups against it and its GC reclaims what later ones
+  /// drop: a store instance does both only for chunks it wrote itself.
   std::shared_ptr<ckpt::CheckpointStore> ckpt_store_;
-  CkptSubmit ckpt_submit_;
+  CkptSink ckpt_sink_;
 };
 
 /// Convenience for hosts: reconstruct and resume a process from a

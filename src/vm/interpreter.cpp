@@ -223,6 +223,18 @@ SliceResult Interpreter::exec_slice(std::uint64_t max_insns) {
           ? executed + max_insns
           : ~std::uint64_t{0};
   const std::uint64_t limit = std::min(insn_budget, slice_limit);
+  // The external or migration hook running the instruction at `at`
+  // called block(): un-retire the instruction and park exactly before it.
+  // Resume re-executes it, which must be idempotent up to its blocking
+  // point.
+  const auto park_before = [&](std::size_t at, const Insn& insn) {
+    block_requested_ = false;
+    --executed;
+    --op_class_counts_[insn.cls];
+    resume_pc_ = at;
+    mid_function_ = true;
+    return SliceResult{SliceResult::Status::kBlocked, 0, block_deadline_};
+  };
 
   while (true) {
     const CompiledFunction* f = &compiled_.function(pending_fun_);
@@ -471,17 +483,8 @@ SliceResult Interpreter::exec_slice(std::uint64_t max_insns) {
           block_requested_ = false;
           const auto action =
               hook_->on_migrate(*this, I.aux, target, callee, pending_args_);
-          if (block_requested_) {
-            // The hook must wait (a checkpoint still being written): park
-            // before the instruction, as a blocked external does.
-            block_requested_ = false;
-            --executed;
-            --op_class_counts_[I.cls];
-            resume_pc_ = pc;
-            mid_function_ = true;
-            return SliceResult{SliceResult::Status::kBlocked, 0,
-                               block_deadline_};
-          }
+          // The hook must wait (a checkpoint still being written).
+          if (block_requested_) return park_before(pc, I);
           if (action == MigrationHook::Action::kExit) {
             return SliceResult{SliceResult::Status::kMigratedAway, 0, 0};
           }
@@ -509,18 +512,7 @@ SliceResult Interpreter::exec_slice(std::uint64_t max_insns) {
           const Value result =
               (*fn)(*this, std::span<const Value>(ext_args_.data(),
                                                   I.args.size()));
-          if (block_requested_) {
-            // The external could not complete; un-retire its instruction
-            // and park exactly before it. Resume re-executes the external,
-            // which must be idempotent up to its blocking point.
-            block_requested_ = false;
-            --executed;
-            --op_class_counts_[I.cls];
-            resume_pc_ = pc;
-            mid_function_ = true;
-            return SliceResult{SliceResult::Status::kBlocked, 0,
-                               block_deadline_};
-          }
+          if (block_requested_) return park_before(pc, I);
           if (result.tag() != static_cast<Tag>(I.sub)) {
             throw SafetyError("external " + compiled_.ext_names[I.aux] +
                               " returned " + runtime::tag_name(result.tag()) +

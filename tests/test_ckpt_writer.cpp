@@ -12,14 +12,20 @@
 //    checkpoint was taken, keeps one checkpoint per rank in flight, lets
 //    a yield exit (and a rank report its result) only once its
 //    checkpoint landed, lands nothing after stop(), and keeps running
-//    (and its senders keep their logs) when a put fails.
+//    (and its senders keep their logs) when a put fails;
+//  * a rank's COMMIT counts at its receivers only once the checkpoint
+//    after it landed;
+//  * an extent write that fails mid-batch fails the whole batch, and
+//    later checkpoints still land and restore.
 //
 // WriterGate holds a store's writer inside a batch (its job's companion
 // blocks), so a test decides what is queued behind it and when it runs.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -321,6 +327,70 @@ TEST(CheckpointWriter, FailedJobIsReportedAndTheWriterGoesOn) {
   EXPECT_FALSE(store.has_snapshot("bad"));
   EXPECT_TRUE(jobs.out[0]->result.get().ok());
   EXPECT_EQ(store.latest_seq("good"), 1u);
+  EXPECT_TRUE(store.verify().ok());
+}
+
+/// Bytes no chunk of which dedups or compresses.
+std::vector<std::byte> noise(std::uint64_t seed, std::size_t n) {
+  std::vector<std::byte> out(n);
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
+  for (std::byte& b : out) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::byte>(x >> 56);
+  }
+  return out;
+}
+
+/// An extent write that fails mid-batch (the file size limit stops it)
+/// loses every record buffered before it, also those of the job staged
+/// earlier in the batch: no job of the batch publishes, and the engine
+/// starts a new extent, so later checkpoints land and restore byte for
+/// byte. Were the lost records still counted, every later record would
+/// be indexed past its real offset and fail its checksum.
+TEST(CheckpointWriter, FailedExtentWriteFailsItsBatchAndLaterPutsRestore) {
+  const TempDir root("mojave_writer_lost_write_");
+  ckpt::CheckpointStore::Options opts;
+  opts.engine.cache_bytes = 0;  // restores read the extent files
+  ckpt::CheckpointStore store(root.path(), opts);
+  const auto first = noise(1, 100'000);
+  ASSERT_EQ(store.put("a", first).seq, 1u);
+
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit old_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit limit = old_limit;
+  limit.rlim_cur = 1u << 20;
+  Jobs jobs;
+  std::promise<ckpt::CheckpointResult> big;
+  {
+    WriterGate gate(store, "gate");
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+    jobs.submit(store, &jobs, "a", 2);  // buffered, then lost
+    ckpt::CheckpointJob job;
+    job.snapshot = "b";
+    job.image = noise(3, 5u << 20);  // its staging writes the buffer out
+    job.done = [&](const ckpt::CheckpointResult& r) { big.set_value(r); };
+    store.submit(std::move(job));
+  }
+  const auto small = jobs.out[0]->result.get();
+  const auto large = big.get_future().get();
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_FALSE(large.ok());
+  EXPECT_FALSE(small.ok()) << "published a manifest of lost chunks";
+  EXPECT_EQ(store.latest_seq("a"), 1u);
+  EXPECT_FALSE(store.has_snapshot("b"));
+
+  const auto third = noise(4, 300'000);
+  ASSERT_EQ(store.put("a", third).seq, 2u);
+  ckpt::RestoreStats rs;
+  const auto back = store.restore("a", &rs);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(rs.seq, 2u);
+  EXPECT_EQ(rs.manifests_skipped, 0u);
+  EXPECT_TRUE(*back == third);
   EXPECT_TRUE(store.verify().ok());
 }
 
@@ -699,6 +769,105 @@ TEST(CheckpointWriter, FailedCheckpointLetsTheRankRunAndSendersKeepTheirLogs) {
   }
   Logger::instance().set_sink(nullptr);
   EXPECT_EQ(failures.load(), 4);
+}
+
+/// Agent 0's rank 0 sends rank 1 (on agent 1) a speculative payload,
+/// commits, checkpoints, and dies; rank 1 consumed the payload and is
+/// asleep, not waiting on rank 0. `landed`: whether that checkpoint is
+/// published (and acked) before agent 0 dies, or still queued. Returns
+/// rank 1's rollbacks.
+std::uint64_t commit_then_kill(bool landed) {
+  const std::string src = R"(
+    extern int node_id();
+    extern int msg_send(int, int, ptr, int);
+    extern int msg_recv(int, int, ptr, int);
+    extern ptr checkpoint_target();
+    extern void sleep_ms(int);
+    int main() {
+      ptr buf = alloc(1);
+      if (node_id() == 0) {
+        migrate(checkpoint_target());
+        sleep_ms(500);
+        int spec = speculate();
+        if (spec <= 0) { spec = spec_level(); }
+        buf[0] = 5;
+        int s = msg_send(1, 1, buf, 1);
+        commit(spec);
+        migrate(checkpoint_target());
+        sleep_ms(2000);
+        int s2 = msg_send(1, 2, buf, 1);
+        int g = msg_recv(1, 3, buf, 1);
+        return 0;
+      }
+      int spec = speculate();
+      if (spec <= 0) { spec = spec_level(); }
+      int r = msg_recv(0, 1, buf, 1);
+      sleep_ms(1500);
+      int r2 = msg_recv(0, 2, buf, 1);
+      if (r2 != 0) { rollback(spec, 0 - 1); }
+      commit(spec);
+      int s = msg_send(0, 3, buf, 1);
+      return 0;
+    }
+  )";
+  const TempDir root("mojave_writer_commit_landed_");
+  auto store = ckpt::CheckpointStore::open_shared(root.path());
+  auto a0 = std::make_unique<OneAgent>(root.path());
+  OneAgent a1(root.path());
+  dnode::CoordinatorConfig cfg = a0->coord_config(2);
+  cfg.agents.push_back({"127.0.0.1", a1.agent.port()});
+  dnode::Coordinator coord(cfg);
+  const std::uint64_t packed = counter("migrate.images_packed");
+  const std::uint64_t consumed = counter("dspec.payloads_consumed");
+  coord.launch_spmd(frontend::compile_source("landed", src));
+  EXPECT_TRUE(wait_for([&] { return store->has_snapshot("rank_0"); }));
+  {
+    WriterGate gate(*store, "gate");
+    EXPECT_TRUE(wait_for([&] {
+      return counter("migrate.images_packed") - packed >= 2 &&
+             counter("dspec.payloads_consumed") - consumed >= 1;
+    })) << "rank 0 never checkpointed after its commit, or rank 1 never "
+           "consumed its payload";
+    if (landed) {
+      // Once the COMMIT is in, the ack's LANDED is the next frame agent 1
+      // takes in: both ranks sleep until the kill.
+      std::this_thread::sleep_for(200ms);
+      const std::uint64_t frames = counter("node.data_frames_in");
+      gate.release();
+      EXPECT_TRUE(wait_for([&] {
+        return counter("node.data_frames_in") > frames;
+      })) << "rank 0's LANDED never reached rank 1";
+    }
+    a0->agent.stop();
+  }
+  EXPECT_TRUE(coord.wait_all(30.0));
+  const auto results = coord.results();
+  EXPECT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    EXPECT_EQ(r.exit_code, 0) << "rank " << r.rank << ": " << r.error;
+  }
+  EXPECT_GE(coord.resurrections(), 1u);
+  coord.shutdown_agents();
+  a0.reset();
+  return results.size() == 2 ? results[1].rollbacks : 0;
+}
+
+/// The checkpoint after the commit was still queued: rank 0 comes back
+/// from the one before the send, so rank 1's consumption must not have
+/// become durable. It is voided, rank 1's next receive reports MSG_ROLL,
+/// and rank 1 rolls back and takes the payload again from the new
+/// incarnation. Were the COMMIT counted on arrival, rank 1 would keep a
+/// payload its sender never sent.
+TEST(CheckpointWriter, CommitCountsOnlyOnceItsCheckpointLanded) {
+  EXPECT_GE(commit_then_kill(/*landed=*/false), 1u)
+      << "rank 1 kept a payload of a send its sender restored to before";
+}
+
+/// The checkpoint after the commit landed before the kill: its ack made
+/// the COMMIT count, so the kill voids nothing and rank 1 runs on.
+TEST(CheckpointWriter, LandedCheckpointMakesItsCommitCount) {
+  EXPECT_EQ(commit_then_kill(/*landed=*/true), 0u)
+      << "rank 1 rolled back a payload its sender's checkpoint covers";
 }
 
 }  // namespace

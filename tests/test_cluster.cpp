@@ -65,6 +65,8 @@ struct Ranks {
     const bool zero = r[n].levels.empty();
     const std::uint64_t durable = zero ? ~std::uint64_t{0} : r[n].levels[0];
     deliver(n, r[n].out.commit(durable, zero));
+    // Ranks without checkpoints: the COMMITs count at once.
+    deliver(n, r[n].out.landed(r[n].out.uncovered()));
     r[n].in.commit(durable);
   }
   bool take_poison(std::uint32_t n) {
@@ -116,6 +118,125 @@ TEST(Tracker, CommitToZeroMakesDependenciesDurable) {
   t.rollback(1, 1);
   EXPECT_FALSE(t.take_poison(2));
   EXPECT_TRUE(t.take_poison(3));
+}
+
+/// A receiver restored from a checkpoint that outran its sender's: it
+/// applied entries 3..5 of incarnation 1, which died before it could
+/// checkpoint them, so incarnation 2 numbered its re-sends from 3 behind
+/// a RESTART, checkpointed and died too. Asking incarnation 3 from 6, the
+/// receiver gets every RESTART in the log (a watermark past one does not
+/// truncate it), learns where incarnation 2's numbering began, asks
+/// again from there, and reaches incarnation 3's new payload, instead of
+/// holding incarnation 2's entries forever for a RESTART it was never
+/// sent.
+TEST(Tracker, ReceiverAheadOfItsSendersCheckpointFollowsItsIncarnations) {
+  const auto snapshot = [](const auto& half) {
+    Writer w;
+    half.encode(w);
+    return w.take();
+  };
+  const auto send = [](dnode::Outbox& out, std::int32_t tag) {
+    return out.put(1, ChannelOp::kData, tag, 0, 0, {});
+  };
+  dnode::Inbox in;  // rank 1, from rank 0
+  const auto deliver = [&](const dnode::Outbox::Sent& sent) {
+    bool gap = false;
+    for (const auto& [dst, e] : sent) gap = in.receive(0, *e).gap || gap;
+    return gap;
+  };
+  dnode::Outbox first;
+  first.start(1, false);
+  for (std::int32_t tag = 1; tag <= 2; ++tag) {
+    deliver(send(first, tag));
+    ASSERT_TRUE(in.consume(0, tag, 0).has_value());
+  }
+  const auto first_ckpt = snapshot(first);
+  for (std::int32_t tag = 3; tag <= 5; ++tag) {
+    deliver(send(first, tag));
+    ASSERT_TRUE(in.consume(0, tag, 0).has_value());
+  }
+  const auto receiver_ckpt = snapshot(in);  // next 6
+
+  dnode::Outbox second;
+  Reader r1(first_ckpt);
+  second.decode(r1);
+  second.start(2, true);
+  for (std::int32_t tag = 3; tag <= 5; ++tag) (void)send(second, tag);
+  const auto second_ckpt = snapshot(second);
+
+  dnode::Outbox third;
+  Reader r2(second_ckpt);
+  third.decode(r2);
+  third.start(3, true);
+  // A watermark of the receiver's earlier checkpoint, past the RESTART.
+  third.truncate(1, 4);
+  in = dnode::Inbox{};
+  Reader r3(receiver_ckpt);
+  in.decode(r3);
+  // Incarnation 3's RESTART and payload arrive first and wait for a
+  // RESTART of incarnation 2.
+  bool gap = deliver(send(third, 6));
+  for (int asks = 0; gap && asks < 4; ++asks) {
+    gap = deliver(third.resend(1, in.resend_from(0)));
+  }
+  EXPECT_TRUE(in.consume(0, 6, 0).has_value())
+      << "stuck at seq " << in.next_seq(0);
+}
+
+/// A sender's COMMIT counts at the receiver only once a LANDED says the
+/// sender's checkpoint after it is durable, or a RESTART shows the sender
+/// resumed from such a checkpoint. Until then a lost sender voids the
+/// payload, and the receiver that consumed it is poisoned. A LANDED
+/// covers only the COMMITs before that checkpoint.
+TEST(Tracker, CommitCountsOnceTheSendersCheckpointLanded) {
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  struct Pair {
+    dnode::Outbox out;  // rank 0
+    dnode::Inbox in;    // rank 1
+    void deliver(const dnode::Outbox::Sent& sent) {
+      for (const auto& [dst, e] : sent) (void)in.receive(0, *e);
+    }
+    /// One interval: a payload under `spec`, consumed by rank 1, then
+    /// both commit to zero.
+    void interval(std::uint64_t spec) {
+      deliver(out.put(1, ChannelOp::kData, 0, spec, 0, {}));
+      ASSERT_TRUE(in.consume(0, 0, spec).has_value());
+      in.commit(kAll);
+      deliver(out.commit(kAll, true));
+    }
+  };
+  {
+    Pair p;  // committed, its checkpoint not landed
+    p.interval(1);
+    EXPECT_TRUE(p.in.kill(0));
+  }
+  {
+    Pair p;  // landed
+    p.interval(1);
+    p.deliver(p.out.landed(p.out.uncovered()));
+    EXPECT_FALSE(p.in.kill(0));
+  }
+  {
+    Pair p;  // the first interval's checkpoint landed, the second's not
+    p.interval(1);
+    const auto first = p.out.uncovered();
+    p.interval(2);
+    p.deliver(p.out.landed(first));
+    EXPECT_TRUE(p.in.kill(0));
+  }
+  {
+    Pair p;  // the sender resumes from the checkpoint after the commit
+    p.interval(1);
+    Writer w;
+    p.out.encode(w);
+    const std::vector<std::byte> blob = w.take();
+    Reader r(blob);
+    dnode::Outbox next;
+    next.decode(r);
+    next.start(2, true);
+    p.deliver(next.resend(1, 0));  // opens with its RESTART
+    EXPECT_FALSE(p.in.kill(0));
+  }
 }
 
 TEST(Cluster, PingPongMessages) {
@@ -358,13 +479,8 @@ TEST(Grid, SurvivesNodeFailureWithResurrection) {
   cfg.nodes = 3;
   cfg.rows = 12;
   cfg.cols = 10;
-  // The kill lands when the victim's first checkpoint becomes visible,
-  // one writer batch after the rank took it. The interval must outlast
-  // that delay, also on a loaded host: otherwise every rank may have
-  // committed the next interval and parked for its ack (one checkpoint in
-  // flight), leaving nothing speculative for the kill to revert.
-  cfg.steps = 2000;
-  cfg.checkpoint_interval = 1000;
+  cfg.steps = 60;
+  cfg.checkpoint_interval = 10;
 
   const auto run = gridapp::run_heat(
       cfg, {}, [&](gridapp::LocalCluster& cl) {
