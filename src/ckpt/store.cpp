@@ -234,7 +234,6 @@ CheckpointStore::~CheckpointStore() = default;
 
 void CheckpointStore::submit(CheckpointJob job) {
   validate_snapshot_name(job.snapshot);
-  if (job.companion) validate_snapshot_name(job.companion_snapshot);
   writer().submit(std::move(job));
 }
 
@@ -308,7 +307,7 @@ std::vector<CheckpointResult> CheckpointStore::put_batch(
 
   GcStats gc;
   const std::vector<ManifestFile> listing = list_manifests();
-  if (opts_.auto_gc && !own_manifests_.empty()) {
+  if (!own_manifests_.empty()) {
     // Own manifests another writer's retention pruned: their references
     // go now (the listing is the only place that pruning shows up).
     std::unordered_set<std::string_view> listed;
@@ -327,35 +326,18 @@ std::vector<CheckpointResult> CheckpointStore::put_batch(
     newest[mf.snapshot] = mf.seq;
   }
 
-  // 1. Chunks, in submit order: each job's companion, then its image.
+  // 1. Chunks, in submit order.
   const std::uint64_t lost_writes = engine_->lost_writes();
   std::vector<Staged> staged;
-  const auto stage = [&](std::size_t j, bool companion,
-                         const std::string& snapshot, std::uint64_t seq,
-                         std::span<const std::byte> bytes) {
-    staged.push_back(stage_locked(snapshot, seq, bytes));
-    staged.back().job = j;
-    staged.back().companion = companion;
-    staging_seconds += staged.back().seconds;
-  };
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    CheckpointJob& job = jobs[j];
-    const std::size_t first = staged.size();
     try {
-      const std::uint64_t image_seq = ++newest[job.snapshot];
-      if (job.companion) {
-        const std::vector<std::byte> bytes = job.companion(image_seq);
-        stage(j, true, job.companion_snapshot,
-              ++newest[job.companion_snapshot], bytes);
-      }
-      stage(j, false, job.snapshot, image_seq, job.image);
+      staged.push_back(
+          stage_locked(jobs[j].snapshot, ++newest[jobs[j].snapshot],
+                       jobs[j].image));
+      staged.back().job = j;
+      staging_seconds += staged.back().seconds;
     } catch (...) {
       results[j].error = std::current_exception();
-      GcStats undo;
-      for (std::size_t k = first; k < staged.size(); ++k) {
-        release_locked(staged[k].man.chunks, undo);
-      }
-      staged.resize(first);
     }
   }
 
@@ -378,15 +360,9 @@ std::vector<CheckpointResult> CheckpointStore::put_batch(
     staged.clear();
   }
 
-  // 3. Manifests in order, each followed by its snapshot's retention. A
-  // job whose companion failed to publish does not publish its image.
+  // 3. Manifests in order, each followed by its snapshot's retention.
   for (Staged& st : staged) {
     CheckpointResult& res = results[st.job];
-    if (!res.ok()) {
-      GcStats undo;
-      release_locked(st.man.chunks, undo);
-      continue;
-    }
     try {
       storage_.write(st.name, st.man.encode());
     } catch (...) {
@@ -412,40 +388,36 @@ std::vector<CheckpointResult> CheckpointStore::put_batch(
 
     std::deque<std::string>& names = published[st.man.snapshot];
     names.push_back(st.name);
-    if (opts_.auto_gc) {
-      // Retention for this snapshot only: it is the one this put grew.
-      // Pruning another writer's manifest drops no reference here; that
-      // writer notices at its next put.
-      GcStats pruned;
-      const std::size_t from_listing = std::exchange(released_by_listing, 0);
-      while (names.size() > opts_.keep_manifests) {
-        storage_.remove(names.front());
-        ++pruned.manifests_pruned;
-        const auto own = own_manifests_.find(names.front());
-        if (own != own_manifests_.end()) {
-          release_locked(own->second, pruned);
-          own_manifests_.erase(own);
-        }
-        names.pop_front();
+    // Retention for this snapshot only: it is the one this put grew.
+    // Pruning another writer's manifest drops no reference here; that
+    // writer notices at its next put.
+    GcStats pruned;
+    const std::size_t from_listing = std::exchange(released_by_listing, 0);
+    while (names.size() > opts_.keep_manifests) {
+      storage_.remove(names.front());
+      ++pruned.manifests_pruned;
+      const auto own = own_manifests_.find(names.front());
+      if (own != own_manifests_.end()) {
+        release_locked(own->second, pruned);
+        own_manifests_.erase(own);
       }
-      stats.manifests_pruned = pruned.manifests_pruned;
-      stats.chunks_evicted = from_listing + pruned.chunks_evicted;
-      gc.manifests_pruned += pruned.manifests_pruned;
-      gc.chunks_evicted += pruned.chunks_evicted;
+      names.pop_front();
     }
-    if (!st.companion) res.image = stats;
+    stats.manifests_pruned = pruned.manifests_pruned;
+    stats.chunks_evicted = from_listing + pruned.chunks_evicted;
+    gc.manifests_pruned += pruned.manifests_pruned;
+    gc.chunks_evicted += pruned.chunks_evicted;
+    res.image = stats;
   }
 
   // The manifests are out: what fails from here leaves them published,
   // and their jobs ok.
   try {
-    if (opts_.auto_gc) {
-      // Rewrites own extents whose dead fraction crossed the threshold;
-      // a check of per-extent counters when none has.
-      engine_->compact(/*force=*/false);
-      m.chunks_evicted.inc(gc.chunks_evicted);
-      m.manifests_pruned.inc(gc.manifests_pruned);
-    }
+    // Rewrites own extents whose dead fraction crossed the threshold; a
+    // check of per-extent counters when none has.
+    engine_->compact(/*force=*/false);
+    m.chunks_evicted.inc(gc.chunks_evicted);
+    m.manifests_pruned.inc(gc.manifests_pruned);
     engine_->write_out();  // tombstones: no fsync needed
   } catch (const std::exception& e) {
     MOJAVE_LOG(kWarn, "ckpt") << "after publishing a batch: " << e.what();
@@ -488,8 +460,7 @@ void CheckpointStore::release_own_except_locked(
 }
 
 std::optional<std::vector<std::byte>> CheckpointStore::restore(
-    const std::string& snapshot, RestoreStats* out,
-    std::uint64_t max_seq) const {
+    const std::string& snapshot, RestoreStats* out) const {
   Stopwatch sw;
   obs::ScopedSpan span("ckpt", "restore");
   std::lock_guard<std::mutex> lock(mu_);
@@ -499,7 +470,6 @@ std::optional<std::vector<std::byte>> CheckpointStore::restore(
   const auto files = list_manifests(snapshot);
   std::size_t skipped = 0;
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    if (it->seq > max_seq) continue;
     const auto raw = storage_.read(it->name);
     if (!raw.has_value()) {
       ++skipped;

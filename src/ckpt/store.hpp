@@ -164,12 +164,6 @@ struct CheckpointJob {
   const void* owner = nullptr;
   std::string snapshot;
   std::vector<std::byte> image;
-  /// Optional bytes published under `companion_snapshot` just before the
-  /// image. The writer builds them from the seq the image is about to get,
-  /// so a restore can pair the two by that seq. Runs on the writer thread
-  /// under the store's lock: it must not call the store.
-  std::string companion_snapshot;
-  std::function<std::vector<std::byte>(std::uint64_t image_seq)> companion;
   /// Runs on the writer thread once the image manifest is published, or
   /// the checkpoint failed. Must not wait on this store's writer.
   std::function<void(const CheckpointResult&)> done;
@@ -184,8 +178,6 @@ class CheckpointStore {
     /// Manifests kept per snapshot name (>= 1). Older ones are pruned and
     /// their now-unreferenced chunks evicted.
     std::uint32_t keep_manifests = 4;
-    /// Run retention + chunk GC automatically after every put().
-    bool auto_gc = true;
     /// Log-structured engine knobs (extent size, cache, compaction).
     ChunkEngine::Options engine;
   };
@@ -213,10 +205,10 @@ class CheckpointStore {
   /// Store one checkpoint of `snapshot` and wait until it is published:
   /// submit() and a wait. Only chunks this instance does not already hold
   /// are written; the manifest is written (atomically) last, so a crash
-  /// mid-put leaves the previous checkpoint restorable. With `auto_gc`,
-  /// the put then prunes `snapshot` to `keep_manifests` and evicts the
-  /// chunks of this instance that no manifest of it references any more.
-  /// Throws what failed the put.
+  /// mid-put leaves the previous checkpoint restorable. The put then
+  /// prunes `snapshot` to `keep_manifests` and evicts the chunks of this
+  /// instance that no manifest of it references any more. Throws what
+  /// failed the put.
   PutStats put(const std::string& snapshot, std::span<const std::byte> image);
 
   /// Queue one checkpoint for the writer thread and return at once; its
@@ -227,14 +219,12 @@ class CheckpointStore {
   /// store that is never written to never runs one.
   [[nodiscard]] CheckpointWriter& writer() { return *writer_; }
 
-  /// Reassemble the newest complete checkpoint of `snapshot` numbered at
-  /// most `max_seq`, verifying every chunk against its content key and
-  /// the whole image against the manifest checksum. Falls back to older
-  /// manifests on any mismatch; nullopt when no restorable checkpoint
-  /// exists.
+  /// Reassemble the newest complete checkpoint of `snapshot`, verifying
+  /// every chunk against its content key and the whole image against the
+  /// manifest checksum. Falls back to older manifests on any mismatch;
+  /// nullopt when no restorable checkpoint exists.
   [[nodiscard]] std::optional<std::vector<std::byte>> restore(
-      const std::string& snapshot, RestoreStats* stats = nullptr,
-      std::uint64_t max_seq = ~std::uint64_t{0}) const;
+      const std::string& snapshot, RestoreStats* stats = nullptr) const;
 
   [[nodiscard]] bool has_snapshot(const std::string& snapshot) const;
   /// Newest stored sequence number for `snapshot`; 0 when none exist.
@@ -278,14 +268,12 @@ class CheckpointStore {
 
   /// Write one batch of checkpoints (writer thread only): append every
   /// chunk record, flush the engine once, publish the manifests in order
-  /// (each companion before its image) and run retention. One result per
-  /// job.
+  /// and run retention. One result per job.
   std::vector<CheckpointResult> put_batch(std::vector<CheckpointJob>& jobs);
 
   /// A put whose chunks are appended but whose manifest is not published.
   struct Staged {
     std::size_t job = 0;
-    bool companion = false;
     std::string name;  ///< the manifest's storage-relative path
     Manifest man;
     PutStats stats;

@@ -80,7 +80,7 @@ int usage() {
       "  --stats[=json]        dump the metrics registry to stderr at exit\n"
       "  --trace-out=<file>    record runtime events, write Chrome trace JSON\n"
       "transport (any command; also settable via MOJAVE_* env vars):\n"
-      "  --migrate-attempts N  mcc:// / ckpt:// retry budget (default 3)\n"
+      "  --migrate-attempts N  mcc:// retry budget (default 3)\n"
       "  --migrate-backoff-ms X  initial retry backoff, exponential + jitter\n"
       "  --migrate-deadline S  overall deadline across all attempts\n"
       "  --connect-timeout S   TCP connect (and DNS resolve) deadline\n"

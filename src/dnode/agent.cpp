@@ -54,6 +54,8 @@ struct AgentMetrics {
   obs::Counter& heartbeats;
   obs::Counter& link_failures;
   obs::Counter& links_lost;
+  /// Bytes each rank checkpoint's channels add to its image.
+  obs::Histogram& channel_bytes;
 
   static AgentMetrics& get() {
     auto& r = obs::MetricsRegistry::instance();
@@ -66,7 +68,7 @@ struct AgentMetrics {
         r.counter("dspec.payloads_consumed"),
         r.counter("dspec.poisons_received"), r.counter("node.corrupt_frames"),
         r.counter("node.heartbeats"),     r.counter("node.link_failures"),
-        r.counter("node.links_lost"),
+        r.counter("node.links_lost"),     r.histogram("dnode.channel_bytes"),
     };
     return m;
   }
@@ -110,19 +112,6 @@ std::string describe(const std::exception_ptr& e) {
 std::string image_snapshot(std::uint32_t rank) {
   return "rank_" + std::to_string(rank);
 }
-
-/// Store name of a rank's persisted channels: the Outbox log the
-/// receivers have not checkpointed past, and the Inbox positions to
-/// resume from. Published right before each checkpoint image, naming its
-/// seq.
-std::string send_log_snapshot(std::uint32_t rank) {
-  return image_snapshot(rank) + "_sendlog";
-}
-
-constexpr std::uint32_t kSendLogMagic = 0x474c534d;  // "MSLG"
-/// Version 1 was the unversioned whole-history (dst, tag) log; version 2
-/// logged no LANDED entries.
-constexpr std::uint32_t kSendLogVersion = 3;
 
 }  // namespace
 
@@ -264,7 +253,6 @@ class NodeAgent::RankHook final : public vm::MigrationHook {
 NodeAgent::NodeAgent(AgentConfig cfg)
     : cfg_(std::move(cfg)),
       listener_(cfg_.bind, cfg_.port),
-      retry_(net::RetryPolicy::process_defaults()),
       store_(ckpt::CheckpointStore::open_shared(cfg_.storage_root,
                                                 cfg_.ckpt)) {
   listener_.set_nonblocking();
@@ -851,46 +839,6 @@ void NodeAgent::poison(std::uint32_t rank) {
   sched_.wake(rank);
 }
 
-void NodeAgent::restore_channels(RankSlot& slot, std::uint64_t image_seq) {
-  // The channels resume from the checkpoint too: what arrived here for an
-  // earlier incarnation is asked for again once the rank is up.
-  Inbox& inbox = mail_[slot.rank] = Inbox{};
-  std::uint64_t bound = ~std::uint64_t{0};
-  try {
-    while (true) {
-      ckpt::RestoreStats rs;
-      const auto log =
-          store_->restore(send_log_snapshot(slot.rank), &rs, bound);
-      if (!log.has_value()) return;
-      Reader r(*log);
-      const std::uint32_t version = r.u32() == kSendLogMagic ? r.u32() : 1;
-      if (version != kSendLogVersion) {
-        throw ImageError("channel log format version " +
-                         std::to_string(version) +
-                         " is not readable by this build (it reads version " +
-                         std::to_string(kSendLogVersion) + ")");
-      }
-      const std::uint64_t for_image = r.u64();
-      if (for_image > image_seq && rs.seq > 1) {
-        bound = rs.seq - 1;  // written after a newer image: look further back
-        continue;
-      }
-      if (for_image != image_seq) {
-        MOJAVE_LOG(kWarn, "dnode")
-            << "rank " << slot.rank << " restores checkpoint " << image_seq
-            << " with the channels of checkpoint " << for_image
-            << ": some of its messages may be lost or repeated";
-      }
-      slot.out.decode(r);
-      inbox.decode(r);
-      return;
-    }
-  } catch (const std::exception& e) {
-    MOJAVE_LOG(kWarn, "dnode")
-        << "rank " << slot.rank << " channel restore failed: " << e.what();
-  }
-}
-
 void NodeAgent::rank_lost(std::uint32_t rank) {
   for (auto& [dst, inbox] : mail_) {
     if (dst != rank && inbox.kill(rank)) poison(dst);
@@ -902,28 +850,16 @@ void NodeAgent::rank_lost(std::uint32_t rank) {
 
 void NodeAgent::submit_checkpoint(RankSlot& slot, const std::string& snapshot,
                                   std::vector<std::byte> image) {
-  // The channels and marks as of the pack: the rank runs on while the
-  // writer works, and its inbox with it.
-  Writer channels;
-  slot.out.encode(channels);
-  mail_[slot.rank].encode(channels);
+  // The channels and marks as of the pack ride with the image: the rank
+  // runs on while the writer works, and its inbox with it.
+  const std::size_t image_bytes = image.size();
   ckpt::CheckpointJob job;
   job.owner = this;
   job.snapshot = snapshot;
-  job.image = std::move(image);
-  job.companion_snapshot = send_log_snapshot(slot.rank);
-  // A restore takes the channels of the image it restores, also when it
-  // falls back to an older one: the blob names the image's seq, which
-  // the writer assigns.
-  job.companion = [body = channels.take()](std::uint64_t image_seq) {
-    Writer w;
-    w.reserve(16 + body.size());
-    w.u32(kSendLogMagic);
-    w.u32(kSendLogVersion);
-    w.u64(image_seq);
-    w.bytes(body);
-    return w.take();
-  };
+  job.image =
+      encode_rank_checkpoint(std::move(image), slot.out, mail_[slot.rank]);
+  AgentMetrics::get().channel_bytes.record_us(
+      static_cast<double>(job.image.size() - image_bytes));
   job.done = [this, rank = slot.rank, id = slot.id,
               marks = mail_[slot.rank].watermarks(),
               commits = slot.out.uncovered()](
@@ -1367,22 +1303,20 @@ void NodeAgent::resurrect_rank(std::uint32_t rank, std::uint64_t incarnation) {
   slot->rank = rank;
   slot->id = next_slot_id_++;
   slot->checkpointed = true;
-  slot->out.start(incarnation, true);
   RankSlot* sp = slot.get();
   try {
-    ckpt::RestoreStats image_seq;
-    const auto image = store_->restore(image_snapshot(rank), &image_seq);
-    if (!image.has_value()) {
-      send_to_coordinator(encode_rank_up(rank, false));
-      sp->done.store(true);
-      adopt_slot(rank, std::move(slot));
-      return;
-    }
+    const auto blob = store_->restore(image_snapshot(rank));
+    if (!blob.has_value()) throw Error("no restorable checkpoint");
+    RankCheckpoint ck = decode_rank_checkpoint(*blob);
     vm::ProcessConfig pcfg;
     pcfg.heap = cfg_.heap;
     pcfg.max_instructions = max_instructions_;
-    migrate::UnpackResult unpacked = migrate::unpack_process(*image, pcfg);
-    restore_channels(*sp, image_seq.seq);
+    migrate::UnpackResult unpacked = migrate::unpack_process(ck.image, pcfg);
+    // The channels resume from the checkpoint too: what arrived here for
+    // an earlier incarnation is asked for again once the rank is up.
+    sp->out = std::move(ck.out);
+    sp->out.start(incarnation, true);
+    mail_[rank] = std::move(ck.in);
     sp->process = std::move(unpacked.process);
     register_externals(*sp->process, *sp);
     attach_hooks(*sp);

@@ -32,9 +32,11 @@
 //    --storage ROOT (shared across agents, the role NFS played in the
 //    paper); RESURRECT restores any rank from that store, which is how
 //    both failure recovery and load-aware migration move ranks here. A
-//    rank stops only for the pack: the image and its channels go to the
-//    store's checkpoint writer thread (ckpt/writer.hpp), whose ack wakes
-//    the loop once the checkpoint is published.
+//    rank checkpoint is one blob, its image followed by its channels
+//    (channel.hpp), published under one manifest `rank_<r>`. A rank stops
+//    only for the pack: the blob goes to the store's checkpoint writer
+//    thread (ckpt/writer.hpp), whose ack wakes the loop once it is
+//    published.
 //  * The speculation join runs agent to agent over the channels: a
 //    rollback or a commit to zero travels behind the payloads it covers,
 //    and a receiver that consumed a reverted payload reports MSG_ROLL at
@@ -66,7 +68,6 @@
 #include "dnode/sched.hpp"
 #include "dnode/wire.hpp"
 #include "net/poller.hpp"
-#include "net/retry.hpp"
 #include "net/tcp.hpp"
 #include "support/stopwatch.hpp"
 #include "vm/process.hpp"
@@ -206,9 +207,9 @@ class NodeAgent {
                      std::uint32_t reply_agent);
   /// Make rank's next msg_recv report MSG_ROLL (one poison per event).
   void poison(std::uint32_t rank);
-  /// Hand the rank's packed image to the writer, with its channels (the
-  /// companion blob, paired with the image's seq) and the inbox marks as
-  /// of the pack. The rank continues at once.
+  /// Hand the rank's packed image to the writer as one rank checkpoint
+  /// with its channels (encode_rank_checkpoint), keeping the inbox marks
+  /// as of the pack for the ack. The rank continues at once.
   void submit_checkpoint(RankSlot& slot, const std::string& snapshot,
                          std::vector<std::byte> image);
   /// Writer thread: queue an ack and wake the loop.
@@ -224,9 +225,6 @@ class NodeAgent {
   void checkpoint_landed(
       RankSlot& slot,
       std::vector<std::pair<std::uint32_t, std::uint64_t>> marks);
-  /// Restore the channels persisted for checkpoint `image_seq` of the
-  /// rank.
-  void restore_channels(RankSlot& slot, std::uint64_t image_seq);
   /// Placement marked `rank` not alive: void its non-durable entries at
   /// every receiver here and poison the ones that joined or wait on it.
   void rank_lost(std::uint32_t rank);
@@ -235,7 +233,6 @@ class NodeAgent {
 
   AgentConfig cfg_;
   net::TcpListener listener_;
-  net::RetryPolicy retry_;
   std::shared_ptr<ckpt::CheckpointStore> store_;
   Stopwatch clock_;  ///< the time base for every gate/deadline
 

@@ -1,6 +1,9 @@
 #include "dnode/channel.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "support/common.hpp"
 
 namespace mojave::dnode {
 
@@ -29,6 +32,11 @@ Entry read_entry(Reader& r) {
   e.payload.assign(payload.begin(), payload.end());
   return e;
 }
+
+constexpr std::uint32_t kRankCheckpointMagic = 0x4b43524d;  // "MRCK"
+constexpr std::uint32_t kRankCheckpointVersion = 1;
+/// version u32, channel section size u64, magic u32.
+constexpr std::size_t kTrailerBytes = 16;
 
 }  // namespace
 
@@ -158,15 +166,13 @@ void Outbox::encode(Writer& w) const {
 }
 
 void Outbox::decode(Reader& r) {
-  std::map<std::uint32_t, Channel> ch;
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
-    Channel& c = ch[r.u32()];
+    Channel& c = ch_[r.u32()];
     c.next_seq = r.u64();
     const std::uint32_t entries = r.u32();
     for (std::uint32_t j = 0; j < entries; ++j) c.log.push_back(read_entry(r));
   }
-  ch_ = std::move(ch);
 }
 
 // --- Inbox ------------------------------------------------------------
@@ -386,17 +392,69 @@ void Inbox::encode(Writer& w) const {
 }
 
 void Inbox::decode(Reader& r) {
-  std::map<std::uint32_t, Channel> ch;
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
-    Channel& c = ch[r.u32()];
+    Channel& c = ch_[r.u32()];
     c.inc = r.u64();
     c.cut = r.u64();
     c.next = r.u64();
     const std::uint32_t wanted = r.u32();
     for (std::uint32_t j = 0; j < wanted; ++j) c.wanted.insert(r.u64());
   }
-  ch_ = std::move(ch);
+}
+
+// --- Rank checkpoints -------------------------------------------------
+
+std::vector<std::byte> encode_rank_checkpoint(std::vector<std::byte> image,
+                                              const Outbox& out,
+                                              const Inbox& in) {
+  const std::size_t image_bytes = image.size();
+  Writer w(std::move(image));
+  out.encode(w);
+  in.encode(w);
+  const std::size_t section = w.size() - image_bytes;
+  w.u32(kRankCheckpointVersion);
+  w.u64(section);
+  w.u32(kRankCheckpointMagic);
+  return w.take();
+}
+
+RankCheckpoint decode_rank_checkpoint(std::span<const std::byte> blob) {
+  if (blob.size() < kTrailerBytes) throw ImageError("rank checkpoint too small");
+  Reader trailer(blob.last(kTrailerBytes));
+  const std::uint32_t version = trailer.u32();
+  const std::uint64_t section = trailer.u64();
+  if (trailer.u32() != kRankCheckpointMagic) {
+    if (Reader(blob).u32() == kImageMagic) {
+      throw ImageError(
+          "rank checkpoint is a bare process image without its channels "
+          "(an older build's checkpoint)");
+    }
+    throw ImageError("not a rank checkpoint: bad trailer magic");
+  }
+  if (version != kRankCheckpointVersion) {
+    throw ImageError("rank checkpoint format version " +
+                     std::to_string(version) +
+                     " is not readable by this build (it reads version " +
+                     std::to_string(kRankCheckpointVersion) + ")");
+  }
+  if (section > blob.size() - kTrailerBytes) {
+    throw ImageError("rank checkpoint channel section overruns the blob");
+  }
+  const std::size_t image_bytes = blob.size() - kTrailerBytes - section;
+  RankCheckpoint ck;
+  ck.image = blob.first(image_bytes);
+  try {
+    Reader r(blob.subspan(image_bytes, section));
+    ck.out.decode(r);
+    ck.in.decode(r);
+    if (!r.done()) throw ImageError("trailing bytes");
+  } catch (const ImageError& e) {
+    throw ImageError(
+        std::string("rank checkpoint channel section does not decode: ") +
+        e.what());
+  }
+  return ck;
 }
 
 }  // namespace mojave::dnode

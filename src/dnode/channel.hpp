@@ -72,8 +72,9 @@ class Outbox {
   /// RESTARTs).
   void truncate(std::uint32_t dst, std::uint64_t seq);
 
+  /// The channels as a rank checkpoint stores them; decode fills a fresh
+  /// one (decode_rank_checkpoint).
   void encode(Writer& w) const;
-  /// Replaces the channels; leaves them untouched when `r` is malformed.
   void decode(Reader& r);
 
  private:
@@ -134,8 +135,9 @@ class Inbox {
   [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint64_t>>
   watermarks() const;
 
+  /// The channels as a rank checkpoint stores them; decode fills a fresh
+  /// one (decode_rank_checkpoint).
   void encode(Writer& w) const;
-  /// Replaces the channels; leaves them untouched when `r` is malformed.
   void decode(Reader& r);
 
  private:
@@ -164,5 +166,25 @@ class Inbox {
 
   std::map<std::uint32_t, Channel> ch_;
 };
+
+/// A rank checkpoint as an agent stores it, one blob under `rank_<r>`:
+/// the rank's process image byte for byte (so content-defined chunking
+/// dedups it against the previous checkpoint's), then its Outbox and
+/// Inbox, then a trailer (format version, channel section size, magic).
+/// One manifest publishes an image and the channels of the same pack.
+std::vector<std::byte> encode_rank_checkpoint(std::vector<std::byte> image,
+                                              const Outbox& out,
+                                              const Inbox& in);
+
+struct RankCheckpoint {
+  std::span<const std::byte> image;  ///< a view into the decoded blob
+  Outbox out;
+  Inbox in;
+};
+/// Split a rank checkpoint. Throws ImageError naming what it is not: a
+/// bare process image (an older build's checkpoint, channels stored
+/// apart), another format version, or a channel section that does not
+/// decode.
+RankCheckpoint decode_rank_checkpoint(std::span<const std::byte> blob);
 
 }  // namespace mojave::dnode

@@ -12,7 +12,7 @@
 //          an untrusted environment. A trusted (binary) image carries the
 //          bytecode directly and skips both steps.
 //
-// Every integer in the image is canonical little-endian; a trailing FNV-1a
+// Every integer in the image is canonical little-endian; a trailing xxh64
 // checksum rejects transport corruption before any reconstruction begins.
 #pragma once
 

@@ -1,6 +1,6 @@
 // Retry policy for unreliable transports: bounded attempts, exponential
 // backoff with jitter, and an overall deadline. This drives the migration
-// client's mcc:// and ckpt:// paths — the paper's contract is that a
+// client's mcc:// path — the paper's contract is that a
 // failed migration degrades to "keep running locally", so the policy's job
 // is to decide *when* to stop trying, never to let a failure escape.
 //

@@ -335,8 +335,6 @@ TEST(CheckpointStore, DedupesAcrossSnapshots) {
 }
 
 TEST(CheckpointStore, CorruptChunkFallsBackToPreviousManifest) {
-  ckpt::CheckpointStore::Options opts;
-  opts.auto_gc = false;
   const auto root = fresh_dir("mj_ckpt_corrupt_chunk");
   const auto v1 = random_bytes(64 * 1024, 14);
   auto v2 = v1;
@@ -345,7 +343,7 @@ TEST(CheckpointStore, CorruptChunkFallsBackToPreviousManifest) {
   // Flip payload bytes of a chunk only the newest checkpoint references,
   // in place inside its extent file.
   {
-    ckpt::CheckpointStore store(root, opts);
+    ckpt::CheckpointStore store(root);
     (void)store.put("a", v1);
     (void)store.put("a", v2);
     const auto manifests = store.manifests("a");
@@ -373,7 +371,7 @@ TEST(CheckpointStore, CorruptChunkFallsBackToPreviousManifest) {
   // A fresh store (cold cache, index rebuilt from the extents) must not
   // surface v2 (or garbage): restore falls back to the previous complete
   // checkpoint.
-  ckpt::CheckpointStore store(root, opts);
+  ckpt::CheckpointStore store(root);
   ckpt::RestoreStats rs;
   const auto back = store.restore("a", &rs);
   ASSERT_TRUE(back.has_value());
@@ -388,9 +386,7 @@ TEST(CheckpointStore, CorruptChunkFallsBackToPreviousManifest) {
 }
 
 TEST(CheckpointStore, CorruptOrMissingEverythingMeansNoRestore) {
-  ckpt::CheckpointStore::Options opts;
-  opts.auto_gc = false;
-  ckpt::CheckpointStore store(fresh_dir("mj_ckpt_all_bad"), opts);
+  ckpt::CheckpointStore store(fresh_dir("mj_ckpt_all_bad"));
   (void)store.put("a", random_bytes(8 * 1024, 15));
   const char junk[] = "x";
   for (const auto& name : store.storage().list(

@@ -1,11 +1,10 @@
 // The checkpoint writer (src/ckpt/writer.hpp) and the node agent's use
 // of it. Each test pins one invariant of taking checkpoint puts off the
 // rank's thread:
-//  * a batch publishes each checkpoint's companion (a rank's channels)
-//    before its image, naming the seq the image got, also when the
-//    checkpoints of several ranks share the batch;
-//  * a job's `done` (an agent's ack) runs only after the image manifest
-//    is published, and a failed put is reported, never published;
+//  * the checkpoints of several ranks share one batch, each numbered
+//    after its snapshot's newest manifest;
+//  * a job's `done` (an agent's ack) runs only after its manifest is
+//    published, and a failed put is reported, never published;
 //  * cancel discards an owner's queued jobs and waits for its job in
 //    progress; drain waits for all of them;
 //  * an agent tells a rank's senders the watermarks recorded when the
@@ -16,13 +15,18 @@
 //  * a rank's COMMIT counts at its receivers only once the checkpoint
 //    after it landed;
 //  * an extent write that fails mid-batch fails the whole batch, and
-//    later checkpoints still land and restore.
+//    later checkpoints still land and restore;
+//  * a rank checkpoint is one blob, its image and then its channels:
+//    decode_rank_checkpoint rejects what is not one by name, and a
+//    resurrection from a channel section that does not decode fails.
 //
-// WriterGate holds a store's writer inside a batch (its job's companion
-// blocks), so a test decides what is queued behind it and when it runs.
+// WriterGate holds a store's writer inside a batch (its own job's `done`
+// blocks; `done` runs on the writer thread), so a test decides what is
+// queued behind it and when it runs.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -43,6 +47,7 @@
 #include "frontend/compile.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
+#include "support/hash.hpp"
 #include "support/log.hpp"
 #include "support/serialize.hpp"
 #include "support/tempdir.hpp"
@@ -75,18 +80,6 @@ std::vector<std::byte> bytes_of(std::uint64_t seed, std::size_t n = 3000) {
   return out;
 }
 
-/// A companion that records the image seq it is built for.
-std::vector<std::byte> seq_blob(std::uint64_t image_seq) {
-  Writer w;
-  w.u64(image_seq);
-  return w.take();
-}
-
-std::uint64_t blob_seq(const std::vector<std::byte>& blob) {
-  Reader r(blob);
-  return r.u64();
-}
-
 /// Holds a store's writer in a batch until released or destroyed.
 class WriterGate {
  public:
@@ -100,12 +93,10 @@ class WriterGate {
     job.owner = this;
     job.snapshot = name;
     job.image = bytes_of(99, 64);
-    job.companion_snapshot = name + "_log";
-    job.companion = [entered, open = open_.get_future().share()](
-                        std::uint64_t seq) {
+    job.done = [entered, open = open_.get_future().share()](
+                   const ckpt::CheckpointResult&) {
       entered->set_value();
       open.wait();
-      return seq_blob(seq);
     };
     store.submit(std::move(job));
     if (wait) wait_entered();
@@ -143,8 +134,6 @@ struct Jobs {
     job.owner = owner;
     job.snapshot = snapshot;
     job.image = bytes_of(seed);
-    job.companion_snapshot = snapshot + "_log";
-    job.companion = seq_blob;
     job.done = [o](const ckpt::CheckpointResult& r) {
       o->done.store(true);
       o->landed.set_value(r);  // last: the test may free `o` once woken
@@ -155,64 +144,6 @@ struct Jobs {
 };
 
 // --- The writer alone --------------------------------------------------
-
-/// Checkpoints of three snapshots queued behind a gate share one batch.
-/// Each companion names the seq its image got, which the writer assigns
-/// after the newest manifest of that snapshot.
-TEST(CheckpointWriter, BatchPublishesEachCompanionNamingItsImagesSeq) {
-  const TempDir root("mojave_writer_batch_");
-  ckpt::CheckpointStore store(root.path());
-  (void)store.put("a", bytes_of(1));
-  (void)store.put("a", bytes_of(2));
-  (void)store.put("b_log", bytes_of(3));  // companions number on their own
-
-  const std::uint64_t batches = counter("ckpt.batches");
-  Jobs jobs;
-  {
-    WriterGate gate(store, "gate");
-    for (const char* name : {"a", "b", "c"}) {
-      jobs.submit(store, &jobs, name, name[0]);
-    }
-  }
-  for (auto& o : jobs.out) ASSERT_TRUE(o->result.get().ok());
-  EXPECT_EQ(counter("ckpt.batches") - batches, 2u)
-      << "the gate's batch, then one for all three";
-
-  const std::vector<std::pair<std::string, std::uint64_t>> want = {
-      {"a", 3}, {"b", 1}, {"c", 1}};
-  for (const auto& [name, seq] : want) {
-    EXPECT_EQ(store.latest_seq(name), seq) << name;
-    ckpt::RestoreStats rs;
-    const auto blob = store.restore(name + "_log", &rs);
-    ASSERT_TRUE(blob.has_value()) << name;
-    EXPECT_EQ(blob_seq(*blob), seq) << name << "'s companion";
-  }
-  EXPECT_EQ(store.latest_seq("b_log"), 2u);
-}
-
-/// A companion that cannot be published fails its job, and the image
-/// behind it is never published: a restore must not find an image whose
-/// channels are missing.
-TEST(CheckpointWriter, ImageIsNotPublishedWhenItsCompanionFails) {
-  const TempDir root("mojave_writer_companion_fails_");
-  // A directory where x_log's first manifest would go: its rename fails.
-  fs::create_directories(root.path() / "manifests" /
-                         "x_log@000000000001.mft" / "blocker");
-  ckpt::CheckpointStore store(root.path());
-  Jobs jobs;
-  {
-    WriterGate gate(store, "gate");
-    jobs.submit(store, &jobs, "x", 1);
-    jobs.submit(store, &jobs, "y", 2);  // same batch, unaffected
-  }
-  const auto x = jobs.out[0]->result.get();
-  EXPECT_FALSE(x.ok());
-  EXPECT_THROW(std::rethrow_exception(x.error), Error);
-  EXPECT_FALSE(store.has_snapshot("x")) << "image published without channels";
-  EXPECT_TRUE(jobs.out[1]->result.get().ok());
-  EXPECT_EQ(store.latest_seq("y"), 1u);
-  EXPECT_TRUE(store.verify().ok());
-}
 
 /// `done` sees its checkpoint: the image manifest is published (and
 /// restorable) before the callback runs.
@@ -263,10 +194,11 @@ TEST(CheckpointWriter, CancelWaitsForTheJobInProgress) {
   ckpt::CheckpointStore store(root.path());
   Jobs mine;
   WriterGate first(store, "gate1");
-  mine.submit(store, &mine, "x", 1);
   WriterGate second(store, "gate2", /*wait=*/false);  // x's batch
+  mine.submit(store, &mine, "x", 1);
   first.release();
-  second.wait_entered();  // x is staged in the batch the writer holds
+  // x shares the batch the writer holds; its done waits behind the gate's.
+  second.wait_entered();
 
   std::atomic<bool> cancelled{false};
   std::thread killer([&] {
@@ -302,31 +234,37 @@ TEST(CheckpointWriter, DrainWaitsForEveryJobOfItsOwner) {
   for (auto& o : mine.out) EXPECT_TRUE(o->done.load());
 }
 
-/// A job that fails (its companion throws) is reported as failed and the
-/// writer goes on: the next job of the same batch is published.
+/// Checkpoints of three snapshots queued behind a gate share one batch.
+/// The one whose manifest cannot be published (a directory stands at its
+/// path, so the rename fails) is reported as failed and never appears;
+/// the writer goes on, and each other job of the batch is published,
+/// numbered after its snapshot's newest manifest.
 TEST(CheckpointWriter, FailedJobIsReportedAndTheWriterGoesOn) {
   const TempDir root("mojave_writer_fail_");
+  fs::create_directories(root.path() / "manifests" /
+                         "bad@000000000001.mft" / "blocker");
   ckpt::CheckpointStore store(root.path());
+  (void)store.put("a", bytes_of(1));
+  (void)store.put("a", bytes_of(2));
+
+  const std::uint64_t batches = counter("ckpt.batches");
   Jobs jobs;
-  std::promise<ckpt::CheckpointResult> failed;
   {
     WriterGate gate(store, "gate");
-    ckpt::CheckpointJob job;
-    job.snapshot = "bad";
-    job.image = bytes_of(1);
-    job.companion_snapshot = "bad_log";
-    job.companion = [](std::uint64_t) -> std::vector<std::byte> {
-      throw ImageError("channels do not encode");
-    };
-    job.done = [&](const ckpt::CheckpointResult& r) { failed.set_value(r); };
-    store.submit(std::move(job));
-    jobs.submit(store, &jobs, "good", 2);
+    for (const char* name : {"a", "bad", "b"}) {
+      jobs.submit(store, &jobs, name, name[0]);
+    }
   }
-  const auto bad = failed.get_future().get();
+  const auto bad = jobs.out[1]->result.get();
   EXPECT_FALSE(bad.ok());
+  EXPECT_THROW(std::rethrow_exception(bad.error), Error);
   EXPECT_FALSE(store.has_snapshot("bad"));
   EXPECT_TRUE(jobs.out[0]->result.get().ok());
-  EXPECT_EQ(store.latest_seq("good"), 1u);
+  EXPECT_TRUE(jobs.out[2]->result.get().ok());
+  EXPECT_EQ(counter("ckpt.batches") - batches, 2u)
+      << "the gate's batch, then one for all three";
+  EXPECT_EQ(store.latest_seq("a"), 3u);
+  EXPECT_EQ(store.latest_seq("b"), 1u);
   EXPECT_TRUE(store.verify().ok());
 }
 
@@ -418,18 +356,12 @@ struct OneAgent {
 /// logs for its receivers.
 dnode::Outbox persisted_outbox(ckpt::CheckpointStore& store,
                                std::uint32_t rank) {
-  const auto blob = store.restore("rank_" + std::to_string(rank) + "_sendlog");
-  dnode::Outbox out;
+  const auto blob = store.restore("rank_" + std::to_string(rank));
   if (!blob.has_value()) {
-    ADD_FAILURE() << "rank " << rank << " persisted no channels";
-    return out;
+    ADD_FAILURE() << "rank " << rank << " has no checkpoint";
+    return {};
   }
-  Reader r(*blob);
-  (void)r.u32();  // magic
-  (void)r.u32();  // version
-  (void)r.u64();  // image seq
-  out.decode(r);
-  return out;
+  return dnode::decode_rank_checkpoint(*blob).out;
 }
 
 /// Seqs rank `from` still logs for rank `to`.
@@ -667,12 +599,11 @@ TEST(CheckpointWriter, StopDiscardsQueuedCheckpoints) {
   // A put queued after everything else returns once all of it is written.
   (void)store->put("after", bytes_of(7, 16));
   EXPECT_FALSE(store->has_snapshot("rank_0"));
-  EXPECT_FALSE(store->has_snapshot("rank_0_sendlog"));
 }
 
 /// stop() waits for the agent's checkpoint that is being written: the
 /// writer holds it in a batch (behind a second gate) when stop() is
-/// called, and stop() returns only once that batch is published.
+/// called, and stop() returns only once that batch is done.
 TEST(CheckpointWriter, StopWaitsForTheCheckpointBeingWritten) {
   const std::string src = R"(
     extern int msg_recv(int, int, ptr, int);
@@ -689,13 +620,14 @@ TEST(CheckpointWriter, StopWaitsForTheCheckpointBeingWritten) {
   const std::uint64_t packed = counter("migrate.images_packed");
   auto a = std::make_unique<OneAgent>(root.path());
   WriterGate first(*store, "gate1");
+  WriterGate second(*store, "gate2", /*wait=*/false);
   RawCoordinator coord(a->agent, src);
   ASSERT_TRUE(wait_for([&] {
     return counter("migrate.images_packed") - packed >= 1;
   }));
-  WriterGate second(*store, "gate2", /*wait=*/false);
+  std::this_thread::sleep_for(20ms);  // a pack is counted before its submit
   first.release();
-  second.wait_entered();  // the rank's checkpoint is staged, unpublished
+  second.wait_entered();  // the rank's checkpoint is in the batch, unacked
 
   std::atomic<bool> stopped{false};
   std::thread killer([&] {
@@ -868,6 +800,127 @@ TEST(CheckpointWriter, CommitCountsOnlyOnceItsCheckpointLanded) {
 TEST(CheckpointWriter, LandedCheckpointMakesItsCommitCount) {
   EXPECT_EQ(commit_then_kill(/*landed=*/true), 0u)
       << "rank 1 rolled back a payload its sender's checkpoint covers";
+}
+
+// --- Rank checkpoints ---------------------------------------------------
+
+/// `blob` (a rank checkpoint) with the last byte of its channel section
+/// cut off and its trailer (version u32, section size u64, magic u32)
+/// kept consistent with that: only the channels fail to decode.
+std::vector<std::byte> cut_channels(std::span<const std::byte> blob) {
+  Reader trailer(blob.last(16));
+  const std::uint32_t version = trailer.u32();
+  const std::uint64_t section = trailer.u64();
+  const std::uint32_t magic = trailer.u32();
+  Writer w(std::vector<std::byte>(blob.begin(), blob.end() - 16 - 1));
+  w.u32(version);
+  w.u64(section - 1);
+  w.u32(magic);
+  return w.take();
+}
+
+/// The image comes back byte for byte, and the channels with it: what
+/// the Outbox logged and where the Inbox stands.
+TEST(RankCheckpoint, ImageAndChannelsRoundTrip) {
+  const auto image = bytes_of(3, 500);
+  dnode::Outbox out;
+  const std::vector<std::byte> value(8, std::byte{7});
+  (void)out.put(1, dnode::ChannelOp::kData, 5, 0, 1, value);
+  dnode::Inbox in;
+  dnode::Entry e;
+  e.h.incarnation = 1;
+  e.h.seq = 1;
+  (void)in.receive(2, e);
+
+  const auto blob = dnode::encode_rank_checkpoint(image, out, in);
+  ASSERT_TRUE(std::equal(image.begin(), image.end(), blob.begin()))
+      << "the image must lead the blob unchanged, for chunk dedup";
+  dnode::RankCheckpoint ck = dnode::decode_rank_checkpoint(blob);
+  EXPECT_TRUE(std::ranges::equal(ck.image, image));
+  EXPECT_EQ(logged(ck.out, 1), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(ck.in.next_seq(2), 2u);
+}
+
+std::string decode_error(std::span<const std::byte> blob) {
+  try {
+    (void)dnode::decode_rank_checkpoint(blob);
+  } catch (const ImageError& e) {
+    return e.what();
+  }
+  return "(decoded)";
+}
+
+/// A checkpoint an older build wrote under `rank_<r>` is a bare process
+/// image, its channels stored apart: it is rejected as such.
+TEST(RankCheckpoint, BareProcessImageIsRejectedByName) {
+  Writer w;
+  w.u32(kImageMagic);
+  w.u32(kImageFormatVersion);
+  w.bytes(bytes_of(4, 200));
+  const std::uint64_t sum = xxh64(w.view());
+  w.u64(sum);
+  EXPECT_NE(decode_error(w.view()).find("bare process image"),
+            std::string::npos)
+      << decode_error(w.view());
+}
+
+/// A channel section one byte short does not decode, and says so.
+TEST(RankCheckpoint, TruncatedChannelSectionIsRejectedByName) {
+  dnode::Outbox out;
+  const std::vector<std::byte> value(8, std::byte{7});
+  (void)out.put(1, dnode::ChannelOp::kData, 5, 0, 1, value);
+  const auto blob =
+      dnode::encode_rank_checkpoint(bytes_of(5, 300), out, dnode::Inbox{});
+  ASSERT_EQ(decode_error(blob), "(decoded)");
+  const std::string why = decode_error(cut_channels(blob));
+  EXPECT_NE(why.find("channel section does not decode"), std::string::npos)
+      << why;
+}
+
+/// A rank whose newest checkpoint has channels that do not decode is not
+/// resurrected from it, as with a bad image: the agent answers RANK_UP
+/// false, logs the rank, and runs nothing. The store holds the blob
+/// intact, so its restore does not fall back.
+TEST(CheckpointWriter, CorruptChannelSectionFailsTheResurrection) {
+  const std::string src = R"(
+    extern ptr checkpoint_target();
+    int main() {
+      migrate(checkpoint_target());
+      return 0;
+    }
+  )";
+  std::atomic<int> warnings{0};
+  Logger::instance().set_sink(
+      [&](LogLevel level, const std::string&, const std::string& msg) {
+        if (level == LogLevel::kWarn &&
+            msg.find("resurrect rank 0 failed") != std::string::npos &&
+            msg.find("channel section") != std::string::npos) {
+          warnings.fetch_add(1);
+        }
+      });
+  {
+    const TempDir root("mojave_writer_bad_channels_");
+    OneAgent a(root.path());
+    auto store = ckpt::CheckpointStore::open_shared(root.path());
+    RawCoordinator coord(a.agent, src);
+    ASSERT_TRUE(coord.next(dnode::MsgType::kResult, 10s).has_value());
+    const auto blob = store->restore("rank_0");
+    ASSERT_TRUE(blob.has_value());
+    ASSERT_EQ(store->put("rank_0", cut_channels(*blob)).seq, 2u);
+
+    const std::uint64_t resurrections = counter("node.resurrections");
+    coord.control.send_frame(dnode::encode_resurrect(0, 2));
+    const auto up = coord.next(dnode::MsgType::kRankUp, 10s);
+    ASSERT_TRUE(up.has_value());
+    EXPECT_EQ(up->rank, 0u);
+    EXPECT_FALSE(up->ok) << "the rank ran with channels that do not decode";
+    EXPECT_EQ(counter("node.resurrections"), resurrections);
+    coord.control.set_io_deadline(0);
+    coord.control.send_frame(dnode::encode_shutdown());
+    a.agent.stop();
+  }
+  Logger::instance().set_sink(nullptr);
+  EXPECT_EQ(warnings.load(), 1);
 }
 
 }  // namespace

@@ -27,11 +27,13 @@
 #include "ckpt/store.hpp"
 #include "ctrl/lease.hpp"
 #include "dnode/agent.hpp"
+#include "dnode/channel.hpp"
 #include "dnode/coord.hpp"
 #include "dnode/wire.hpp"
 #include "fir/serialize.hpp"
 #include "frontend/compile.hpp"
 #include "gridapp/heat.hpp"
+#include "migrate/image.hpp"
 #include "net/chaos.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
@@ -174,8 +176,9 @@ TEST(DnodeE2E, HeatAcrossTwoAgentsMatchesSingleProcessCluster) {
 
 /// Fault-free checkpointing on two agents that share one store root.
 /// Each agent's online GC must leave the other's chunks alone: afterwards
-/// a fresh store instance verifies clean and restores every rank image
-/// and replay log at its latest seq, without falling back.
+/// a fresh store instance verifies clean and restores every rank
+/// checkpoint at its latest seq, without falling back, into an image and
+/// channels that decode.
 TEST(DnodeE2E, FaultFreeCheckpointsLeaveAVerifiableStore) {
   const fs::path storage = fresh_dir("mojave_dnode_e2e_ckpt_store");
 
@@ -203,16 +206,17 @@ TEST(DnodeE2E, FaultFreeCheckpointsLeaveAVerifiableStore) {
   EXPECT_TRUE(report.ok()) << report.chunks_missing << " chunk(s) missing, "
                            << report.chunks_corrupt << " corrupt, "
                            << report.manifests_corrupt << " bad manifest(s)";
+  EXPECT_EQ(store.snapshots().size(), hcfg.nodes) << "one snapshot per rank";
   for (std::uint32_t r = 0; r < hcfg.nodes; ++r) {
-    const std::string image = "rank_" + std::to_string(r);
-    for (const std::string& name : {image, image + "_sendlog"}) {
-      ckpt::RestoreStats rs;
-      const auto back = store.restore(name, &rs);
-      ASSERT_TRUE(back.has_value()) << name << " does not restore";
-      EXPECT_GT(rs.seq, 0u) << name;
-      EXPECT_EQ(rs.seq, store.latest_seq(name)) << name;
-      EXPECT_EQ(rs.manifests_skipped, 0u) << name;
-    }
+    const std::string name = "rank_" + std::to_string(r);
+    ckpt::RestoreStats rs;
+    const auto back = store.restore(name, &rs);
+    ASSERT_TRUE(back.has_value()) << name << " does not restore";
+    EXPECT_GT(rs.seq, 0u) << name;
+    EXPECT_EQ(rs.seq, store.latest_seq(name)) << name;
+    EXPECT_EQ(rs.manifests_skipped, 0u) << name;
+    const dnode::RankCheckpoint ck = dnode::decode_rank_checkpoint(*back);
+    EXPECT_NO_THROW((void)migrate::inspect_image(ck.image)) << name;
   }
 }
 
